@@ -8,7 +8,7 @@ Library layout:
   depth, analytic usefulness conditions and bounds;
 * :mod:`qecopt.crosstalk`: long-range lattice crosstalk strength and its
   mapping onto the local-noise optimizer;
-* :mod:`qecopt.gatesim`: driven-qubit master-equation simulation and
+* :mod:`qecopt.gatesim`: exact noise channel of the driven-qubit gate and
   Pauli error extraction;
 * :mod:`qecopt.shor`: photon and energy budgets for Shor's algorithm;
 * :mod:`qecopt.cli`: the ``qecopt`` command-line front end.

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 computational infeasibility, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -74,7 +75,6 @@ CONFIG_SCHEMA = {
         "gamma": {"type": "number"},
         "ng": {"type": "number"},
         "omega0": {"type": ["number", "null"]},
-        "steps": {"type": ["integer", "null"]},
         "lattice": {"enum": ["chain", "square"]},
         "z": {"type": "number"},
         "N0": {"type": "integer"},
@@ -121,7 +121,10 @@ def _parse_theta(text: str) -> float:
         if tail:
             if not tail.startswith("/"):
                 raise UsageError(f"cannot parse angle {text!r}")
-            factor /= float(tail[1:])
+            denominator = float(tail[1:])
+            if denominator == 0.0:
+                raise UsageError(f"angle {text!r} divides by zero")
+            factor /= denominator
         return factor * math.pi
     raise UsageError(f"cannot parse angle {text!r}")
 
@@ -393,17 +396,12 @@ def cmd_gatesim(args: argparse.Namespace) -> int:
         "gamma": float(_require(_resolve(args, config, "gamma"), "--gamma")),
         "ng": float(_require(_resolve(args, config, "ng"), "--ng")),
         "omega0": _resolve(args, config, "omega0"),
-        "steps": _resolve(args, config, "steps"),
     }
     spec = gatesim.GateSpec(
         theta=cfg["theta"], gamma=cfg["gamma"], n_g=cfg["ng"], omega0=cfg["omega0"]
     )
     omega, tau = gatesim.pulse_params(spec)
-    try:
-        channel = gatesim.evolve_noisy_gate(spec, steps=cfg["steps"])
-    except gatesim.ConvergenceError as exc:
-        sys.stderr.write(f"gatesim: {exc}\n")
-        return 1
+    channel = gatesim.evolve_noisy_gate(spec)
     asym = gatesim.asymptotic_pauli_errors(spec.n_g)
     result = channel.to_dict()
     result.update(
@@ -552,7 +550,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qecopt parser, built once per process.  Parsing leaves it
+    unchanged, so every call to main shares it."""
     parser = argparse.ArgumentParser(
         prog="qecopt",
         description="Optimal error correction under scale-dependent noise",
@@ -597,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate.add_argument("--gamma", type=float)
     p_gate.add_argument("--ng", type=float)
     p_gate.add_argument("--omega0", type=float)
-    p_gate.add_argument("--steps", type=int)
     p_gate.set_defaults(func=cmd_gatesim)
 
     p_lr = sub.add_parser("longrange", help="lattice crosstalk strength")

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .optimizer import logical_error_from_b
 from .scheme import FTScheme, LogProb
@@ -142,6 +141,8 @@ def delta_lattice_oracle(spec: LatticeSpec) -> float:
 
 def _c_z_integral(z: float) -> float:
     """C_z = integral_0^{pi/4} cos(theta)^(z-2) dtheta, by adaptive quadrature."""
+    from scipy.integrate import quad
+
     value, err = quad(lambda t: math.cos(t) ** (z - 2.0), 0.0, math.pi / 4.0,
                       epsabs=1e-12, epsrel=1e-12)
     if err > 1e-10:

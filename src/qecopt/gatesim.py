@@ -5,21 +5,20 @@ n_g photons on average.  Driving and spontaneous emission share the same
 waveguide, which ties the Rabi frequency to the emission rate gamma:
 Omega = 4 gamma n_g / theta, and the pulse lasts tau = theta / Omega.
 
-The simulation integrates the rotating-frame master equation
+During the pulse the qubit evolves under the rotating-frame master equation
 
     drho/dt = -i [ (Omega/2) sigma_x, rho ] + gamma D(rho),
-    D(rho)  = sigma_- rho sigma_+ - (sigma_+ sigma_- rho + rho sigma_+ sigma_-)/2,
+    D(rho)  = sigma_- rho sigma_+ - (sigma_+ sigma_- rho + rho sigma_+ sigma_-)/2.
 
-over the pulse (the drive is time-independent in this frame; the lab-frame
-oscillation at omega0 is never integrated, it only enters the validity check
-n_g << omega0/gamma).  The noise map E is the noisy gate with the ideal
-rotation divided out, E = G^{-1} o G_noisy; its Pauli-transfer matrix and the
+The drive is time-independent in this frame (the lab-frame
+oscillation at omega0 only enters the validity check n_g << omega0/gamma), so
+in the Pauli basis (1, x, y, z) the noisy gate is exactly expm(tau G), with G
+the generator of the damped, driven Bloch equations (Torrey, Phys. Rev. 76,
+1059 (1949)).  The noise map E is the noisy gate with the ideal rotation
+divided out, E = R(-theta) expm(tau G); its Pauli-transfer matrix and the
 diagonal of its chi (process) matrix: the X/Y/Z error probabilities: are
-what the error-correction analysis consumes.
-
-The integrator is a fixed-step classical 4th-order Runge-Kutta: deterministic
-step counts keep results bitwise reproducible, and convergence is asserted by
-comparing against a halved step.
+what the error-correction analysis consumes.  tau G depends on theta and n_g
+alone, and the result is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)  # |0><0| - |1><1|
 IDENTITY = np.eye(2, dtype=complex)
 PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# sigma_- = |0><1| lowers the excited state |1> into the ground state |0>.
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_PLUS = SIGMA_MINUS.conj().T
-
 # chi-diagonal extraction: s_alpha = chi00 + chi_aa - sum_{b != 0,a} chi_bb
 # for s_alpha = (1/2) Tr{sigma_a E(sigma_a)}; the coefficient matrix is its
 # own inverse up to the factor 4.
@@ -55,14 +50,12 @@ _CHI_COEFF = np.array(
 )
 assert abs(np.linalg.det(_CHI_COEFF)) > 1.0  # fixed, invertible by construction
 
+# sigma_i (x) sigma_j^T, the Choi-matrix image of each transfer-matrix entry.
+_CHOI_BASIS = np.array([[np.kron(p, q.T) for q in PAULIS] for p in PAULIS])
+
 TP_TOL = 1e-9
 CP_TOL = -1e-8
-CONVERGENCE_TOL = 1e-9
 RWA_FRACTION = 0.01  # warn when n_g >= RWA_FRACTION * omega0/gamma
-
-
-class ConvergenceError(RuntimeError):
-    """Integration did not converge under step halving."""
 
 
 @dataclass(frozen=True)
@@ -81,12 +74,14 @@ class GateSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 2.0 * math.pi:
             raise ValueError(f"theta must lie in (0, 2*pi], got {self.theta!r}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
-        if self.n_g <= 0:
-            raise ValueError(f"n_g must be > 0, got {self.n_g!r}")
-        if self.omega0 is not None and self.omega0 <= 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0!r}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
+        if not (math.isfinite(self.n_g) and self.n_g > 0):
+            raise ValueError(f"n_g must be finite and > 0, got {self.n_g!r}")
+        if self.omega0 is not None and not (
+            math.isfinite(self.omega0) and self.omega0 > 0
+        ):
+            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0!r}")
 
     @property
     def rwa_margin(self) -> float:
@@ -137,7 +132,6 @@ class QubitChannel:
 
     ptm: np.ndarray
     chi_diag: tuple[float, float, float, float]
-    converged: bool = True
     rwa_margin: float = math.inf
 
     def __post_init__(self) -> None:
@@ -146,12 +140,15 @@ class QubitChannel:
         if ptm.shape != (4, 4):
             raise ValueError(f"ptm must be 4x4, got {ptm.shape}")
         first_row_err = np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0])))
-        if first_row_err > TP_TOL:
+        # Written as "not ok" so that a NaN fails each check.
+        if not first_row_err <= TP_TOL:
             raise ValueError(f"channel is not trace preserving ({first_row_err:.2e})")
+        if not np.all(np.isfinite(ptm)):
+            raise ValueError("channel transfer matrix is not finite")
         eigmin = float(np.min(np.linalg.eigvalsh(choi_from_ptm(ptm))))
-        if eigmin < CP_TOL:
+        if not eigmin >= CP_TOL:
             raise ValueError(f"channel is not completely positive ({eigmin:.2e})")
-        if sum(self.chi_diag) > 1.0 + 1e-9:
+        if not sum(self.chi_diag) <= 1.0 + 1e-9:
             raise ValueError(f"chi diagonal exceeds unit weight: {self.chi_diag}")
 
     def apply(self, state: BlochState) -> BlochState:
@@ -162,7 +159,6 @@ class QubitChannel:
         return {
             "ptm": [[float(v) for v in row] for row in self.ptm],
             "chi_diag": [float(v) for v in self.chi_diag],
-            "converged": self.converged,
             "rwa_margin": None if math.isinf(self.rwa_margin) else self.rwa_margin,
         }
 
@@ -189,67 +185,24 @@ def ideal_rotation_ptm(theta: float) -> np.ndarray:
 
 def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
     """Choi matrix (trace-1 normalization) of a channel given as a PTM."""
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            choi += ptm[i, j] * np.kron(PAULIS[i], PAULIS[j].T)
-    choi /= 4.0
+    choi = np.tensordot(ptm, _CHOI_BASIS, axes=2) / 4.0
     return 0.5 * (choi + choi.conj().T)
 
 
-def _lindblad_rhs(rho: np.ndarray, omega: float, gamma: float) -> np.ndarray:
-    h = 0.5 * omega * SIGMA_X
-    drho = -1j * (h @ rho - rho @ h)
-    sps_m = SIGMA_PLUS @ SIGMA_MINUS
-    drho += gamma * (
-        SIGMA_MINUS @ rho @ SIGMA_PLUS - 0.5 * (sps_m @ rho + rho @ sps_m)
+def _bloch_generator(rotation: float, decay: float) -> np.ndarray:
+    """Generator of the Bloch equations in the (1, x, y, z) basis for the
+    drive (Omega/2) sigma_x and decay at rate gamma into |0> (z = +1):
+    dx/dt = -gamma x/2, dy/dt = -gamma y/2 - Omega z,
+    dz/dt = Omega y - gamma (z - 1).  Called with Omega tau and gamma tau it
+    returns tau G, so the pulse time never appears on its own."""
+    return np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, -0.5 * decay, 0.0, 0.0],
+            [0.0, 0.0, -0.5 * decay, -rotation],
+            [decay, 0.0, rotation, -decay],
+        ]
     )
-    return drho
-
-
-def _rk4_evolve(
-    rho0: np.ndarray, omega: float, gamma: float, tau: float, steps: int
-) -> np.ndarray:
-    h = tau / steps
-    rho = rho0.astype(complex)
-    for _ in range(steps):
-        k1 = _lindblad_rhs(rho, omega, gamma)
-        k2 = _lindblad_rhs(rho + 0.5 * h * k1, omega, gamma)
-        k3 = _lindblad_rhs(rho + 0.5 * h * k2, omega, gamma)
-        k4 = _lindblad_rhs(rho + h * k3, omega, gamma)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
-
-
-# Linearly independent preparation states: |0>, |1>, |+>, |+i>.
-_PREP_STATES = (
-    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-    np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-)
-
-
-def _noisy_gate_ptm(omega: float, gamma: float, tau: float, steps: int) -> np.ndarray:
-    """PTM of the raw noisy gate, assembled from four evolved preparations."""
-    outs = [_rk4_evolve(rho, omega, gamma, tau, steps) for rho in _PREP_STATES]
-    out_identity = outs[0] + outs[1]
-    images = (
-        out_identity,
-        2.0 * outs[2] - out_identity,
-        2.0 * outs[3] - out_identity,
-        outs[0] - outs[1],
-    )
-    ptm = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            ptm[i, j] = 0.5 * np.trace(PAULIS[i] @ images[j]).real
-    return ptm
-
-
-def _default_steps(omega: float, gamma: float, tau: float) -> int:
-    h_max = min(tau / 1000.0, 0.01 / omega, 0.01 / gamma)
-    return max(1000, math.ceil(tau / h_max))
 
 
 def extract_chi_diag(
@@ -261,7 +214,7 @@ def extract_chi_diag(
     noisy rotation gate and the ideal rotation by theta is divided out first.
     """
     ptm = np.asarray(ptm, dtype=float)
-    if abs(ptm[0, 0] - 1.0) > TP_TOL or np.max(np.abs(ptm[0, 1:])) > TP_TOL:
+    if not (abs(ptm[0, 0] - 1.0) <= TP_TOL and np.max(np.abs(ptm[0, 1:])) <= TP_TOL):
         raise ValueError("transfer matrix is not trace preserving")
     if theta != 0.0:
         ptm = ideal_rotation_ptm(-theta) @ ptm
@@ -270,55 +223,30 @@ def extract_chi_diag(
     return (float(chi[0]), float(chi[1]), float(chi[2]), float(chi[3]))
 
 
-def evolve_noisy_gate(
-    spec: GateSpec,
-    steps: int | None = None,
-    check_convergence: bool = True,
-) -> QubitChannel:
-    """Integrate the driven-qubit master equation and return the noise map.
+def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
+    """Noise map of the driven gate: R(-theta) expm(tau G).
 
-    The default step count obeys h <= min(tau/1000, 0.01/Omega, 0.01/gamma).
-    When check_convergence is set (the default) the integration is repeated
-    with halved step and the finer result is returned; a relative shift of
-    the chi diagonal above CONVERGENCE_TOL raises ConvergenceError.
+    With Omega tau = theta and gamma tau = theta^2 / (4 n_g), tau G depends
+    on theta and n_g alone.  The propagator overflows once gamma tau passes
+    ~3e38 (n_g below ~1e-38 photons); that raises ValueError.
     """
-    omega, tau = pulse_params(spec)
+    from scipy.linalg import expm
+
     if spec.omega0 is not None and spec.n_g >= RWA_FRACTION * spec.omega0 / spec.gamma:
         warnings.warn(
             f"rotating-wave approximation is marginal: n_g={spec.n_g:g} vs "
             f"omega0/gamma={spec.omega0 / spec.gamma:g}",
             stacklevel=2,
         )
-    if steps is None:
-        steps = _default_steps(omega, gamma=spec.gamma, tau=tau)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-
-    inverse_ideal = ideal_rotation_ptm(-spec.theta)
-    ptm_coarse = inverse_ideal @ _noisy_gate_ptm(omega, spec.gamma, tau, steps)
-    chi_coarse = extract_chi_diag(ptm_coarse)
-    if not check_convergence:
-        return QubitChannel(
-            ptm=ptm_coarse,
-            chi_diag=chi_coarse,
-            converged=False,
-            rwa_margin=spec.rwa_margin,
-        )
-
-    ptm_fine = inverse_ideal @ _noisy_gate_ptm(omega, spec.gamma, tau, 2 * steps)
-    chi_fine = extract_chi_diag(ptm_fine)
-    scale = max(np.max(np.abs(chi_fine)), 1e-300)
-    shift = np.max(np.abs(np.subtract(chi_fine, chi_coarse))) / scale
-    if shift >= CONVERGENCE_TOL:
-        raise ConvergenceError(
-            f"chi diagonal moved by {shift:.3e} (>= {CONVERGENCE_TOL}) under "
-            f"step halving at {steps} steps"
+    decay = spec.theta ** 2 / (4.0 * spec.n_g)
+    ptm = ideal_rotation_ptm(-spec.theta) @ expm(_bloch_generator(spec.theta, decay))
+    if not np.all(np.isfinite(ptm)):
+        raise ValueError(
+            f"gate propagator is not finite at n_g={spec.n_g:g} "
+            f"(gamma*tau = {decay:.3g})"
         )
     return QubitChannel(
-        ptm=ptm_fine,
-        chi_diag=chi_fine,
-        converged=True,
-        rwa_margin=spec.rwa_margin,
+        ptm=ptm, chi_diag=extract_chi_diag(ptm), rwa_margin=spec.rwa_margin
     )
 
 

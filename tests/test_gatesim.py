@@ -1,4 +1,9 @@
-"""Driven-qubit channel simulation, chi extraction and asymptotics."""
+"""Driven-qubit gate channel, chi extraction and asymptotics.
+
+The exact channel is checked against an independent oracle defined here: a
+classical 4th-order Runge-Kutta integration of the Lindblad equation for the
+density matrix, which shares no code with the Bloch-generator propagator.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecopt.gatesim import (
     BlochState,
@@ -23,6 +30,59 @@ from qecopt.gatesim import (
 
 PI = math.pi
 
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_BASIS = (np.eye(2, dtype=complex), _SX, _SY, _SZ)
+_SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |1> decays into |0>
+_SP = _SM.conj().T
+
+
+def _lindblad_rhs(rho, omega, gamma):
+    h = 0.5 * omega * _SX
+    return -1j * (h @ rho - rho @ h) + gamma * (
+        _SM @ rho @ _SP - 0.5 * (_SP @ _SM @ rho + rho @ _SP @ _SM)
+    )
+
+
+def _rk4_step(rho, omega, gamma, h):
+    k1 = _lindblad_rhs(rho, omega, gamma)
+    k2 = _lindblad_rhs(rho + 0.5 * h * k1, omega, gamma)
+    k3 = _lindblad_rhs(rho + 0.5 * h * k2, omega, gamma)
+    k4 = _lindblad_rhs(rho + h * k3, omega, gamma)
+    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_noise_ptm(spec, steps):
+    """Noise-map transfer matrix after `steps` RK4 steps over the pulse.
+
+    One RK4 step is linear in rho, so `steps` steps are the steps-th power of
+    the one-step transfer matrix, entry (i, j) = Tr(P_i step(P_j)) / 2.
+    """
+    omega, tau = pulse_params(spec)
+    h = tau / steps
+    one_step = np.array(
+        [
+            [0.5 * np.trace(p @ _rk4_step(q, omega, spec.gamma, h)).real for q in _BASIS]
+            for p in _BASIS
+        ]
+    )
+    c, s = math.cos(spec.theta), math.sin(spec.theta)
+    undo_rotation = np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, s], [0, 0, -s, c]], dtype=float
+    )
+    return undo_rotation @ np.linalg.matrix_power(one_step, steps)
+
+
+# theta x n_g, with the critically damped point n_g = theta/16 (Omega = gamma/4)
+# and an overdamped one below it.
+ORACLE_GRID = [
+    (theta, n_g)
+    for theta in (PI / 4, PI / 2, PI, 2.3, 2.0 * PI)
+    for n_g in (theta / 64.0, theta / 16.0, 1.0, 30.0, 1e3, 1e6)
+]
+ORACLE_STEPS = 2 ** 14
+
 
 class TestGateSpec:
     def test_validation(self):
@@ -32,6 +92,14 @@ class TestGateSpec:
             GateSpec(theta=PI, gamma=0.0, n_g=10.0)
         with pytest.raises(ValueError):
             GateSpec(theta=PI, gamma=1.0, n_g=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        for field in ("theta", "gamma", "n_g", "omega0"):
+            kwargs = {"theta": PI, "gamma": 1.0, "n_g": 10.0, "omega0": 1e9}
+            kwargs[field] = bad
+            with pytest.raises(ValueError, match=field):
+                GateSpec(**kwargs)
 
     def test_rwa_margin(self):
         spec = GateSpec(theta=PI, gamma=10.0, n_g=1e6, omega0=1e10)
@@ -93,7 +161,6 @@ class TestEvolveNoisyGate:
         channel = evolve_noisy_gate(spec)
         assert np.max(np.abs(channel.ptm - np.eye(4))) < 1e-6
         assert channel.chi_diag[0] == pytest.approx(1.0, abs=1e-6)
-        assert channel.converged
 
     @pytest.mark.parametrize("n_g,tol", [(1e2, 0.05), (1e3, 0.02), (1e4, 0.01)])
     def test_pi_pulse_error_matches_asymptotics(self, n_g, tol):
@@ -113,10 +180,10 @@ class TestEvolveNoisyGate:
             assert deviation <= 5.0 / n_g + 0.02, (n_g, deviation)
 
     def test_gamma_invariance_at_fixed_photon_number(self):
-        # gamma only sets the time scale; the channel depends on n_g and theta
+        # gamma only sets the time scale; tau G depends on n_g and theta alone
         a = evolve_noisy_gate(GateSpec(theta=PI, gamma=1.0, n_g=500.0))
         b = evolve_noisy_gate(GateSpec(theta=PI, gamma=7.3, n_g=500.0))
-        assert np.max(np.abs(a.ptm - b.ptm)) < 1e-9
+        assert np.max(np.abs(a.ptm - b.ptm)) < 1e-12
 
     def test_trace_preservation_and_positivity_grid(self):
         for theta in (PI / 4, PI / 2, PI, 1.8 * PI):
@@ -139,29 +206,54 @@ class TestEvolveNoisyGate:
             assert out.norm <= 1.0 + 1e-9
 
     def test_fourth_order_convergence(self):
+        # The oracle's error against the exact channel falls ~16x per halving.
         spec = GateSpec(theta=PI, gamma=1.0, n_g=10.0)
-        reference = np.array(
-            evolve_noisy_gate(spec, steps=2560, check_convergence=False).chi_diag
-        )
+        exact = np.array(evolve_noisy_gate(spec).chi_diag)
         err = {
-            steps: np.max(
-                np.abs(
-                    np.array(
-                        evolve_noisy_gate(
-                            spec, steps=steps, check_convergence=False
-                        ).chi_diag
-                    )
-                    - reference
-                )
-            )
-            for steps in (40, 80)
+            steps: np.max(np.abs(np.array(extract_chi_diag(rk4_noise_ptm(spec, steps))) - exact))
+            for steps in (40, 80, 160)
         }
-        ratio = err[40] / err[80]
-        assert 10.0 < ratio < 24.0  # halving the step cuts the error ~16x
+        assert 10.0 < err[40] / err[80] < 24.0
+        assert 10.0 < err[80] / err[160] < 24.0
 
-    def test_halving_the_default_step_is_converged(self):
-        channel = evolve_noisy_gate(GateSpec(theta=PI, gamma=1.0, n_g=100.0))
-        assert channel.converged
+    def test_exact_channel_matches_rk4_oracle(self):
+        for theta, n_g in ORACLE_GRID:
+            spec = GateSpec(theta=theta, gamma=1.0, n_g=n_g)
+            channel = evolve_noisy_gate(spec)
+            oracle = rk4_noise_ptm(spec, ORACLE_STEPS)
+            gap = np.max(np.abs(channel.ptm - oracle))
+            assert gap < 1e-11, (theta, n_g, gap)
+            chi_gap = np.max(np.abs(np.subtract(channel.chi_diag, extract_chi_diag(oracle))))
+            assert chi_gap < 1e-11, (theta, n_g, chi_gap)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        theta=st.floats(0.0, 2.0 * PI, exclude_min=True),
+        log10_gamma=st.floats(-3.0, 3.0),
+        log10_n_g=st.floats(-20.0, 12.0),
+    )
+    def test_channel_is_valid_over_the_input_range(self, theta, log10_gamma, log10_n_g):
+        spec = GateSpec(theta=theta, gamma=10.0 ** log10_gamma, n_g=10.0 ** log10_n_g)
+        channel = evolve_noisy_gate(spec)
+        assert np.max(np.abs(channel.ptm[0] - [1, 0, 0, 0])) <= 1e-9
+        assert np.min(np.linalg.eigvalsh(choi_from_ptm(channel.ptm))) >= -1e-8
+        assert sum(channel.chi_diag) <= 1.0 + 1e-9
+
+    def test_sub_photon_pulses_reach_the_steady_state(self):
+        # gamma tau = theta^2/(4 n_g) >> 1: every input relaxes to the
+        # driven steady state y = -2 r z, z = 1/(1 + 2 r^2), r = Omega/gamma,
+        # which the inverse pi rotation maps to (-y, -z).  Fixed-step
+        # integration needed ~1e6 and ~1e10 steps for these two pulses.
+        for n_g in (1e-4, 1e-8):
+            channel = evolve_noisy_gate(GateSpec(theta=PI, gamma=1.0, n_g=n_g))
+            r = 4.0 * n_g / PI
+            z = 1.0 / (1.0 + 2.0 * r * r)
+            assert channel.ptm[2] == pytest.approx([2.0 * r * z, 0, 0, 0], abs=1e-12)
+            assert channel.ptm[3] == pytest.approx([-z, 0, 0, 0], abs=1e-12)
+
+    def test_overflowing_propagator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not finite at n_g=1e-100"):
+            evolve_noisy_gate(GateSpec(theta=PI, gamma=1.0, n_g=1e-100))
 
     def test_composition_of_half_pulses(self):
         # Two pi/2 pulses sharing the photon budget compose to the pi-pulse
@@ -176,16 +268,15 @@ class TestEvolveNoisyGate:
     def test_rwa_warning(self):
         spec = GateSpec(theta=PI, gamma=1.0, n_g=1e8, omega0=1e9)
         with pytest.warns(UserWarning, match="rotating-wave"):
-            evolve_noisy_gate(spec, steps=200, check_convergence=False)
+            evolve_noisy_gate(spec)
 
     def test_channel_export_schema(self):
         spec = GateSpec(theta=PI, gamma=10.0, n_g=1e3, omega0=1e10)
         channel = evolve_noisy_gate(spec)
         payload = channel.to_dict()
-        assert set(payload) == {"ptm", "chi_diag", "converged", "rwa_margin"}
+        assert set(payload) == {"ptm", "chi_diag", "rwa_margin"}
         assert len(payload["ptm"]) == 4 and len(payload["ptm"][0]) == 4
         assert len(payload["chi_diag"]) == 4
-        assert payload["converged"] is True
         assert payload["rwa_margin"] == pytest.approx(1e6)
         json.dumps(payload)  # JSON-serializable as-is
 
@@ -227,6 +318,18 @@ class TestQubitChannelInvariants:
     def test_rejects_overweight_chi(self):
         with pytest.raises(ValueError, match="chi"):
             QubitChannel(ptm=np.eye(4), chi_diag=(1.0, 0.1, 0.0, 0.0))
+
+    def test_rejects_nan(self):
+        nan_row = np.eye(4)
+        nan_row[0, 1] = math.nan
+        with pytest.raises(ValueError, match="trace"):
+            QubitChannel(ptm=nan_row, chi_diag=(1.0, 0.0, 0.0, 0.0))
+        nan_block = np.eye(4)
+        nan_block[2, 3] = math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            QubitChannel(ptm=nan_block, chi_diag=(1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="chi"):
+            QubitChannel(ptm=np.eye(4), chi_diag=(math.nan, 0.0, 0.0, 0.0))
 
     def test_bloch_state_norm_guard(self):
         with pytest.raises(ValueError):
