@@ -42,7 +42,6 @@ from .optimizer import (
     one_level_condition,
 )
 from .crosstalk import (
-    CrosstalkResult,
     LatticeSpec,
     crosstalk_usefulness_threshold,
     delta0_asymptotic,
@@ -79,9 +78,8 @@ __all__ = [
     "BoundsReport", "OptResult", "affine_usefulness_threshold",
     "exp_model_bounds", "find_kmax", "generic_kmax_bound",
     "logical_error_log10", "one_level_condition",
-    "CrosstalkResult", "LatticeSpec", "crosstalk_usefulness_threshold",
-    "delta0_asymptotic", "delta_lattice_oracle", "effective_local_error",
-    "logical_crosstalk_log10",
+    "LatticeSpec", "crosstalk_usefulness_threshold", "delta0_asymptotic",
+    "delta_lattice_oracle", "effective_local_error", "logical_crosstalk_log10",
     "GateSpec", "QubitChannel", "asymptotic_pauli_errors",
     "evolve_noisy_gate", "extract_chi_diag", "pulse_params",
     "EnergyBill", "MinBudget", "ShorProblem", "energy_bill",

@@ -101,10 +101,6 @@ class UsageError(ValueError):
     """Bad arguments or configuration (exit code 2)."""
 
 
-class InfeasibleError(RuntimeError):
-    """The requested computation has no answer within its caps (exit code 1)."""
-
-
 def _parse_theta(text: str) -> float:
     """Angles as plain floats or simple pi expressions: 'pi', 'pi/2', '2pi'."""
     cleaned = text.strip().lower().replace(" ", "")
@@ -236,7 +232,8 @@ def _optimize_config(args: argparse.Namespace, config: dict) -> dict:
     return cfg
 
 
-def _run_optimize_core(cfg: dict) -> dict:
+def _run_optimize_core(cfg: dict) -> tuple[optimizer.OptResult, dict]:
+    """The k-scan of one optimize configuration and its full report."""
     sch = _parse_scheme(cfg["scheme"])
     model = _build_model(cfg)
     result = optimizer.find_kmax(sch, model, k_cap=cfg["kcap"])
@@ -249,16 +246,14 @@ def _run_optimize_core(cfg: dict) -> dict:
         c_star = optimizer.affine_usefulness_threshold(sch.B, model.eta0)
         report["usefulness_c_star"] = c_star
         report["no_c_helps"] = c_star == 0.0
-    return report
+    return result, report
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _optimize_config(args, _load_config(args.config))
-    report = _run_optimize_core(cfg)
+    result, report = _run_optimize_core(cfg)
     if args.format == "csv":
-        lines = ["k,log10_p"]
-        lines += [f"{p['k']},{p['log10_p']!r}" for p in report["curve"]]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(optimizer.curve_to_csv(result), args.out)
     else:
         _emit(_dump_json({"config": cfg, "result": report}), args.out)
     return 0
@@ -321,6 +316,10 @@ def _sweep_config(args: argparse.Namespace, config: dict) -> dict:
         "axes": axes,
     }
     swept = {axis["param"] for axis in axes}
+    if cfg["model"] == "table":
+        raise UsageError("sweep does not support --model table")
+    if "n_L" in swept and cfg["model"] != "shor":
+        raise UsageError("only --model shor sweeps n_L")
     if cfg["model"] == "shor":
         cfg["R"] = int(_require(_resolve(args, config, "R"), "--R"))
         if "n_L" not in swept:
@@ -348,7 +347,7 @@ def _sweep_point(cfg: dict, assignment: dict[str, float]) -> dict:
             point["A"] = float(sch.D)
         else:
             point[param] = value
-    return _run_optimize_core(point)
+    return _run_optimize_core(point)[1]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -480,13 +479,13 @@ def cmd_shor(args: argparse.Namespace) -> int:
                 f"n_L <= {cfg['nlcap']:.0e}\n"
             )
             return 1
-        n_L, k = budget.n_L, budget.k
+        n_L = budget.n_L
     else:
         n_L = float(cfg["nL"])
-        k = shor.optimize_photon_budget(problem, n_L, sch).k_max
+    opt = shor.optimize_photon_budget(problem, n_L, sch)
+    k = opt.k_max
     bill = shor.energy_bill(problem, n_L, k, cfg["gamma"], cfg["omega0"], sch)
     margin = shor.rwa_margin(n_L, k, cfg["gamma"], cfg["omega0"], sch)
-    opt = shor.optimize_photon_budget(problem, n_L, sch)
 
     if args.format == "csv":
         _emit(
@@ -639,7 +638,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ValueError, TypeError) as exc:
         sys.stderr.write(f"qecopt: {exc}\n")
         return 2
-    except (InfeasibleError, RuntimeError) as exc:
+    except RuntimeError as exc:
         sys.stderr.write(f"qecopt: {exc}\n")
         return 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import logical_error_from_b
+from .optimizer import log10_logical_error, one_level_condition
 from .scheme import FTScheme, LogProb
 
 # Local-noise equivalent of long-range strength: eta_eff = PREFACTOR*sqrt(2 t0 Delta).
@@ -78,19 +78,6 @@ class LatticeSpec:
     def to_dict(self) -> dict:
         return {"d": self.d, "z": self.z, "N0": self.N0, "delta": self.delta,
                 "a": self.a, "aspect": self.aspect}
-
-
-@dataclass(frozen=True)
-class CrosstalkResult:
-    """Crosstalk strength at a concatenation level."""
-
-    t0_delta: float
-    k: int
-    log10_t0_deltaL: LogProb
-
-    def __post_init__(self) -> None:
-        if self.t0_delta < 0:
-            raise ValueError("t0_delta must be >= 0")
 
 
 def _chain_row_sums(n: int, z: float) -> np.ndarray:
@@ -187,58 +174,35 @@ def effective_local_error(t0_delta: float) -> float:
     return LOCAL_NOISE_PREFACTOR * math.sqrt(2.0 * t0_delta)
 
 
+def amplified_fault_pairs(B: float) -> float:
+    """Effective fault-pair count for long-range noise, B_AMPLIFICATION*B^2."""
+    if B < 1:
+        raise ValueError(f"need B >= 1, got {B!r}")
+    return B_AMPLIFICATION * B * B
+
+
 def logical_crosstalk_log10(
     scheme: FTScheme, t0_delta0: float, beta: float, k: int
 ) -> LogProb:
     """log10 of the crosstalk bound between logical qubits at level k.
 
-    t0 Delta_L(k) = (b' t0 Delta0)^(2^k) / b' * D^(beta 2^k k), with the
-    amplified fault-pair count b' = B_AMPLIFICATION * B^2.  This equals the
-    logical-error recursion with B replaced by b' and eta0 by t0 Delta0
-    growing exponentially (beta) per level.
+    t0 Delta_L(k) = (b' t0 Delta0)^(2^k) / b' * D^(beta 2^k k): the
+    logical-error recursion with B replaced by the amplified fault-pair count
+    b' = B_AMPLIFICATION * B^2 and eta(k) by t0 Delta0 D^(beta k).
     """
-    if k < 0:
-        raise ValueError("concatenation level must be >= 0")
     if t0_delta0 <= 0:
         raise ValueError("t0_delta0 must be > 0")
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    if k == 0:
-        return LogProb(math.log10(t0_delta0))
-    log_bp = math.log10(B_AMPLIFICATION) + 2.0 * math.log10(scheme.B)
-    two_k = 2.0 ** k
-    value = (
-        two_k * (log_bp + math.log10(t0_delta0))
-        - log_bp
-        + beta * two_k * k * math.log10(scheme.D)
-    )
-    return LogProb(value)
+    log10_eta_k = math.log10(t0_delta0) + beta * k * math.log10(scheme.D)
+    return LogProb(log10_logical_error(
+        math.log10(amplified_fault_pairs(scheme.B)), log10_eta_k, k))
 
 
 def crosstalk_usefulness_threshold(B: float, D: float, beta: float) -> float:
     """Largest t0*Delta0 for which error correction reduces crosstalk:
-    [B_AMPLIFICATION * B^2 * D^(2 beta)]^(-1)."""
-    if B < 1 or D < 1 or beta < 0:
-        raise ValueError("need B >= 1, D >= 1, beta >= 0")
-    return math.exp(
-        -math.log(B_AMPLIFICATION) - 2.0 * math.log(B) - 2.0 * beta * math.log(D)
-    )
-
-
-def amplified_fault_pairs(B: float) -> float:
-    """Effective fault-pair count for long-range noise, B_AMPLIFICATION*B^2."""
-    return B_AMPLIFICATION * B * B
-
-
-def crosstalk_via_optimizer(
-    scheme: FTScheme, t0_delta0: float, beta: float, k: int
-) -> float:
-    """Same bound as logical_crosstalk_log10, routed through the optimizer core.
-
-    Exists for the reduction-identity check; the two routes must agree.
-    """
-    log10_eta_k = math.log10(t0_delta0) + beta * k * math.log10(scheme.D)
-    return logical_error_from_b(amplified_fault_pairs(scheme.B), log10_eta_k, k)
+    the one-level condition with B -> b', [B_AMPLIFICATION B^2 D^(2 beta)]^(-1)."""
+    return one_level_condition(amplified_fault_pairs(B), D, beta)
 
 
 def compare_to_csv(rows: list[tuple[int, float, float]]) -> str:

@@ -85,11 +85,13 @@ class BoundsReport:
         }
 
 
-def logical_error_from_b(b: float, log10_eta_k: float, k: int) -> float:
-    """log10 p(k) for an explicit (possibly non-integer) fault-pair count b.
+def log10_logical_error(log10_b: float, log10_eta_k: float, k: float) -> float:
+    """log10 p(k) = -log10 b + 2^k (log10 b + log10 eta_k), with p(0) = eta_0.
 
-    This is the log-space core shared with the long-range crosstalk mapping,
-    which substitutes an amplified effective b.
+    The concatenation recursion in log space, for a fault-pair count b (any
+    real b >= 1: the crosstalk mapping passes an amplified one) and the
+    physical error eta_k of a level-k computer.  Every logical-error curve in
+    the package goes through here; k may be real for the continuous curve.
     """
     if k < 0:
         raise ValueError("concatenation level must be >= 0")
@@ -97,14 +99,13 @@ def logical_error_from_b(b: float, log10_eta_k: float, k: int) -> float:
         raise ValueError(f"level {k} exceeds the supported cap {MAX_K_CAP}")
     if k == 0:
         return log10_eta_k
-    log_b = math.log10(b)
-    return -log_b + (2.0 ** k) * (log_b + log10_eta_k)
+    return -log10_b + (2.0 ** k) * (log10_b + log10_eta_k)
 
 
 def logical_error_log10(scheme: FTScheme, model: NoiseModel, k: int) -> LogProb:
     """log10 of the logical error bound p(k) = (1/B)(B eta(k))^(2^k)."""
     eta = eta_at_level(model, k, D=scheme.D)
-    return LogProb(logical_error_from_b(scheme.B, eta.log10_value, k))
+    return LogProb(log10_logical_error(math.log10(scheme.B), eta.log10_value, k))
 
 
 def find_kmax(
@@ -192,10 +193,8 @@ def log10_p_continuous(
     scheme: FTScheme, eta0: float, beta: float, k: float
 ) -> float:
     """log10 p(k) for the exponential law with k treated as a real variable."""
-    log_b = math.log10(scheme.B)
-    return -log_b + 2.0 ** k * (
-        log_b + math.log10(eta0) + beta * k * math.log10(scheme.D)
-    )
+    log10_eta_k = math.log10(eta0) + beta * k * math.log10(scheme.D)
+    return log10_logical_error(math.log10(scheme.B), log10_eta_k, k)
 
 
 def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport:

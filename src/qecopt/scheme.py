@@ -340,14 +340,6 @@ def fit_noise_model(
     return FitResult(model=model, residual=residual, n_points=len(samples))
 
 
-_VARIANT_NAMES = {
-    AffineNoise: "affine",
-    ExponentialNoise: "exponential",
-    TabulatedNoise: "tabulated",
-    ShorPhotonNoise: "shor_photon",
-}
-
-
 def model_to_dict(model: NoiseModel) -> dict:
     """JSON-ready representation with the wire field names."""
     if isinstance(model, AffineNoise):

@@ -14,16 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .optimizer import OptResult, find_kmax
-from .scheme import FTScheme, ShorPhotonNoise
+from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax
+from .scheme import PI_SQ_OVER_16, FTScheme, ShorPhotonNoise
 
 HBAR = 1.054571817e-34  # J*s
 
 RWA_MARGINAL_RATIO = 100.0
 
 N_L_SEARCH_CAP = 1e30
-# Bisection on log10(n_L) down to 1% relative precision in n_L.
-_BISECTION_TOL_LOG10 = math.log10(1.01)
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class EnergyBill:
 
 @dataclass(frozen=True)
 class MinBudget:
-    """Result of the minimal photon-budget search."""
+    """Result of the minimal photon-budget inversion."""
 
     n_L: float
     k: int
@@ -113,7 +111,7 @@ def photon_noise_model(
 
 
 def optimize_photon_budget(
-    problem: ShorProblem, n_L: float, scheme: FTScheme, k_cap: int = 64
+    problem: ShorProblem, n_L: float, scheme: FTScheme, k_cap: int = DEFAULT_K_CAP
 ) -> OptResult:
     """Best concatenation level for a given photon budget per logical gate."""
     return find_kmax(scheme, photon_noise_model(problem, n_L, scheme), k_cap=k_cap)
@@ -127,42 +125,38 @@ def min_photon_budget(
 ) -> MinBudget:
     """Smallest photon budget per logical gate meeting the error target.
 
-    Bisects on log10(n_L) to 1% relative precision; the logical error is
-    monotone non-increasing in the budget (more photons never hurt), which is
-    spot-checked across the bracket before trusting the bisection.  Returns
-    an explicit infeasible result when even n_L_cap cannot reach the target.
+    Closed form.  Each physical gate gets n_L / D^k photons, so
+    eta_k = (pi^2/16) D^k / n_L and the level-k bound
+    log10 p_k = -log B + 2^k (log B + log eta_k) is affine in log n_L: level
+    k meets the target t exactly when
+
+        log n_L >= log B + log(pi^2/16) + k log D - (t + log B) / 2^k.
+
+    The minimum budget is the smallest of these crossings over
+    k = 0..DEFAULT_K_CAP, at least one photon, raised by one part in 10^12 to
+    absorb rounding.  One k-scan at that budget supplies the level and
+    confirms the target (RuntimeError if it is missed).  Returns an explicit
+    infeasible result when the budget exceeds n_L_cap, which must be positive
+    and finite.
     """
+    if not 0.0 < n_L_cap < math.inf:
+        raise ValueError(f"nlcap must be positive and finite, got {n_L_cap!r}")
     target = math.log10(p_err if p_err is not None else target_logical_error(problem))
-
-    def log10_p_min(log_n: float) -> float:
-        return optimize_photon_budget(
-            problem, 10.0 ** log_n, scheme
-        ).log10_p_min.log10_value
-
-    def feasible(log_n: float) -> bool:
-        return log10_p_min(log_n) <= target
-
-    lo, hi = 0.0, math.log10(n_L_cap)
-    if feasible(lo):
-        result = optimize_photon_budget(problem, 1.0, scheme)
-        return MinBudget(n_L=1.0, k=result.k_max, feasible=True)
-    if not feasible(hi):
+    log_b = math.log10(scheme.B)
+    log_n = min(
+        log_b + math.log10(PI_SQ_OVER_16) + k * math.log10(scheme.D)
+        - (target + log_b) / 2.0 ** k
+        for k in range(DEFAULT_K_CAP + 1)
+    )
+    # n_L > n_L_cap, compared in log space so 10^log_n cannot overflow.
+    if not log_n <= math.log10(n_L_cap):
         return MinBudget(n_L=n_L_cap, k=0, feasible=False)
-
-    # Monotonicity spot check across the bracket.
-    probes = [lo + f * (hi - lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    values = [log10_p_min(p) for p in probes]
-    if any(b > a + 1e-9 for a, b in zip(values, values[1:])):
-        raise RuntimeError("logical error is not monotone in the photon budget")
-
-    while hi - lo > _BISECTION_TOL_LOG10:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    n_L = 10.0 ** hi
+    n_L = max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
     result = optimize_photon_budget(problem, n_L, scheme)
+    if not result.log10_p_min.log10_value <= target:
+        raise RuntimeError(
+            f"photon budget n_L={n_L!r} misses the target log10 p = {target!r}"
+        )
     return MinBudget(n_L=n_L, k=result.k_max, feasible=True)
 
 

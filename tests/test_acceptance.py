@@ -17,7 +17,6 @@ from qecopt.crosstalk import (
     B_AMPLIFICATION,
     LatticeSpec,
     crosstalk_usefulness_threshold,
-    crosstalk_via_optimizer,
     delta0_asymptotic,
     delta_lattice_oracle,
     logical_crosstalk_log10,
@@ -114,7 +113,10 @@ def test_criterion_4_crosstalk_constants_and_reduction():
         beta = float(rng.uniform(0.0, 2.0))
         k = int(rng.integers(0, 12))
         lhs = logical_crosstalk_log10(scheme, t0_delta, beta, k).log10_value
-        rhs = crosstalk_via_optimizer(scheme, t0_delta, beta, k)
+        # (2^k - 1) log b' + 2^k (log t0 Delta0 + beta k log D), b' = 2e^(2+1/e) B^2
+        log_bp = math.log10(B_AMPLIFICATION) + 2.0 * math.log10(B)
+        rhs = (2 ** k - 1) * log_bp + 2 ** k * (
+            math.log10(t0_delta) + beta * k * math.log10(D))
         worst_gap = max(worst_gap, abs(lhs - rhs) / max(1.0, abs(rhs)))
     identity_ok = worst_gap <= 1e-12
     elapsed = time.perf_counter() - start

@@ -244,6 +244,33 @@ class TestSweep:
         assert code == 2
         assert "volume" in err
 
+    def test_n_L_axis_needs_the_shor_model(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
+            "--axis", "n_L:1e4:1e6:3",
+        )
+        assert code == 2
+        assert "n_L" in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_table_model_is_rejected(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--model", "table", "--eta0", "1e-5",
+            "--axis", "eta0:1e-6:1e-5:2",
+        )
+        assert code == 2
+        assert "table" in err and "Traceback" not in err
+        assert err.count("\n") == 1
+        config = tmp_path / "table.json"
+        config.write_text(json.dumps({
+            "command": "sweep", "model": "table", "f_values": [1, 2, 4],
+            "axes": [{"param": "eta0", "min": 1e-6, "max": 1e-5, "count": 2}],
+        }))
+        code, _, err = run(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert "table" in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
     def test_log_axis_needs_positive_min(self, capsys):
         code, _, _ = run(
             capsys, "sweep", "--model", "affine", "--eta0", "5e-6",
@@ -384,6 +411,17 @@ class TestShorCommand:
         )
         assert code == 1
         assert "unreachable" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-5", "nan", "inf"])
+    def test_cap_must_be_positive_and_finite(self, capsys, cap):
+        code, out, err = run(
+            capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10",
+            "--nlcap", cap,
+        )
+        assert code == 2
+        assert out == ""
+        assert "nlcap" in err and "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestFit:

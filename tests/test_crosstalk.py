@@ -10,12 +10,10 @@ import pytest
 from qecopt.crosstalk import (
     B_AMPLIFICATION,
     LOCAL_NOISE_PREFACTOR,
-    CrosstalkResult,
     LatticeSpec,
     amplified_fault_pairs,
     compare_to_csv,
     crosstalk_usefulness_threshold,
-    crosstalk_via_optimizer,
     delta0_asymptotic,
     delta_lattice_oracle,
     effective_local_error,
@@ -269,7 +267,8 @@ class TestLogicalCrosstalk:
 
     def test_reduction_identity_pointwise(self):
         # The crosstalk recursion is the logical-error recursion with the
-        # amplified fault-pair count; both code paths must agree.
+        # amplified fault-pair count b' = B_AMPLIFICATION B^2, written out:
+        # (2^k - 1) log b' + 2^k (log t0 Delta0 + beta k log D).
         rng = np.random.default_rng(3)
         for _ in range(300):
             B = int(10 ** rng.uniform(1, 5))
@@ -279,7 +278,10 @@ class TestLogicalCrosstalk:
             beta = rng.uniform(0.0, 2.0)
             k = int(rng.integers(0, 10))
             lhs = logical_crosstalk_log10(scheme, t0_delta, beta, k).log10_value
-            rhs = crosstalk_via_optimizer(scheme, t0_delta, beta, k)
+            log_bp = math.log10(B_AMPLIFICATION) + 2.0 * math.log10(B)
+            rhs = (2 ** k - 1) * log_bp + 2 ** k * (
+                math.log10(t0_delta) + beta * k * math.log10(D)
+            )
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
     def test_validation(self):
@@ -288,7 +290,9 @@ class TestLogicalCrosstalk:
         with pytest.raises(ValueError):
             logical_crosstalk_log10(ALIFERIS, 1e-16, -1.0, 1)
         with pytest.raises(ValueError):
-            CrosstalkResult(t0_delta=-1.0, k=0, log10_t0_deltaL=None)  # type: ignore
+            amplified_fault_pairs(0.5)
+        with pytest.raises(ValueError):
+            crosstalk_usefulness_threshold(0.5, 291, 0.0)
 
 
 class TestCompareCsv:

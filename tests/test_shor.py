@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qecopt.scheme import PI_SQ_OVER_16, get_scheme
+from qecopt.scheme import PI_SQ_OVER_16, get_scheme, make_scheme
 from qecopt.shor import (
     HBAR,
     MinBudget,
@@ -111,7 +113,7 @@ class TestMinPhotonBudget:
         expected = PI_SQ_OVER_16 / target_logical_error(problem)
         assert budget.feasible
         assert budget.k == 0
-        assert expected <= budget.n_L <= expected * 1.011  # 1% bisection slack
+        assert expected <= budget.n_L <= expected * (1.0 + 1e-9)
         assert budget.n_L == pytest.approx(1.85e6, rel=0.02)
 
     def test_section_five_triple(self):
@@ -127,11 +129,11 @@ class TestMinPhotonBudget:
     def test_trivial_target_needs_one_photon(self):
         # p(0) at a single photon equals pi^2/16 exactly in real arithmetic;
         # the no-slack log10 comparison may land one ulp either side, so the
-        # answer is 1 up to the 1% bisection tolerance.
+        # answer is 1 up to rounding.
         budget = min_photon_budget(
             ShorProblem(R=10 ** 3), ALIFERIS, p_err=PI_SQ_OVER_16
         )
-        assert 1.0 <= budget.n_L <= 1.011
+        assert 1.0 <= budget.n_L <= 1.0 + 1e-9
         assert budget.k == 0
         # A hair above the exact boundary the single photon suffices exactly.
         relaxed = min_photon_budget(
@@ -155,6 +157,35 @@ class TestMinPhotonBudget:
         at_half = optimize_photon_budget(problem, 0.5 * budget.n_L, ALIFERIS)
         assert at_budget.log10_p_min.log10_value <= target
         assert at_half.log10_p_min.log10_value > target
+
+    @pytest.mark.parametrize("cap", [0.0, -5.0, math.nan, math.inf])
+    def test_cap_must_be_positive_and_finite(self, cap):
+        with pytest.raises(ValueError, match="nlcap"):
+            min_photon_budget(ShorProblem(R=10 ** 3), ALIFERIS, n_L_cap=cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        R=st.integers(2, 10 ** 7),
+        log_p_err=st.floats(-30.0, -0.3),
+        log_B=st.floats(0.0, 6.0),
+        D=st.integers(2, 1000),
+    )
+    def test_budget_is_the_exact_minimum(self, R, log_p_err, log_B, D):
+        # Meets the target, one part in 10^9 less does not (unless a single
+        # photon already suffices), and its level is the re-scan's k_max.
+        scheme = make_scheme(575, 291, max(1, round(10 ** log_B)), D, 3)
+        problem = ShorProblem(R=R)
+        p_err = 10.0 ** log_p_err
+        budget = min_photon_budget(problem, scheme, p_err=p_err)
+        if not budget.feasible:
+            return
+        target = math.log10(p_err)
+        at = optimize_photon_budget(problem, budget.n_L, scheme)
+        assert at.log10_p_min.log10_value <= target
+        assert budget.k == at.k_max
+        if budget.n_L > 1.0:
+            below = optimize_photon_budget(problem, budget.n_L * (1 - 1e-9), scheme)
+            assert below.log10_p_min.log10_value > target
 
     def test_level_is_non_decreasing_in_key_length(self):
         ks = [
