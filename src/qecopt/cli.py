@@ -6,6 +6,12 @@ can be fed back via --config and reproduces itself; identical invocations
 produce byte-identical files.  Probability-like columns are emitted as log10
 values (``_log10`` suffix); linear values appear only where representable.
 
+Each parameter is declared once, in PARAMS: its flag, the type that converts
+its flag text and its config value alike, its JSON type, and its status
+under every command that takes it.  The argparse subcommands, the
+per-command config schemas (CONFIG_SCHEMA) and config resolution (flag, else
+config, else default) are all generated from that table.
+
 Exit codes: 0 success, 1 computational infeasibility, 2 usage error.
 """
 
@@ -13,97 +19,28 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
-
-import jsonschema
+from typing import Any, Callable, Sequence
 
 from . import crosstalk, gatesim, optimizer, scheme, shor
 
 COMMANDS = ("optimize", "sweep", "gatesim", "longrange", "shor", "fit")
-
-_AXIS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "param": {"type": "string"},
-        "min": {"type": "number"},
-        "max": {"type": "number"},
-        "count": {"type": "integer", "minimum": 1},
-        "spacing": {"enum": ["linear", "log"]},
-    },
-    "required": ["param", "min", "max", "count"],
-    "additionalProperties": False,
-}
-
-# Published schema for --config files (also accepts a full report, whose
-# "config" member is then used).
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "scheme": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "properties": {
-                        "A": {"type": "integer"},
-                        "A_prime": {"type": "integer"},
-                        "B": {"type": "integer"},
-                        "D": {"type": "integer"},
-                        "M": {"type": "integer"},
-                    },
-                    "required": ["A", "A_prime", "B", "D", "M"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "model": {"enum": ["affine", "exp", "table", "shor"]},
-        "eta0": {"type": "number"},
-        "c": {"type": "number"},
-        "beta": {"type": "number"},
-        "f_values": {"type": "array", "items": {"type": "number"}},
-        "L": {"type": "integer"},
-        "ntot": {"type": "number"},
-        "A": {"type": "number"},
-        "kcap": {"type": "integer", "minimum": 1},
-        "axes": {"type": "array", "items": _AXIS_SCHEMA, "maxItems": 2},
-        "theta": {"type": "number"},
-        "gamma": {"type": "number"},
-        "ng": {"type": "number"},
-        "omega0": {"type": ["number", "null"]},
-        "lattice": {"enum": ["chain", "square"]},
-        "z": {"type": "number"},
-        "N0": {"type": "integer"},
-        "kappa": {"type": "number"},
-        "compare": {"type": "boolean"},
-        "R": {"type": "integer"},
-        "nL": {"type": ["number", "null"]},
-        "ptarget": {"type": "number"},
-        "perr": {"type": ["number", "null"]},
-        "nlcap": {"type": "number"},
-        "samples": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"},
-                      "minItems": 2, "maxItems": 2},
-        },
-        "variant": {"enum": ["affine", "exponential"]},
-        "D": {"type": ["number", "null"]},
-    },
-    "additionalProperties": False,
-}
 
 
 class UsageError(ValueError):
     """Bad arguments or configuration (exit code 2)."""
 
 
-def _parse_theta(text: str) -> float:
+def _angle(value: str | float) -> float:
     """Angles as plain floats or simple pi expressions: 'pi', 'pi/2', '2pi'."""
-    cleaned = text.strip().lower().replace(" ", "")
+    if not isinstance(value, str):
+        return float(value)
+    cleaned = value.strip().lower().replace(" ", "")
     try:
         return float(cleaned)
     except ValueError:
@@ -116,13 +53,13 @@ def _parse_theta(text: str) -> float:
             factor *= float(head.rstrip("*"))
         if tail:
             if not tail.startswith("/"):
-                raise UsageError(f"cannot parse angle {text!r}")
+                raise UsageError(f"cannot parse angle {value!r}")
             denominator = float(tail[1:])
             if denominator == 0.0:
-                raise UsageError(f"angle {text!r} divides by zero")
+                raise UsageError(f"angle {value!r} divides by zero")
             factor /= denominator
         return factor * math.pi
-    raise UsageError(f"cannot parse angle {text!r}")
+    raise UsageError(f"cannot parse angle {value!r}")
 
 
 def _parse_scheme(value: str | dict) -> scheme.FTScheme:
@@ -145,6 +82,160 @@ def _scheme_config(value: str | dict) -> str | dict:
     return value
 
 
+def _floats(value: str | list) -> list[float]:
+    """'1,300,9e4' or a list of numbers."""
+    items = value.split(",") if isinstance(value, str) else value
+    return [float(v) for v in items]
+
+
+def _samples(value: str | list) -> list[list[float]]:
+    """'k:eta,k:eta,...' or a list of [k, eta] pairs."""
+    if isinstance(value, str):
+        pairs = []
+        for chunk in value.split(","):
+            k, _, eta = chunk.partition(":")
+            if not eta:
+                raise UsageError("samples format is k:eta,k:eta,...")
+            pairs.append((k, eta))
+        value = pairs
+    return [[float(k), float(eta)] for k, eta in value]
+
+
+def _axes(value: list) -> list[dict]:
+    """Each --axis text 'param:min:max:count[:spacing]' as an axis object;
+    axis objects from a config pass through."""
+    axes = []
+    for axis in value:
+        if isinstance(axis, str):
+            parts = axis.split(":")
+            if len(parts) not in (4, 5):
+                raise UsageError("axis format is param:min:max:count[:spacing]")
+            axis = {
+                "param": parts[0],
+                "min": float(parts[1]),
+                "max": float(parts[2]),
+                "count": int(parts[3]),
+                "spacing": parts[4] if len(parts) == 5 else "linear",
+            }
+        axes.append(axis)
+    return axes
+
+
+def _scheme_growth(cfg: dict) -> float:
+    """Default per-level gate growth of the photon law: the scheme's D."""
+    return float(_parse_scheme(cfg["scheme"]).D)
+
+
+REQUIRED = object()  # status of a parameter the command cannot run without
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter.  status maps each command that takes it to its
+    default, REQUIRED, or None (optional, emitted as null when unset); a
+    callable default is computed from the parameters resolved before it."""
+
+    key: str
+    flag: str
+    type: Callable[[Any], Any]
+    json: dict
+    status: dict[str, Any]
+    help: str | None = None
+    action: str | None = None
+
+
+NUMBER = {"type": "number"}
+INTEGER = {"type": "integer"}
+_SCAN = ("optimize", "sweep")  # the commands that scan a noise law
+
+_SCHEME_JSON = {
+    "oneOf": [
+        {"type": "string"},
+        {
+            "type": "object",
+            "properties": {name: INTEGER for name in ("A", "A_prime", "B", "D", "M")},
+            "required": ["A", "A_prime", "B", "D", "M"],
+            "additionalProperties": False,
+        },
+    ]
+}
+_AXIS_JSON = {
+    "type": "object",
+    "properties": {
+        "param": {"type": "string"},
+        "min": NUMBER,
+        "max": NUMBER,
+        "count": {"type": "integer", "minimum": 1},
+        "spacing": {"enum": ["linear", "log"]},
+    },
+    "required": ["param", "min", "max", "count"],
+    "additionalProperties": False,
+}
+_PAIR_JSON = {"type": "array", "items": NUMBER, "minItems": 2, "maxItems": 2}
+
+PARAMS = (
+    Param("scheme", "--scheme", _scheme_config, _SCHEME_JSON,
+          {c: "aliferis2006" for c in (*_SCAN, "shor")}, "preset name or A,A_prime,B,D,M"),
+    Param("model", "--model", str, {"enum": list(scheme.MODEL_FIELDS)},
+          dict.fromkeys(_SCAN, REQUIRED)),
+    Param("eta0", "--eta0", float, NUMBER, dict.fromkeys(_SCAN, REQUIRED)),
+    Param("c", "--c", float, NUMBER, dict.fromkeys(_SCAN, 0.0)),
+    Param("beta", "--beta", float, NUMBER, dict.fromkeys(_SCAN, REQUIRED)),
+    Param("f_values", "--f-values", _floats, {"type": "array", "items": NUMBER},
+          {"optimize": REQUIRED}),
+    Param("L", "--L", int, INTEGER, {"optimize": REQUIRED}),
+    Param("ntot", "--ntot", float, NUMBER, {"optimize": REQUIRED}),
+    Param("A", "--A", float, NUMBER, {"optimize": _scheme_growth}),
+    Param("kcap", "--kcap", int, {"type": "integer", "minimum": 1},
+          dict.fromkeys(_SCAN, optimizer.DEFAULT_K_CAP)),
+    Param("axes", "--axis", _axes, {"type": "array", "items": _AXIS_JSON, "maxItems": 2},
+          {"sweep": REQUIRED}, "param:min:max:count[:spacing], up to twice", "append"),
+    Param("R", "--R", int, INTEGER, {"sweep": REQUIRED, "shor": REQUIRED}),
+    Param("theta", "--theta", _angle, NUMBER, {"gatesim": REQUIRED},
+          "radians, or pi / pi/2 / 2pi"),
+    Param("gamma", "--gamma", float, NUMBER, {"gatesim": REQUIRED, "shor": REQUIRED}),
+    Param("ng", "--ng", float, NUMBER, {"gatesim": REQUIRED}),
+    Param("omega0", "--omega0", float, NUMBER, {"gatesim": None, "shor": REQUIRED}),
+    Param("lattice", "--lattice", str, {"enum": ["chain", "square"]},
+          {"longrange": REQUIRED}),
+    Param("z", "--z", float, NUMBER, {"longrange": REQUIRED}),
+    Param("N0", "--N0", int, INTEGER, {"longrange": REQUIRED}),
+    Param("kappa", "--kappa", float, NUMBER, {"longrange": 1.0}),
+    Param("compare", "--compare", bool, {"type": "boolean"}, {"longrange": False},
+          action="store_true"),
+    Param("nL", "--nL", float, NUMBER, {"shor": None}),
+    Param("ptarget", "--ptarget", float, NUMBER, {"shor": 2.0 / 3.0}),
+    Param("perr", "--perr", float, NUMBER, {"shor": None},
+          "explicit per-gate error target"),
+    Param("nlcap", "--nlcap", float, NUMBER, {"shor": shor.N_L_SEARCH_CAP},
+          "search cap on n_L"),
+    Param("samples", "--samples", _samples, {"type": "array", "items": _PAIR_JSON},
+          {"fit": REQUIRED}, "k:eta,k:eta,..."),
+    Param("model", "--model", str, {"enum": ["affine", "exp"]}, {"fit": REQUIRED}),
+    Param("D", "--D", float, NUMBER, {"fit": None}),
+)
+
+# Each command's parameters by config key, in table order.
+_COMMAND_PARAMS = {
+    command: {p.key: p for p in PARAMS if command in p.status} for command in COMMANDS
+}
+
+
+def _schema(command: str) -> dict:
+    """The command's own keys; null is allowed where a parameter is optional."""
+    properties: dict[str, Any] = {"command": {"const": command}}
+    for key, param in _COMMAND_PARAMS[command].items():
+        properties[key] = param.json
+        if param.status[command] is None:
+            properties[key] = dict(param.json, type=[param.json["type"], "null"])
+    return {"type": "object", "properties": properties, "additionalProperties": False}
+
+
+# Published schema for --config files, one per command (a full report is
+# also accepted, and its "config" member is then used).
+CONFIG_SCHEMA = {command: _schema(command) for command in COMMANDS}
+
+
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -152,13 +243,18 @@ def _dump_json(payload: dict) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
+    import jsonschema  # only a run with --config pays for the import
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -168,75 +264,44 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
     try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
+        jsonschema.validate(data, CONFIG_SCHEMA[command])
     except jsonschema.ValidationError as exc:
-        raise UsageError(f"config does not match the schema: {exc.message}") from exc
+        raise UsageError(
+            f"config does not match the {command} schema: {exc.message}"
+        ) from exc
     return data
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"missing required parameter {flag}")
-    return value
-
-
-def _build_model(cfg: dict) -> scheme.NoiseModel:
-    kind = cfg["model"]
-    if kind == "affine":
-        return scheme.AffineNoise(eta0=cfg["eta0"], c=cfg.get("c", 0.0))
-    if kind == "exp":
-        return scheme.ExponentialNoise(eta0=cfg["eta0"], beta=cfg["beta"])
-    if kind == "table":
-        return scheme.TabulatedNoise(eta0=cfg["eta0"],
-                                     f_values=tuple(cfg["f_values"]))
-    if kind == "shor":
-        return scheme.ShorPhotonNoise(L=cfg["L"], n_tot=cfg["ntot"], A=cfg["A"])
-    raise UsageError(f"unknown model kind {kind!r}")
-
-
-def _optimize_config(args: argparse.Namespace, config: dict) -> dict:
-    model = _resolve(args, config, "model")
-    model = _require(model, "--model")
-    cfg: dict[str, Any] = {
-        "command": "optimize",
-        "scheme": _scheme_config(_resolve(args, config, "scheme", "aliferis2006")),
-        "model": model,
-        "kcap": int(_resolve(args, config, "kcap", optimizer.DEFAULT_K_CAP)),
-    }
-    if model in ("affine", "exp", "table"):
-        cfg["eta0"] = float(_require(_resolve(args, config, "eta0"), "--eta0"))
-    if model == "affine":
-        cfg["c"] = float(_resolve(args, config, "c", 0.0))
-    elif model == "exp":
-        cfg["beta"] = float(_require(_resolve(args, config, "beta"), "--beta"))
-    elif model == "table":
-        f_values = _resolve(args, config, "f_values")
-        if isinstance(f_values, str):
-            f_values = [float(v) for v in f_values.split(",")]
-        cfg["f_values"] = _require(f_values, "--f-values")
-    elif model == "shor":
-        cfg["L"] = int(_require(_resolve(args, config, "L"), "--L"))
-        cfg["ntot"] = float(_require(_resolve(args, config, "ntot"), "--ntot"))
-        sch = _parse_scheme(cfg["scheme"])
-        a = _resolve(args, config, "A")
-        cfg["A"] = float(a) if a is not None else float(sch.D)
+def _settings(args: argparse.Namespace, config: dict,
+              keys: Sequence[str] | None = None, cfg: dict | None = None) -> dict:
+    """Resolve keys (default: all of the command's parameters) into cfg:
+    the flag, else the config value, else the default."""
+    params = _COMMAND_PARAMS[args.command]
+    cfg = {"command": args.command} if cfg is None else cfg
+    for key in params if keys is None else keys:
+        param = params[key]
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+        if value is not None:
+            cfg[key] = param.type(value)
+            continue
+        status = param.status[args.command]
+        if status is REQUIRED:
+            raise UsageError(f"missing required parameter {param.flag}")
+        cfg[key] = status(cfg) if callable(status) else status
     return cfg
 
 
-def _run_optimize_core(cfg: dict) -> tuple[optimizer.OptResult, dict]:
-    """The k-scan of one optimize configuration and its full report."""
+def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
+    cfg = _settings(args, config, ("scheme", "model", "kcap"))
+    _settings(args, config, scheme.MODEL_FIELDS[cfg["model"]], cfg)
     sch = _parse_scheme(cfg["scheme"])
-    model = _build_model(cfg)
+    model = scheme.model_from_dict(cfg)
     result = optimizer.find_kmax(sch, model, k_cap=cfg["kcap"])
+    if args.format == "csv":
+        _emit(optimizer.curve_to_csv(result), args.out)
+        return 0
     report: dict[str, Any] = result.to_dict()
     if isinstance(model, scheme.ExponentialNoise):
         report["bounds"] = optimizer.exp_model_bounds(
@@ -246,16 +311,7 @@ def _run_optimize_core(cfg: dict) -> tuple[optimizer.OptResult, dict]:
         c_star = optimizer.affine_usefulness_threshold(sch.B, model.eta0)
         report["usefulness_c_star"] = c_star
         report["no_c_helps"] = c_star == 0.0
-    return result, report
-
-
-def cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _optimize_config(args, _load_config(args.config))
-    result, report = _run_optimize_core(cfg)
-    if args.format == "csv":
-        _emit(optimizer.curve_to_csv(result), args.out)
-    else:
-        _emit(_dump_json({"config": cfg, "result": report}), args.out)
+    _emit(_dump_json({"config": cfg, "result": report}), args.out)
     return 0
 
 
@@ -280,23 +336,9 @@ def _axis_values(axis: dict) -> list[float]:
     return [lo + step * i for i in range(count)]
 
 
-def _sweep_config(args: argparse.Namespace, config: dict) -> dict:
-    axes = _resolve(args, config, "axes")
-    if axes is None and getattr(args, "axis", None):
-        axes = []
-        for text in args.axis:
-            parts = text.split(":")
-            if len(parts) not in (4, 5):
-                raise UsageError("axis format is param:min:max:count[:spacing]")
-            axes.append(
-                {
-                    "param": parts[0],
-                    "min": float(parts[1]),
-                    "max": float(parts[2]),
-                    "count": int(parts[3]),
-                    "spacing": parts[4] if len(parts) == 5 else "linear",
-                }
-            )
+def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
+    cfg = _settings(args, config, ("scheme", "model", "kcap", "axes"))
+    axes, model = cfg["axes"], cfg["model"]
     if not axes:
         raise UsageError("sweep needs at least one axis (--axis or config)")
     if len(axes) > 2:
@@ -306,69 +348,42 @@ def _sweep_config(args: argparse.Namespace, config: dict) -> dict:
             raise UsageError(
                 f"cannot sweep {axis['param']!r}; choose from {_SWEEPABLE}"
             )
-
-    model = _resolve(args, config, "model")
-    cfg: dict[str, Any] = {
-        "command": "sweep",
-        "scheme": _scheme_config(_resolve(args, config, "scheme", "aliferis2006")),
-        "model": _require(model, "--model"),
-        "kcap": int(_resolve(args, config, "kcap", optimizer.DEFAULT_K_CAP)),
-        "axes": axes,
-    }
-    swept = {axis["param"] for axis in axes}
-    if cfg["model"] == "table":
+    # B_eta0 sets eta0; n_L sets the photon law's ntot.
+    swept = {"eta0" if a["param"] == "B_eta0" else a["param"] for a in axes}
+    if model == "table":
         raise UsageError("sweep does not support --model table")
-    if "n_L" in swept and cfg["model"] != "shor":
+    if "n_L" in swept and model != "shor":
         raise UsageError("only --model shor sweeps n_L")
-    if cfg["model"] == "shor":
-        cfg["R"] = int(_require(_resolve(args, config, "R"), "--R"))
+    if model == "shor":
         if "n_L" not in swept:
             raise UsageError("shor sweeps vary n_L")
+        _settings(args, config, ("R",), cfg)
     else:
-        if "eta0" not in swept and "B_eta0" not in swept:
-            cfg["eta0"] = float(_require(_resolve(args, config, "eta0"), "--eta0"))
-        if cfg["model"] == "affine" and "c" not in swept:
-            cfg["c"] = float(_resolve(args, config, "c", 0.0))
-        if cfg["model"] == "exp" and "beta" not in swept:
-            cfg["beta"] = float(_require(_resolve(args, config, "beta"), "--beta"))
-    return cfg
+        fixed = [key for key in scheme.MODEL_FIELDS[model] if key not in swept]
+        _settings(args, config, fixed, cfg)
 
-
-def _sweep_point(cfg: dict, assignment: dict[str, float]) -> dict:
     sch = _parse_scheme(cfg["scheme"])
-    point = {k: v for k, v in cfg.items() if k not in ("axes", "command")}
-    for param, value in assignment.items():
-        if param == "B_eta0":
-            point["eta0"] = value / sch.B
-        elif param == "n_L":
-            problem = shor.ShorProblem(R=point["R"])
-            point["L"] = problem.L
-            point["ntot"] = value * problem.L
-            point["A"] = float(sch.D)
-        else:
-            point[param] = value
-    return _run_optimize_core(point)[1]
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _sweep_config(args, _load_config(args.config))
-    axes = cfg["axes"]
-    grids = [_axis_values(axis) for axis in axes]
+    point = dict(cfg)  # model_from_dict reads only the model's fields
+    if model == "shor":
+        problem = shor.ShorProblem(R=cfg["R"])
+        point.update(L=problem.L, A=float(sch.D))
     names = [axis["param"] for axis in axes]
-
     rows: list[dict[str, Any]] = []
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:  # outer (first) axis slowest
-        points = [(u, v) for u in grids[0] for v in grids[1]]
-    for values in points:
-        assignment = dict(zip(names, values))
-        result = _sweep_point(cfg, assignment)
-        row: dict[str, Any] = dict(assignment)
-        row["k_max"] = result["k_max"]
-        row["log10_p_min"] = result["log10_p_min"]
-        row["status"] = result["status"]
-        rows.append(row)
+    for values in itertools.product(*(_axis_values(axis) for axis in axes)):
+        assignment = dict(zip(names, values))  # outer (first) axis slowest
+        for param, value in assignment.items():
+            if param == "B_eta0":
+                point["eta0"] = value / sch.B
+            elif param == "n_L":
+                point["ntot"] = value * problem.L
+            else:
+                point[param] = value
+        result = optimizer.find_kmax(
+            sch, scheme.model_from_dict(point), k_cap=cfg["kcap"]
+        )
+        rows.append(dict(assignment, k_max=result.k_max,
+                         log10_p_min=result.log10_p_min.log10_value,
+                         status=result.status))
 
     if args.format == "csv" or args.format is None:
         header = ",".join(names + ["k_max", "log10_p_min", "status"])
@@ -383,19 +398,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gatesim(args: argparse.Namespace) -> int:
+def cmd_gatesim(args: argparse.Namespace, config: dict) -> int:
     if args.format == "csv":
         raise UsageError("gatesim reports are JSON only")
-    config = _load_config(args.config)
-    theta = _resolve(args, config, "theta")
-    theta = _parse_theta(theta) if isinstance(theta, str) else theta
-    cfg = {
-        "command": "gatesim",
-        "theta": float(_require(theta, "--theta")),
-        "gamma": float(_require(_resolve(args, config, "gamma"), "--gamma")),
-        "ng": float(_require(_resolve(args, config, "ng"), "--ng")),
-        "omega0": _resolve(args, config, "omega0"),
-    }
+    cfg = _settings(args, config)
     spec = gatesim.GateSpec(
         theta=cfg["theta"], gamma=cfg["gamma"], n_g=cfg["ng"], omega0=cfg["omega0"]
     )
@@ -418,16 +424,8 @@ def cmd_gatesim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_longrange(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    cfg = {
-        "command": "longrange",
-        "lattice": _require(_resolve(args, config, "lattice"), "--lattice"),
-        "z": float(_require(_resolve(args, config, "z"), "--z")),
-        "N0": int(_require(_resolve(args, config, "N0"), "--N0")),
-        "kappa": float(_resolve(args, config, "kappa", 1.0)),
-        "compare": bool(_resolve(args, config, "compare", False)),
-    }
+def cmd_longrange(args: argparse.Namespace, config: dict) -> int:
+    cfg = _settings(args, config)
     spec = crosstalk.LatticeSpec(
         d=1 if cfg["lattice"] == "chain" else 2,
         z=cfg["z"],
@@ -452,22 +450,11 @@ def cmd_longrange(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shor(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    cfg = {
-        "command": "shor",
-        "scheme": _scheme_config(_resolve(args, config, "scheme", "aliferis2006")),
-        "R": int(_require(_resolve(args, config, "R"), "--R")),
-        "gamma": float(_require(_resolve(args, config, "gamma"), "--gamma")),
-        "omega0": float(_require(_resolve(args, config, "omega0"), "--omega0")),
-        "nL": _resolve(args, config, "nL"),
-        "ptarget": float(_resolve(args, config, "ptarget", 2.0 / 3.0)),
-        "perr": _resolve(args, config, "perr"),
-        "nlcap": float(_resolve(args, config, "nlcap", shor.N_L_SEARCH_CAP)),
-    }
+def cmd_shor(args: argparse.Namespace, config: dict) -> int:
+    cfg = _settings(args, config)
     sch = _parse_scheme(cfg["scheme"])
     problem = shor.ShorProblem(R=cfg["R"], P_target=cfg["ptarget"])
-    p_err = cfg["perr"] if cfg["perr"] is not None else shor.target_logical_error(problem)
+    p_err = shor.error_target(problem, cfg["perr"])
 
     if cfg["nL"] is None:
         budget = shor.min_photon_budget(
@@ -479,11 +466,11 @@ def cmd_shor(args: argparse.Namespace) -> int:
                 f"n_L <= {cfg['nlcap']:.0e}\n"
             )
             return 1
-        n_L = budget.n_L
+        n_L, k, log10_p_min = budget.n_L, budget.k, budget.log10_p_min
     else:
-        n_L = float(cfg["nL"])
-    opt = shor.optimize_photon_budget(problem, n_L, sch)
-    k = opt.k_max
+        n_L = cfg["nL"]
+        opt = shor.optimize_photon_budget(problem, n_L, sch)
+        k, log10_p_min = opt.k_max, opt.log10_p_min
     bill = shor.energy_bill(problem, n_L, k, cfg["gamma"], cfg["omega0"], sch)
     margin = shor.rwa_margin(n_L, k, cfg["gamma"], cfg["omega0"], sch)
 
@@ -499,8 +486,8 @@ def cmd_shor(args: argparse.Namespace) -> int:
             "R": cfg["R"],
             "L": problem.L,
             "p_err_target": p_err,
-            "log10_p_min": opt.log10_p_min.log10_value,
-            "meets_target": opt.log10_p_min.log10_value <= math.log10(p_err),
+            "log10_p_min": log10_p_min.log10_value,
+            "meets_target": log10_p_min.log10_value <= math.log10(p_err),
             "rwa_margin": margin,
             "rwa_marginal": margin <= shor.RWA_MARGINAL_RATIO,
         }
@@ -509,36 +496,25 @@ def cmd_shor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_samples(text: str) -> list[list[float]]:
-    samples = []
-    for chunk in text.split(","):
-        k, _, eta = chunk.partition(":")
-        if not eta:
-            raise UsageError("samples format is k:eta,k:eta,...")
-        samples.append([float(k), float(eta)])
-    return samples
+def _read_samples(path: str) -> list[list[float]]:
+    """(k, eta) rows of a CSV file, with an optional 'k,...' header."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read samples {path}: {exc.strerror}") from exc
+    if lines and lines[0].lower().startswith("k,"):
+        lines = lines[1:]
+    return [[float(a) for a in line.split(",")] for line in lines]
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace, config: dict) -> int:
     if args.format == "csv":
         raise UsageError("fit reports are JSON only")
-    config = _load_config(args.config)
-    samples = _resolve(args, config, "samples")
-    if isinstance(samples, str):
-        samples = _parse_samples(samples)
-    if samples is None and getattr(args, "infile", None):
-        lines = Path(args.infile).read_text(encoding="utf-8").strip().splitlines()
-        if lines and lines[0].lower().startswith("k,"):
-            lines = lines[1:]
-        samples = [[float(a) for a in line.split(",")] for line in lines]
-    cfg = {
-        "command": "fit",
-        "samples": _require(samples, "--samples"),
-        "variant": _require(_resolve(args, config, "variant"), "--variant"),
-        "D": _resolve(args, config, "D"),
-    }
+    if args.samples is None and args.infile is not None:
+        args.samples = _read_samples(args.infile)  # --in stands for --samples
+    cfg = _settings(args, config)
     fit = scheme.fit_noise_model(
-        [tuple(s) for s in cfg["samples"]], cfg["variant"], D=cfg["D"]
+        [tuple(s) for s in cfg["samples"]], cfg["model"], D=cfg["D"]
     )
     result = {
         "model": scheme.model_to_dict(fit.model),
@@ -549,84 +525,45 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+_HANDLERS = {
+    "optimize": ("scan the logical-error curve", cmd_optimize),
+    "sweep": ("grid sweep emitting one row per point", cmd_sweep),
+    "gatesim": ("simulate the driven-qubit gate", cmd_gatesim),
+    "longrange": ("lattice crosstalk strength", cmd_longrange),
+    "shor": ("photon budget and energy bill", cmd_shor),
+    "fit": ("fit a noise law to (k, eta) samples", cmd_fit),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The qecopt parser, built once per process.  Parsing leaves it
-    unchanged, so every call to main shares it."""
+    """The qecopt parser, built once per process from PARAMS.  Parsing
+    leaves it unchanged, so every call to main shares it."""
     parser = argparse.ArgumentParser(
         prog="qecopt",
         description="Optimal error correction under scale-dependent noise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, default_format: str | None = "json"):
-        p.add_argument("--scheme", help="preset name or A,A_prime,B,D,M")
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    for command, (help_text, handler) in _HANDLERS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--format", choices=("json", "csv"),
+                       default=None if command == "sweep" else "json")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--config", help="JSON config file (or a prior report)")
-
-    p_opt = sub.add_parser("optimize", help="scan the logical-error curve")
-    common(p_opt)
-    p_opt.add_argument("--model", choices=("affine", "exp", "table", "shor"))
-    p_opt.add_argument("--eta0", type=float)
-    p_opt.add_argument("--c", type=float)
-    p_opt.add_argument("--beta", type=float)
-    p_opt.add_argument("--f-values", dest="f_values")
-    p_opt.add_argument("--L", type=int)
-    p_opt.add_argument("--ntot", type=float)
-    p_opt.add_argument("--A", type=float)
-    p_opt.add_argument("--kcap", type=int)
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep emitting one row per point")
-    common(p_sweep, default_format=None)
-    p_sweep.add_argument("--model", choices=("affine", "exp", "table", "shor"))
-    p_sweep.add_argument("--eta0", type=float)
-    p_sweep.add_argument("--c", type=float)
-    p_sweep.add_argument("--beta", type=float)
-    p_sweep.add_argument("--R", type=int)
-    p_sweep.add_argument("--kcap", type=int)
-    p_sweep.add_argument(
-        "--axis", action="append", help="param:min:max:count[:spacing], up to twice"
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_gate = sub.add_parser("gatesim", help="simulate the driven-qubit gate")
-    common(p_gate)
-    p_gate.add_argument("--theta", help="radians, or pi / pi/2 / 2pi")
-    p_gate.add_argument("--gamma", type=float)
-    p_gate.add_argument("--ng", type=float)
-    p_gate.add_argument("--omega0", type=float)
-    p_gate.set_defaults(func=cmd_gatesim)
-
-    p_lr = sub.add_parser("longrange", help="lattice crosstalk strength")
-    common(p_lr)
-    p_lr.add_argument("--lattice", choices=("chain", "square"))
-    p_lr.add_argument("--z", type=float)
-    p_lr.add_argument("--N0", type=int)
-    p_lr.add_argument("--kappa", type=float)
-    p_lr.add_argument("--compare", action="store_true", default=None)
-    p_lr.set_defaults(func=cmd_longrange)
-
-    p_shor = sub.add_parser("shor", help="photon budget and energy bill")
-    common(p_shor)
-    p_shor.add_argument("--R", type=int)
-    p_shor.add_argument("--gamma", type=float)
-    p_shor.add_argument("--omega0", type=float)
-    p_shor.add_argument("--nL", type=float)
-    p_shor.add_argument("--ptarget", type=float)
-    p_shor.add_argument("--perr", type=float, help="explicit per-gate error target")
-    p_shor.add_argument("--nlcap", type=float, help="search cap on n_L")
-    p_shor.set_defaults(func=cmd_shor)
-
-    p_fit = sub.add_parser("fit", help="fit a noise law to (k, eta) samples")
-    common(p_fit)
-    p_fit.add_argument("--samples", help="k:eta,k:eta,...")
-    p_fit.add_argument("--in", dest="infile", help="CSV file with k,eta rows")
-    p_fit.add_argument("--variant", choices=("affine", "exponential"))
-    p_fit.add_argument("--D", type=float)
-    p_fit.set_defaults(func=cmd_fit)
-
+        if command == "fit":
+            p.add_argument("--in", dest="infile", help="CSV file with k,eta rows")
+        for key, param in _COMMAND_PARAMS[command].items():
+            kwargs: dict[str, Any] = {"dest": key, "default": None, "help": param.help}
+            if param.action:
+                kwargs["action"] = param.action
+            elif "enum" in param.json:
+                kwargs["choices"] = param.json["enum"]
+            elif param.type in (int, float):
+                # Text-valued flags (angles, lists, axes) are converted during
+                # resolution, so a malformed one is a one-line usage error.
+                kwargs["type"] = param.type
+            p.add_argument(param.flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -634,7 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config, args.command))
     except (UsageError, ValueError, TypeError) as exc:
         sys.stderr.write(f"qecopt: {exc}\n")
         return 2

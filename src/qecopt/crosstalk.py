@@ -62,7 +62,7 @@ class LatticeSpec:
             raise ValueError(f"d={self.d} inconsistent with aspect={self.aspect!r}")
         if self.N0 < 2:
             raise ValueError(f"N0 must be >= 2, got {self.N0!r}")
-        if self.z < 0:
+        if not self.z >= 0:  # also rejects NaN
             raise ValueError(f"z must be >= 0, got {self.z!r}")
         if self.delta <= 0 or self.a <= 0:
             raise ValueError("delta and a must be positive")
@@ -151,8 +151,8 @@ def delta0_asymptotic(spec: LatticeSpec, kappa: float = 1.0) -> float:
     z, n0 = spec.z, spec.N0
     if z > spec.d:
         raise ValueError(f"asymptotic form covers z <= d, got z={z}, d={spec.d}")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     if n0 < 100:
         warnings.warn(
             f"asymptotic lattice formula is unreliable for N0={n0} < 100",

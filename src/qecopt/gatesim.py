@@ -164,10 +164,16 @@ class QubitChannel:
 
 
 def pulse_params(spec: GateSpec) -> tuple[float, float]:
-    """(Omega, tau) of the square pulse; Omega * tau == theta identically."""
-    omega = 4.0 * spec.gamma * spec.n_g / spec.theta
-    tau = spec.theta ** 2 / (4.0 * spec.gamma * spec.n_g)
-    return omega, tau
+    """(Omega, tau) of the square pulse; Omega * tau == theta identically.
+
+    ValueError when 4 gamma n_g or Omega leaves the float range."""
+    rate = 4.0 * spec.gamma * spec.n_g
+    omega = rate / spec.theta
+    if not (rate > 0.0 and math.isfinite(omega)):
+        raise ValueError(
+            f"pulse is outside float range: 4 gamma n_g = {rate:g}, Omega = {omega:g}"
+        )
+    return omega, spec.theta ** 2 / rate
 
 
 def ideal_rotation_ptm(theta: float) -> np.ndarray:

@@ -289,7 +289,7 @@ class FitResult:
 
 def fit_noise_model(
     samples: Sequence[tuple[float, float]],
-    variant_hint: str,
+    kind: str,
     D: float | None = None,
 ) -> FitResult:
     """Least-squares fit of an affine or exponential noise law.
@@ -297,7 +297,7 @@ def fit_noise_model(
     The affine law is fitted linearly in k on eta; the exponential law is
     fitted linearly in k on log10 eta, with the slope converted to beta via
     the supplied growth factor D.  The reported residual is RMS in log10
-    space for both variants.
+    space for both laws.  kind is the law's wire name, "affine" or "exp".
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
@@ -310,7 +310,7 @@ def fit_noise_model(
 
     design = np.column_stack([np.ones_like(ks), ks])
     model: NoiseModel
-    if variant_hint == "affine":
+    if kind == "affine":
         coef, *_ = np.linalg.lstsq(design, etas, rcond=None)
         eta0, slope = float(coef[0]), float(coef[1])
         if eta0 <= 0:
@@ -320,7 +320,7 @@ def fit_noise_model(
             c = 0.0
         model = AffineNoise(eta0=eta0, c=c)
         predicted_log10 = np.log10(eta0 * (1.0 + c * ks))
-    elif variant_hint == "exponential":
+    elif kind == "exp":
         if D is None:
             raise ValueError("exponential fit needs the scheme's D")
         if D <= 1:
@@ -334,43 +334,54 @@ def fit_noise_model(
         model = ExponentialNoise(eta0=10.0 ** intercept, beta=beta)
         predicted_log10 = intercept + slope * ks
     else:
-        raise ValueError(f"variant_hint must be 'affine' or 'exponential', got {variant_hint!r}")
+        raise ValueError(f"fit model must be 'affine' or 'exp', got {kind!r}")
 
     residual = float(np.sqrt(np.mean((predicted_log10 - np.log10(etas)) ** 2)))
     return FitResult(model=model, residual=residual, n_points=len(samples))
 
 
+# The wire vocabulary of the noise laws: each law's name and its fields.
+# ShorPhotonNoise.n_tot travels as "ntot".
+MODEL_FIELDS: dict[str, tuple[str, ...]] = {
+    "affine": ("eta0", "c"),
+    "exp": ("eta0", "beta"),
+    "table": ("eta0", "f_values"),
+    "shor": ("L", "ntot", "A"),
+}
+
+_MODEL_CLASSES = {"affine": AffineNoise, "exp": ExponentialNoise,
+                  "table": TabulatedNoise, "shor": ShorPhotonNoise}
+
+
 def model_to_dict(model: NoiseModel) -> dict:
-    """JSON-ready representation with the wire field names."""
+    """JSON-ready representation: {"model": name, **fields}."""
     if isinstance(model, AffineNoise):
-        return {"variant": "affine", "eta0": model.eta0, "c": model.c}
+        return {"model": "affine", "eta0": model.eta0, "c": model.c}
     if isinstance(model, ExponentialNoise):
-        return {"variant": "exponential", "eta0": model.eta0, "beta": model.beta}
+        return {"model": "exp", "eta0": model.eta0, "beta": model.beta}
     if isinstance(model, TabulatedNoise):
-        return {"variant": "tabulated", "eta0": model.eta0,
+        return {"model": "table", "eta0": model.eta0,
                 "f_values": list(model.f_values)}
     if isinstance(model, ShorPhotonNoise):
-        return {"variant": "shor_photon", "L": model.L, "n_tot": model.n_tot,
-                "A": model.A}
+        return {"model": "shor", "L": model.L, "ntot": model.n_tot, "A": model.A}
     raise TypeError(f"unknown noise model {model!r}")
 
 
 def model_from_dict(data: dict) -> NoiseModel:
-    """Inverse of :func:`model_to_dict`; validates invariants on the way in."""
+    """Inverse of :func:`model_to_dict`; validates invariants on the way in.
+
+    Keys other than "model" and the law's fields are ignored, so a CLI
+    optimize config is itself a model description.
+    """
+    kind = data.get("model")
+    if kind not in MODEL_FIELDS:
+        raise ValueError(
+            f"unknown noise model {kind!r}; known: {', '.join(MODEL_FIELDS)}"
+        )
     try:
-        variant = data["variant"]
-    except KeyError:
-        raise ValueError("noise model JSON needs a 'variant' field") from None
-    try:
-        if variant == "affine":
-            return AffineNoise(eta0=data["eta0"], c=data.get("c", 0.0))
-        if variant == "exponential":
-            return ExponentialNoise(eta0=data["eta0"], beta=data["beta"])
-        if variant == "tabulated":
-            return TabulatedNoise(eta0=data["eta0"],
-                                  f_values=tuple(data["f_values"]))
-        if variant == "shor_photon":
-            return ShorPhotonNoise(L=data["L"], n_tot=data["n_tot"], A=data["A"])
+        fields = {name: data[name] for name in MODEL_FIELDS[kind]}
     except KeyError as exc:
-        raise ValueError(f"noise model JSON missing field {exc}") from None
-    raise ValueError(f"unknown noise model variant {variant!r}")
+        raise ValueError(f"noise model {kind!r} missing field {exc}") from None
+    if kind == "shor":
+        fields["n_tot"] = fields.pop("ntot")
+    return _MODEL_CLASSES[kind](**fields)

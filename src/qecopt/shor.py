@@ -12,10 +12,11 @@ there the energy, power and timing of the whole computation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax
-from .scheme import PI_SQ_OVER_16, FTScheme, ShorPhotonNoise
+from .scheme import PI_SQ_OVER_16, FTScheme, LogProb, ShorPhotonNoise
 
 HBAR = 1.054571817e-34  # J*s
 
@@ -41,6 +42,8 @@ class ShorProblem:
             object.__setattr__(self, "L", self.R * self.R)
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L!r}")
+        if self.L > sys.float_info.max:
+            raise ValueError("L = R^2 logical gates exceeds the float range")
         if not 0.5 < self.P_target < 1.0:
             raise ValueError(f"P_target must lie in (1/2, 1), got {self.P_target!r}")
 
@@ -78,11 +81,17 @@ class EnergyBill:
 
 @dataclass(frozen=True)
 class MinBudget:
-    """Result of the minimal photon-budget inversion."""
+    """Result of the minimal photon-budget inversion.
+
+    k and log10_p_min are the optimal level and its logical error at n_L,
+    found by the confirming k-scan; an infeasible result has k = 0 and
+    log10_p_min None.
+    """
 
     n_L: float
     k: int
     feasible: bool
+    log10_p_min: LogProb | None = None
 
 
 def target_logical_error(problem: ShorProblem) -> float:
@@ -94,6 +103,16 @@ def target_logical_error(problem: ShorProblem) -> float:
     if problem.P_target == 2.0 / 3.0:
         return 1.0 / (3.0 * problem.L)
     return -math.log(problem.P_target) / problem.L
+
+
+def error_target(problem: ShorProblem, p_err: float | None = None) -> float:
+    """The error per logical gate to reach: p_err, which must lie in (0, 1],
+    or target_logical_error(problem) when p_err is None."""
+    if p_err is None:
+        return target_logical_error(problem)
+    if not 0.0 < p_err <= 1.0:
+        raise ValueError(f"perr must lie in (0, 1], got {p_err!r}")
+    return p_err
 
 
 def photon_noise_model(
@@ -137,11 +156,11 @@ def min_photon_budget(
     absorb rounding.  One k-scan at that budget supplies the level and
     confirms the target (RuntimeError if it is missed).  Returns an explicit
     infeasible result when the budget exceeds n_L_cap, which must be positive
-    and finite.
+    and finite.  p_err, when given, must lie in (0, 1].
     """
     if not 0.0 < n_L_cap < math.inf:
         raise ValueError(f"nlcap must be positive and finite, got {n_L_cap!r}")
-    target = math.log10(p_err if p_err is not None else target_logical_error(problem))
+    target = math.log10(error_target(problem, p_err))
     log_b = math.log10(scheme.B)
     log_n = min(
         log_b + math.log10(PI_SQ_OVER_16) + k * math.log10(scheme.D)
@@ -157,7 +176,15 @@ def min_photon_budget(
         raise RuntimeError(
             f"photon budget n_L={n_L!r} misses the target log10 p = {target!r}"
         )
-    return MinBudget(n_L=n_L, k=result.k_max, feasible=True)
+    return MinBudget(n_L=n_L, k=result.k_max, feasible=True,
+                     log10_p_min=result.log10_p_min)
+
+
+def _check_operating_point(n_L: float, k: int, gamma: float, omega0: float) -> None:
+    if not all(0.0 < v < math.inf for v in (n_L, gamma, omega0)):
+        raise ValueError("n_L, gamma and omega0 must be positive and finite")
+    if k < 0:
+        raise ValueError("concatenation level must be >= 0")
 
 
 def energy_bill(
@@ -172,23 +199,28 @@ def energy_bill(
 
     The photon budget per physical gate divides by the exact per-level gate
     factor A; the clock interval is the pi-pulse duration pi^2/(4 gamma n_g);
-    a level-k logical gate takes M^k clock cycles.
+    a level-k logical gate takes M^k clock cycles.  ValueError when a figure
+    leaves the float range.
     """
-    if n_L <= 0 or gamma <= 0 or omega0 <= 0:
-        raise ValueError("n_L, gamma and omega0 must be positive")
-    if k < 0:
-        raise ValueError("concatenation level must be >= 0")
+    _check_operating_point(n_L, k, gamma, omega0)
     n_g = n_L / scheme.A ** k
-    tau_g = math.pi ** 2 / (4.0 * gamma * n_g)
+    rate = 4.0 * gamma * n_g
+    tau_g = math.pi ** 2 / rate if rate > 0.0 else math.inf
     tau_L = scheme.M ** k * tau_g
     t_tot = problem.L * tau_L
     e_tot = HBAR * omega0 * problem.L * n_L
+    p_avg = e_tot / t_tot if t_tot > 0.0 else math.inf
+    if not all(0.0 < v < math.inf for v in (n_g, tau_g, t_tot, e_tot, p_avg)):
+        raise ValueError(
+            f"energy bill is outside float range at n_L={n_L:g}, k={k}, "
+            f"gamma={gamma:g}, omega0={omega0:g}"
+        )
     return EnergyBill(
         n_L=n_L,
         n_g=n_g,
         k=k,
         E_tot=e_tot,
-        P_avg=e_tot / t_tot,
+        P_avg=p_avg,
         tau_g=tau_g,
         tau_L=tau_L,
         T_tot=t_tot,
@@ -203,12 +235,12 @@ def rwa_margin(
     Ratios <= RWA_MARGINAL_RATIO mean the rotating-wave design of the gates
     is marginal at this operating point.
     """
-    if n_L <= 0 or gamma <= 0 or omega0 <= 0:
-        raise ValueError("n_L, gamma and omega0 must be positive")
-    if k < 0:
-        raise ValueError("concatenation level must be >= 0")
+    _check_operating_point(n_L, k, gamma, omega0)
     n_g = n_L / scheme.A ** k
-    return (omega0 / gamma) / n_g
+    margin = (omega0 / gamma) / n_g if n_g > 0.0 else math.inf
+    if not 0.0 < margin < math.inf:
+        raise ValueError(f"rotating-wave margin is outside float range: {margin:g}")
+    return margin
 
 
 def bill_csv_header() -> str:

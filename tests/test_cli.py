@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qecopt
-from qecopt.cli import main
+from qecopt.cli import COMMANDS, CONFIG_SCHEMA, main
 from qecopt.scheme import PI_SQ_OVER_16
 
 
@@ -139,7 +139,7 @@ class TestDeterminismAndRoundTrip:
     def test_shor_and_fit_round_trips(self, tmp_path):
         for argv in (
             ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"],
-            ["fit", "--samples", "0:1e-5,1:2e-5", "--variant", "affine"],
+            ["fit", "--samples", "0:1e-5,1:2e-5", "--model", "affine"],
             ["longrange", "--lattice", "chain", "--z", "0.5", "--N0", "501",
              "--compare"],
         ):
@@ -176,6 +176,39 @@ class TestDeterminismAndRoundTrip:
         code, _, err = run(capsys, "optimize", "--config", str(bad))
         assert code == 2
         assert "schema" in err
+
+    @pytest.mark.parametrize("command,config,flags,word", [
+        ("gatesim", {"R": 1000}, ["--theta", "pi", "--gamma", "1", "--ng", "50"], "'R'"),
+        ("optimize", {"theta": 3.0}, ["--model", "affine", "--eta0", "5e-6"], "'theta'"),
+        ("optimize", {"command": "gatesim"}, ["--model", "affine", "--eta0", "5e-6"],
+         "'optimize' was expected"),
+        ("gatesim", {"omega0": None, "command": "shor"},
+         ["--theta", "pi", "--gamma", "1", "--ng", "50"], "'gatesim' was expected"),
+    ])
+    def test_config_of_another_command_exits_2(self, tmp_path, capsys, command,
+                                               config, flags, word):
+        # Each command validates against its own schema.
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(path), *flags)
+        assert code == 2 and out == ""
+        assert f"{command} schema" in err and word in err
+        assert err.count("\n") == 1
+
+    def test_config_schema_is_published_per_command(self):
+        assert set(CONFIG_SCHEMA) == set(COMMANDS)
+        assert "R" in CONFIG_SCHEMA["shor"]["properties"]
+        assert "R" not in CONFIG_SCHEMA["gatesim"]["properties"]
+        assert CONFIG_SCHEMA["fit"]["properties"]["model"] == {"enum": ["affine", "exp"]}
+
+    def test_flag_wins_over_config(self, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        assert main(["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1",
+                     "--kcap", "8", "--out", str(first)]) == 0
+        code, out, _ = run(capsys, "optimize", "--config", str(first), "--c", "2")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["c"] == 2.0 and config["kcap"] == 8
 
 
 class TestSweep:
@@ -262,14 +295,37 @@ class TestSweep:
         assert "table" in err and "Traceback" not in err
         assert err.count("\n") == 1
         config = tmp_path / "table.json"
-        config.write_text(json.dumps({
-            "command": "sweep", "model": "table", "f_values": [1, 2, 4],
+        table_sweep = {
+            "command": "sweep", "model": "table",
             "axes": [{"param": "eta0", "min": 1e-6, "max": 1e-5, "count": 2}],
-        }))
+        }
+        config.write_text(json.dumps(table_sweep))
         code, _, err = run(capsys, "sweep", "--config", str(config))
         assert code == 2
         assert "table" in err and "Traceback" not in err
         assert err.count("\n") == 1
+        # sweep takes no f_values, so the sweep schema rejects the key.
+        config.write_text(json.dumps(dict(table_sweep, f_values=[1, 2, 4])))
+        code, _, err = run(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert "f_values" in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_exp_sweep_reports_no_bounds(self, capsys):
+        # The bounds need D >= 2; a sweep never reports them, so D = 1 runs.
+        code, out, err = run(
+            capsys, "sweep", "--model", "exp", "--scheme", "1,1,1,1,1",
+            "--beta", "0.5", "--axis", "eta0:1e-9:1e-8:2", "--kcap", "4",
+        )
+        assert code == 0, err
+        rows = out.strip().split("\n")[1:]
+        code, opt_out, _ = run(
+            capsys, "optimize", "--model", "exp", "--scheme", "1,1,1,1,1",
+            "--beta", "0.5", "--eta0", "1e-9", "--kcap", "4", "--format", "csv",
+        )
+        assert code == 0
+        curve = [float(line.split(",")[1]) for line in opt_out.strip().split("\n")[1:]]
+        assert float(rows[0].split(",")[2]) == min(curve)
 
     def test_log_axis_needs_positive_min(self, capsys):
         code, _, _ = run(
@@ -319,11 +375,13 @@ class TestGatesim:
         (["--ng", "10", "--gamma", "inf"], "gamma must be finite"),
         (["--ng", "10", "--omega0", "inf"], "omega0 must be finite"),
         (["--ng", "1e-100"], "propagator is not finite"),
+        (["--gamma", "1e300", "--ng", "1e300"], "pulse is outside float range"),
+        (["--gamma", "1e-300", "--ng", "1e-300"], "pulse is outside float range"),
     ])
     def test_non_finite_inputs_exit_2(self, capsys, flags, message):
         code, out, err = run(
             capsys, "gatesim", "--theta", "pi", "--gamma", "1", *flags
-        )
+        )  # a later --gamma wins
         assert code == 2
         assert out == ""
         assert message in err and err.count("\n") == 1
@@ -412,6 +470,36 @@ class TestShorCommand:
         assert code == 1
         assert "unreachable" in err
 
+    @pytest.mark.parametrize("budget", [[], ["--nL", "1e6"]])
+    @pytest.mark.parametrize("perr", ["0", "-1", "nan", "inf", "2"])
+    def test_perr_must_lie_in_unit_interval(self, capsys, perr, budget):
+        code, out, err = run(
+            capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10",
+            "--perr", perr, *budget,
+        )
+        assert code == 2
+        assert out == ""
+        assert "perr must lie in (0, 1]" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", [[], ["--nL", "1e6"]])
+    def test_one_k_scan_per_query(self, capsys, monkeypatch, budget):
+        # The minimum-budget path reuses the scan that confirmed the budget.
+        calls = []
+        find_kmax = qecopt.shor.find_kmax
+        monkeypatch.setattr(qecopt.shor, "find_kmax",
+                            lambda *a, **kw: calls.append(a) or find_kmax(*a, **kw))
+        code, out, _ = run(
+            capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10", *budget
+        )
+        assert code == 0
+        assert len(calls) == 1
+        result = json.loads(out)["result"]
+        opt = qecopt.shor.optimize_photon_budget(
+            qecopt.ShorProblem(R=1000), result["n_L"], qecopt.get_scheme("aliferis2006")
+        )
+        assert (result["k"], result["log10_p_min"]) == (opt.k_max,
+                                                        opt.log10_p_min.log10_value)
+
     @pytest.mark.parametrize("cap", ["0", "-5", "nan", "inf"])
     def test_cap_must_be_positive_and_finite(self, capsys, cap):
         code, out, err = run(
@@ -428,11 +516,11 @@ class TestFit:
     def test_inline_samples(self, capsys):
         code, out, _ = run(
             capsys, "fit", "--samples", "0:1e-5,1:2e-5,2:3e-5",
-            "--variant", "affine",
+            "--model", "affine",
         )
         assert code == 0
         model = json.loads(out)["result"]["model"]
-        assert model["variant"] == "affine"
+        assert model["model"] == "affine"
         assert model["eta0"] == pytest.approx(1e-5, rel=1e-9)
         assert model["c"] == pytest.approx(1.0, rel=1e-9)
 
@@ -440,28 +528,68 @@ class TestFit:
         data = tmp_path / "samples.csv"
         data.write_text("k,eta\n0,1e-6\n1,2.91e-4\n")
         code, out, _ = run(
-            capsys, "fit", "--in", str(data), "--variant", "exponential",
+            capsys, "fit", "--in", str(data), "--model", "exp",
             "--D", "291",
         )
         assert code == 0
         model = json.loads(out)["result"]["model"]
         assert model["beta"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_fitted_model_is_an_optimize_config(self, tmp_path, capsys):
+        for flags in (["--samples", "0:1e-5,1:2e-5,2:3e-5", "--model", "affine"],
+                      ["--samples", "0:1e-9,1:2.91e-7", "--model", "exp", "--D", "291"]):
+            code, out, _ = run(capsys, "fit", *flags)
+            assert code == 0
+            config = tmp_path / "model.json"
+            config.write_text(json.dumps(json.loads(out)["result"]["model"]))
+            code, out, err = run(capsys, "optimize", "--config", str(config))
+            assert code == 0, err
+            assert json.loads(out)["config"]["model"] == flags[3]
+
+    def test_old_fit_vocabulary_is_gone(self, tmp_path, capsys):
+        for flags in (["--variant", "affine"], ["--model", "exponential"],
+                      ["--model", "table"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["fit", "--samples", "0:1e-5,1:2e-5", *flags])
+            assert excinfo.value.code == 2
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps({"samples": [[0, 1e-5], [1, 2e-5]],
+                                      "variant": "affine", "D": None}))
+        code, _, err = run(capsys, "fit", "--config", str(config))
+        assert code == 2 and "'variant'" in err
+
+    def test_missing_input_file_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "fit", "--in", "/nonexistent-dir/samples.csv", "--model", "affine"
+        )
+        assert code == 2 and out == ""
+        assert "cannot read samples" in err and err.count("\n") == 1
+
+    def test_unwritable_output_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "fit", "--samples", "0:1e-5,1:2e-5", "--model", "affine",
+            "--out", "/nonexistent-dir/report.json",
+        )
+        assert code == 2 and out == ""
+        assert "cannot write" in err and err.count("\n") == 1
+
     def test_degenerate_samples_exit_2(self, capsys):
         code, _, _ = run(
-            capsys, "fit", "--samples", "0:1e-5,0:2e-5", "--variant", "affine"
+            capsys, "fit", "--samples", "0:1e-5,0:2e-5", "--model", "affine"
         )
         assert code == 2
 
 
 def test_import_leaves_scipy_submodules_unloaded():
-    # scipy.linalg (gate channel) and scipy.integrate (square-lattice C_z)
-    # are imported by the calls that need them, not by the CLI.
+    # scipy.linalg (gate channel), scipy.integrate (square-lattice C_z) and
+    # jsonschema (--config) are imported by the calls that need them, not by
+    # the CLI.
     env = dict(os.environ)
     src = str(Path(qecopt.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src] + [env.get("PYTHONPATH", "")])
     probe = ("import sys, qecopt.cli; "
-             "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+             "print([m for m in ('scipy.integrate', 'scipy.linalg', 'jsonschema')"
+             " if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

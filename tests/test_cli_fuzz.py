@@ -1,0 +1,271 @@
+"""Fuzzed argv and configs: every input gives a report or a one-line message.
+
+Each example starts from a valid invocation of one command and overwrites a
+few of its flags, or of its config keys, with values drawn from a fixed list
+of valid, junk and edge values: 0, -1, nan, inf, 1e+-300, pi/0, a missing
+path, and the wrong command.  The flags and keys come from the command's own
+parameter table.  Grid counts, kcap and N0 come from short bounded lists, so
+every example stays small.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qecopt import cli
+
+MISSING = "/nonexistent-dir/missing.json"
+EDGE_TEXT = ["0", "-1", "nan", "inf", "1e300", "1e-300", "pi/0", MISSING]
+EDGE_JSON = [0, -1, math.nan, math.inf, 1e300, 1e-300, "pi/0", MISSING, None, True,
+             "optimize"]
+
+# One valid invocation per model or path of each command.
+BASES = [
+    ["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1", "--kcap", "8"],
+    ["optimize", "--model", "exp", "--eta0", "1e-12", "--beta", "1", "--kcap", "8"],
+    ["optimize", "--model", "table", "--eta0", "1e-9", "--f-values", "1,300,90000"],
+    ["optimize", "--model", "shor", "--L", "1000000", "--ntot", "1e15", "--kcap", "8"],
+    ["sweep", "--model", "affine", "--eta0", "5e-6", "--axis", "c:0:4:3", "--kcap", "8"],
+    ["sweep", "--model", "exp", "--beta", "1", "--axis", "eta0:1e-12:1e-6:3:log",
+     "--axis", "beta:0.1:1:2", "--kcap", "8"],
+    ["sweep", "--model", "shor", "--R", "1000", "--axis", "n_L:1e4:1e13:3:log",
+     "--kcap", "8"],
+    ["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1000"],
+    ["gatesim", "--theta", "pi/2", "--gamma", "1", "--ng", "300", "--omega0", "1e9"],
+    ["longrange", "--lattice", "chain", "--z", "0.5", "--N0", "101", "--compare"],
+    ["longrange", "--lattice", "square", "--z", "1", "--N0", "144", "--compare"],
+    ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"],
+    ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10", "--nL", "1e6"],
+    ["fit", "--samples", "0:1e-5,1:2e-5,2:3e-5", "--model", "affine"],
+    ["fit", "--samples", "0:1e-6,1:2.91e-4", "--model", "exp", "--D", "291"],
+]
+
+# Valid values beside each parameter's enum, so edits also stay valid.
+VALID = {
+    "scheme": ["aliferis2006", "575,291,10000,291,3", "1,1,1,1,1", "1,2,3", "bogus"],
+    "eta0": ["5e-6", "1e-12", "0.5"],
+    "c": ["1", "0"],
+    "beta": ["1", "0.5", "0"],
+    "f_values": ["1,300,90000", "1,2", "2,1", ""],
+    "L": ["1000000", "1"],
+    "ntot": ["1e15", "1e12"],
+    "A": ["291", "1"],
+    "R": ["1000", "2", "64"],
+    "theta": ["pi", "pi/2", "2pi", "1.5", "tau"],
+    "gamma": ["1", "10"],
+    "ng": ["1000", "50"],
+    "omega0": ["1e10", "1"],
+    "z": ["0.5", "1", "3"],
+    "kappa": ["1", "2"],
+    "nL": ["1e6", "1e12"],
+    "ptarget": ["0.9", "0.6667"],
+    "perr": ["1e-9", "1e-300", "1"],
+    "nlcap": ["1e12", "1e30"],
+    "samples": ["0:1e-5,1:2e-5", "0:1e-5,0:2e-5", "0:1e-5", "1:2:3"],
+    "D": ["291", "1"],
+}
+# These set the work of one example, so they take bounded values only.
+BOUNDED_TEXT = {
+    "kcap": ["0", "-1", "1", "8", "64", "1001", "1e300", "nan"],
+    "N0": ["0", "-1", "2", "101", "64", "1e300", "nan"],
+}
+BOUNDED_JSON = [0, -1, 1, 8, 64, 1001, 2.0, math.nan, math.inf, None]
+AXIS_PARAMS = ["eta0", "c", "beta", "B_eta0", "n_L", "volume"]
+AXIS_BOUNDS = ["0", "-1", "1e-9", "0.5", "10", "1e300", "nan", "inf", "pi/0"]
+AXIS_COUNTS = ["0", "-1", "1", "3", "1e300", "nan"]
+
+COMMAND_PARAMS = cli._COMMAND_PARAMS
+
+
+@st.composite
+def axis_text(draw) -> str:
+    parts = [draw(st.sampled_from(AXIS_PARAMS)), draw(st.sampled_from(AXIS_BOUNDS)),
+             draw(st.sampled_from(AXIS_BOUNDS)), draw(st.sampled_from(AXIS_COUNTS))]
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(["log", "linear", "cubic"])))
+    return ":".join(parts)
+
+
+def flag_values(key: str, param: cli.Param) -> st.SearchStrategy:
+    if key == "axes":
+        return st.lists(axis_text(), min_size=1, max_size=3)
+    if key in BOUNDED_TEXT:
+        return st.sampled_from(BOUNDED_TEXT[key])
+    return st.sampled_from(list(param.json.get("enum", [])) + VALID.get(key, [])
+                           + EDGE_TEXT)
+
+
+def json_values(key: str) -> st.SearchStrategy:
+    if key in BOUNDED_TEXT:
+        return st.sampled_from(BOUNDED_JSON)
+    if key == "axes":
+        axis = st.fixed_dictionaries(
+            {"param": st.sampled_from(AXIS_PARAMS),
+             "min": st.sampled_from([0, -1, 1e-9, 0.5, 1e300]),
+             "max": st.sampled_from([0, 1e-6, 10, 1e300]),
+             "count": st.sampled_from([0, 1, 3])},
+            optional={"spacing": st.sampled_from(["log", "linear", "cubic"])})
+        return st.lists(axis, max_size=3)
+    if key == "samples":
+        return st.sampled_from([[[0, 1e-5], [1, 2e-5]], [[0, 1e-5]], [[0, 2.0], [1, 0.5]],
+                                [[0, 1e-5, 3]], "0:1e-5,1:2e-5"])
+    if key == "f_values":
+        return st.sampled_from([[1, 300, 90000], [1.0], [2.0, 1.0], []])
+    if key == "scheme":
+        return st.sampled_from(["aliferis2006", "bogus", "1,2,3",
+                                {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3},
+                                {"A": 1, "A_prime": 1, "B": 1, "D": 1, "M": 1}])
+    numbers = []
+    for text in VALID.get(key, []):
+        try:
+            numbers.append(float(text))
+        except ValueError:
+            pass
+    return st.sampled_from(EDGE_JSON + numbers + ["affine", "exp", "chain", "pi"])
+
+
+def set_flag(argv: list[str], flag: str, values: list[str]) -> list[str]:
+    """argv with every occurrence of flag replaced by one per value."""
+    out, i = [], 0
+    while i < len(argv):
+        if argv[i] == flag:
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    for value in values:
+        out += [flag, value]
+    return out
+
+
+@st.composite
+def mutated_argv(draw, base: list[str]) -> list[str]:
+    """base with a few flags overwritten, dropped or added."""
+    command, argv = base[0], list(base)
+    params = COMMAND_PARAMS[command]
+    for key in draw(st.lists(st.sampled_from(sorted(params)), max_size=3, unique=True)):
+        param = params[key]
+        if param.action == "store_true":
+            argv = [a for a in argv if a != param.flag]
+            if draw(st.booleans()):
+                argv.append(param.flag)
+            continue
+        values = draw(flag_values(key, param))
+        if isinstance(values, str):
+            values = [] if draw(st.integers(0, 5)) == 0 else [values]
+        argv = set_flag(argv, param.flag, values)
+    extra = draw(st.sampled_from(["", "", "", "", "format", "out", "config", "foreign", "in"]))
+    if extra == "format":
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    elif extra in ("out", "config"):
+        argv += [f"--{extra}", MISSING]
+    elif extra == "foreign":
+        other = draw(st.sampled_from([p for p in cli.PARAMS if command not in p.status]))
+        argv += [other.flag, "1"]
+    elif extra == "in" and command == "fit":
+        argv = set_flag(argv, "--samples", [])
+        argv += ["--in", draw(st.sampled_from([MISSING, "@samples", "@bad-samples"]))]
+    return argv
+
+
+@st.composite
+def mutated_config(draw, config: dict) -> dict:
+    """A valid config with a few keys overwritten, dropped or added."""
+    config = dict(config)
+    command = config["command"]
+    keys = sorted(COMMAND_PARAMS[command])
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        if draw(st.integers(0, 5)) == 0:
+            config.pop(key, None)
+        else:
+            config[key] = draw(json_values(key))
+    extra = draw(st.sampled_from(["", "", "", "", "foreign", "command"]))
+    if extra == "foreign":
+        foreign = sorted({p.key for p in cli.PARAMS} - set(keys))
+        config[draw(st.sampled_from(foreign))] = 1.0
+    elif extra == "command":
+        config["command"] = draw(st.sampled_from(cli.COMMANDS))
+    return config
+
+
+def outcome(argv: list[str], workdir: Path) -> tuple[int, str, bool]:
+    """(exit code, stderr, whether argparse made the exit).  Python warnings
+    (rotating-wave margin, small N0) are silenced: they are diagnostics, not
+    the program's message."""
+    argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return cli.main(argv), err.getvalue(), False
+        except SystemExit as exc:
+            return exc.code, err.getvalue(), True
+
+
+def check(argv: list[str], workdir: Path) -> None:
+    """Exit 0, 1 or 2 and no traceback; the program's own exit 1 or 2 comes
+    with exactly one stderr line (argparse also prints its usage)."""
+    code, err, by_argparse = outcome(argv, workdir)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code != 0 and not by_argparse:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "samples").write_text("k,eta\n0,1e-6\n1,2.91e-4\n")
+    (path / "bad-samples").write_text("k,eta\n0,1e-6,7\nx\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def base_configs(workdir) -> list[dict]:
+    """The resolved config of each base invocation, from its own report."""
+    configs = []
+    for i, argv in enumerate(BASES):
+        out = workdir / f"base{i}.json"
+        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 0
+        configs.append(json.loads(out.read_text())["config"])
+    return configs
+
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_bases_are_valid(workdir):
+    for argv in BASES:
+        assert outcome(argv, workdir)[0] == 0, argv
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(workdir, data):
+    base = data.draw(st.sampled_from(BASES))
+    check(data.draw(mutated_argv(base)), workdir)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_config_exits_cleanly(workdir, base_configs, data):
+    i = data.draw(st.integers(0, len(BASES) - 1))
+    config = data.draw(mutated_config(base_configs[i]))
+    path = workdir / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [BASES[i][0], "--config", str(path)]
+    if data.draw(st.booleans()):
+        # Flags of the same command ride along; a flag wins over its key.
+        argv += data.draw(mutated_argv(BASES[i]))[1:]
+    check(argv, workdir)

@@ -62,6 +62,8 @@ class TestLatticeSpec:
             LatticeSpec(d=1, z=-0.5, N0=100)
         with pytest.raises(ValueError):
             LatticeSpec(d=1, z=0.5, N0=1)
+        with pytest.raises(ValueError, match="z must be"):
+            LatticeSpec(d=1, z=math.nan, N0=100)
 
     def test_json_round_trip_fields(self):
         spec = LatticeSpec(d=2, z=1.0, N0=10 ** 4, aspect="square")
@@ -173,6 +175,11 @@ class TestDelta0Asymptotic:
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError, match="z <= d"):
             delta0_asymptotic(LatticeSpec(d=1, z=1.5, N0=1000))
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+    def test_kappa_must_be_positive_and_finite(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            delta0_asymptotic(LatticeSpec(d=1, z=1.0, N0=1000), kappa=kappa)
 
     def test_small_lattice_warns(self):
         with pytest.warns(UserWarning, match="unreliable"):

@@ -199,7 +199,7 @@ class TestFitNoiseModel:
 
     def test_exact_exponential_data(self):
         samples = [(0, 1e-6), (1, 291e-6), (2, 291 ** 2 * 1e-6)]
-        fit = fit_noise_model(samples, "exponential", D=291)
+        fit = fit_noise_model(samples, "exp", D=291)
         assert isinstance(fit.model, ExponentialNoise)
         assert fit.model.eta0 == pytest.approx(1e-6, rel=1e-9)
         assert fit.model.beta == pytest.approx(1.0, rel=1e-9)
@@ -219,7 +219,7 @@ class TestFitNoiseModel:
 
     def test_exponential_needs_growth_factor(self):
         with pytest.raises(ValueError, match="needs the scheme's D"):
-            fit_noise_model([(0, 1e-5), (1, 2e-5)], "exponential")
+            fit_noise_model([(0, 1e-5), (1, 2e-5)], "exp")
 
     @given(
         eta0=st.floats(1e-10, 1e-3),
@@ -242,7 +242,7 @@ class TestFitNoiseModel:
         assume(eta0 * 291.0 ** (4 * beta) < 0.99)  # keep all samples in (0, 1)
         model = ExponentialNoise(eta0, beta=beta)
         samples = [(k, eta_at_level(model, k, D=291).linear) for k in range(5)]
-        fit = fit_noise_model(samples, "exponential", D=291)
+        fit = fit_noise_model(samples, "exp", D=291)
         assert fit.model.eta0 == pytest.approx(eta0, rel=1e-9)
         assert fit.model.beta == pytest.approx(beta, rel=1e-9, abs=1e-9)
 
@@ -261,19 +261,27 @@ class TestSerialization:
         assert model_from_dict(model_to_dict(model)) == model
 
     def test_wire_field_names(self):
+        # The CLI's spelling: a model dict is itself an optimize config.
         d = model_to_dict(AffineNoise(5e-6, c=1.0))
-        assert d == {"variant": "affine", "eta0": 5e-6, "c": 1.0}
+        assert d == {"model": "affine", "eta0": 5e-6, "c": 1.0}
         d = model_to_dict(ExponentialNoise(1e-9, beta=0.5))
-        assert d == {"variant": "exponential", "eta0": 1e-9, "beta": 0.5}
+        assert d == {"model": "exp", "eta0": 1e-9, "beta": 0.5}
+        d = model_to_dict(TabulatedNoise(1e-5, (1.0, 2.0)))
+        assert d == {"model": "table", "eta0": 1e-5, "f_values": [1.0, 2.0]}
         d = model_to_dict(ShorPhotonNoise(L=4, n_tot=2.0, A=575))
-        assert d == {"variant": "shor_photon", "L": 4, "n_tot": 2.0, "A": 575}
+        assert d == {"model": "shor", "L": 4, "ntot": 2.0, "A": 575}
 
-    def test_bad_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            model_from_dict({"variant": "cubic", "eta0": 1e-5})
-        with pytest.raises(ValueError, match="variant"):
+    def test_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown noise model"):
+            model_from_dict({"model": "cubic", "eta0": 1e-5})
+        with pytest.raises(ValueError, match="unknown noise model"):
             model_from_dict({"eta0": 1e-5})
+        for old in ("exponential", "tabulated", "shor_photon"):
+            with pytest.raises(ValueError, match="unknown noise model"):
+                model_from_dict({"model": old, "eta0": 1e-5, "beta": 1.0})
+        with pytest.raises(ValueError, match="missing field 'beta'"):
+            model_from_dict({"model": "exp", "eta0": 1e-5})
 
     def test_invalid_payload_rejected(self):
         with pytest.raises(ValueError):
-            model_from_dict({"variant": "affine", "eta0": 2.0})
+            model_from_dict({"model": "affine", "eta0": 2.0, "c": 0.0})

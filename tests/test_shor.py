@@ -15,6 +15,7 @@ from qecopt.shor import (
     MinBudget,
     ShorProblem,
     energy_bill,
+    error_target,
     min_photon_budget,
     optimize_photon_budget,
     photon_noise_model,
@@ -37,6 +38,8 @@ class TestShorProblem:
             ShorProblem(R=10, P_target=0.5)
         with pytest.raises(ValueError):
             ShorProblem(R=10, P_target=1.0)
+        with pytest.raises(ValueError, match="float range"):
+            ShorProblem(R=10 ** 200)  # L = R^2 has no float value
 
 
 class TestTargetLogicalError:
@@ -147,6 +150,15 @@ class TestMinPhotonBudget:
             ShorProblem(R=10 ** 3), ALIFERIS, p_err=1e-300, n_L_cap=1e12
         )
         assert not budget.feasible
+        assert budget.log10_p_min is None
+
+    @pytest.mark.parametrize("p_err", [0.0, -1.0, math.nan, math.inf, 2.0])
+    def test_p_err_must_lie_in_unit_interval(self, p_err):
+        with pytest.raises(ValueError, match=r"perr must lie in \(0, 1\]"):
+            min_photon_budget(ShorProblem(R=10 ** 3), ALIFERIS, p_err=p_err)
+        with pytest.raises(ValueError, match="perr"):
+            error_target(ShorProblem(R=10 ** 3), p_err)
+        assert error_target(ShorProblem(R=10 ** 3), 1.0) == 1.0
 
     def test_consistency_with_the_optimizer(self):
         # The returned budget meets the target; half of it does not.
@@ -182,7 +194,7 @@ class TestMinPhotonBudget:
         target = math.log10(p_err)
         at = optimize_photon_budget(problem, budget.n_L, scheme)
         assert at.log10_p_min.log10_value <= target
-        assert budget.k == at.k_max
+        assert (budget.k, budget.log10_p_min) == (at.k_max, at.log10_p_min)
         if budget.n_L > 1.0:
             below = optimize_photon_budget(problem, budget.n_L * (1 - 1e-9), scheme)
             assert below.log10_p_min.log10_value > target
@@ -234,6 +246,18 @@ class TestEnergyBill:
             energy_bill(problem, 0.0, 0, 10.0, 1e10, ALIFERIS)
         with pytest.raises(ValueError):
             energy_bill(problem, 1e6, -1, 10.0, 1e10, ALIFERIS)
+
+    @pytest.mark.parametrize("n_L,gamma,omega0", [
+        (math.inf, 10.0, 1e10), (1e6, math.inf, 1e10), (1e6, 10.0, math.nan),
+        (1e300, 1e300, 1e10), (1e300, 10.0, 1e300), (1e-300, 1e-300, 1e10),
+    ])
+    def test_figures_stay_finite(self, n_L, gamma, omega0):
+        # Each case used to divide by zero or report an infinite figure.
+        with pytest.raises(ValueError):
+            energy_bill(ShorProblem(R=10 ** 3), n_L, 0, gamma, omega0, ALIFERIS)
+        if math.isnan(omega0) or math.isinf(n_L) or math.isinf(gamma):
+            with pytest.raises(ValueError):
+                rwa_margin(n_L, 0, gamma, omega0, ALIFERIS)
 
 
 class TestRwaMargin:
