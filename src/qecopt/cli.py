@@ -27,9 +27,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from . import crosstalk, gatesim, optimizer, scheme, shor
 
 COMMANDS = ("optimize", "sweep", "gatesim", "longrange", "shor", "fit")
+
+# Most grid points one sweep may take, per axis and in total.
+MAX_SWEEP_POINTS = 10 ** 6
+# Curve values a sweep evaluates at once (points x levels): 1 MB of floats.
+SWEEP_BLOCK = 1 << 17
 
 
 class UsageError(ValueError):
@@ -165,7 +172,7 @@ _AXIS_JSON = {
         "param": {"type": "string"},
         "min": NUMBER,
         "max": NUMBER,
-        "count": {"type": "integer", "minimum": 1},
+        "count": {"type": "integer", "minimum": 1, "maximum": MAX_SWEEP_POINTS},
         "spacing": {"enum": ["linear", "log"]},
     },
     "required": ["param", "min", "max", "count"],
@@ -321,8 +328,6 @@ _SWEEPABLE = ("eta0", "c", "beta", "B_eta0", "n_L")
 def _axis_values(axis: dict) -> list[float]:
     lo, hi, count = float(axis["min"]), float(axis["max"]), int(axis["count"])
     spacing = axis.get("spacing", "linear")
-    if count < 1:
-        raise UsageError("axis count must be >= 1")
     if hi < lo:
         raise UsageError("axis max must be >= min")
     if count == 1:
@@ -334,6 +339,37 @@ def _axis_values(axis: dict) -> list[float]:
         return [lo * ratio ** i for i in range(count)]
     step = (hi - lo) / (count - 1)
     return [lo + step * i for i in range(count)]
+
+
+def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
+                  values: list[list[float]], kcap: int) -> tuple[list, list]:
+    """k_max and log10 p_min at every grid point, outer axis slowest.
+
+    point holds the law's fixed fields; the grid is evaluated in blocks of at
+    most SWEEP_BLOCK curve values, and in each block every swept field of
+    point is an array along its own axis, so the law family takes each
+    logarithm once per distinct value.
+    """
+    ks = optimizer.levels(kcap)
+    shape = [len(v) for v in values]
+    inner = min(shape[-1], max(1, SWEEP_BLOCK // ks.size))
+    chunks = [max(1, SWEEP_BLOCK // (inner * ks.size))] * (len(shape) - 1) + [inner]
+    k_max, p_min = np.empty(shape, dtype=int), np.empty(shape)
+    for starts in itertools.product(*(range(0, n, c) for n, c in zip(shape, chunks))):
+        block = tuple(slice(s, s + c) for s, c in zip(starts, chunks))
+        for i, (axis, vals) in enumerate(zip(axes, values)):
+            # A later axis on the same field overrides an earlier one.
+            field = np.asarray(vals[block[i]]).reshape(
+                [-1 if d == i else 1 for d in range(len(shape))] + [1])
+            if axis["param"] == "B_eta0":
+                point["eta0"] = field / sch.B
+            elif axis["param"] == "n_L":
+                point["ntot"] = field * point["L"]
+            else:
+                point[axis["param"]] = field
+        k_max[block], p_min[block] = optimizer.first_minima(
+            optimizer.log10_curve(sch, scheme.model_from_dict(point), ks))
+    return k_max.ravel().tolist(), p_min.ravel().tolist()
 
 
 def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
@@ -348,6 +384,10 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
             raise UsageError(
                 f"cannot sweep {axis['param']!r}; choose from {_SWEEPABLE}"
             )
+        if not 1 <= int(axis["count"]) <= MAX_SWEEP_POINTS:
+            raise UsageError(f"axis count must lie in [1, {MAX_SWEEP_POINTS}]")
+    if math.prod(int(axis["count"]) for axis in axes) > MAX_SWEEP_POINTS:
+        raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
     # B_eta0 sets eta0; n_L sets the photon law's ntot.
     swept = {"eta0" if a["param"] == "B_eta0" else a["param"] for a in axes}
     if model == "table":
@@ -365,35 +405,23 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     sch = _parse_scheme(cfg["scheme"])
     point = dict(cfg)  # model_from_dict reads only the model's fields
     if model == "shor":
-        problem = shor.ShorProblem(R=cfg["R"])
-        point.update(L=problem.L, A=float(sch.D))
+        point.update(L=shor.ShorProblem(R=cfg["R"]).L, A=float(sch.D))
+    values = [_axis_values(axis) for axis in axes]
+    k_max, p_min = _sweep_minima(sch, point, axes, values, cfg["kcap"])
+    status = [optimizer.scan_status(k, cfg["kcap"]) for k in k_max]
     names = [axis["param"] for axis in axes]
-    rows: list[dict[str, Any]] = []
-    for values in itertools.product(*(_axis_values(axis) for axis in axes)):
-        assignment = dict(zip(names, values))  # outer (first) axis slowest
-        for param, value in assignment.items():
-            if param == "B_eta0":
-                point["eta0"] = value / sch.B
-            elif param == "n_L":
-                point["ntot"] = value * problem.L
-            else:
-                point[param] = value
-        result = optimizer.find_kmax(
-            sch, scheme.model_from_dict(point), k_cap=cfg["kcap"]
-        )
-        rows.append(dict(assignment, k_max=result.k_max,
-                         log10_p_min=result.log10_p_min.log10_value,
-                         status=result.status))
 
     if args.format == "csv" or args.format is None:
-        header = ",".join(names + ["k_max", "log10_p_min", "status"])
-        lines = [header]
-        for row in rows:
-            cells = [repr(float(row[n])) for n in names]
-            cells += [str(row["k_max"]), repr(row["log10_p_min"]), row["status"]]
-            lines.append(",".join(cells))
+        texts = itertools.product(*([repr(v) for v in vals] for vals in values))
+        lines = [",".join(names + ["k_max", "log10_p_min", "status"])]
+        for cells, k, p, s in zip(texts, k_max, p_min, status):
+            row = dict(zip(names, cells))  # a repeated axis shows its later values
+            lines.append(",".join([*(row[n] for n in names), str(k), repr(p), s]))
         _emit("\n".join(lines) + "\n", args.out)
     else:
+        rows = [dict(zip(names, assignment), k_max=k, log10_p_min=p, status=s)
+                for assignment, k, p, s
+                in zip(itertools.product(*values), k_max, p_min, status)]
         _emit(_dump_json({"config": cfg, "result": {"rows": rows}}), args.out)
     return 0
 

@@ -7,7 +7,9 @@ noise the curve p(k) generally turns around at some finite level; this module
 scans for that optimum and evaluates the analytic usefulness conditions and
 the closed-form bounds that sandwich the attainable minimum.
 
-Everything is computed in log10 space (see scheme.LogProb).
+Everything is computed in log10 space (see scheme.LogProb).  A scan
+evaluates its whole curve as one array over the levels; a sweep evaluates a
+law family (see scheme.NoiseModel) as one array of points x levels.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import bisect
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scheme import (
-    ExponentialNoise,
     FTScheme,
     LogProb,
     NoiseModel,
@@ -30,7 +33,8 @@ STATUS_UNBOUNDED = "unbounded-improvement"
 STATUS_NO_ENCODING = "no-encoding-best"
 
 DEFAULT_K_CAP = 64
-# 2.0**k and the level-k curve values must stay inside float range.
+# 2.0**k must stay inside float range.  A level-k curve value may not: it
+# overflows to +inf, which ranks worse than every finite level.
 MAX_K_CAP = 1000
 
 
@@ -41,20 +45,22 @@ class OptResult:
     k_max is the smallest level attaining the minimum of the scanned curve;
     status is one of STATUS_OPTIMUM, STATUS_UNBOUNDED (the curve was still
     strictly decreasing at k_cap) and STATUS_NO_ENCODING (k_max = 0, bare
-    physical gates are best).
+    physical gates are best).  A curve value that overflows the float range
+    is None (reported as null); level 0 never overflows.
     """
 
     k_max: int
     log10_p_min: LogProb
     status: str
-    curve: tuple[tuple[int, LogProb], ...]
+    curve: tuple[tuple[int, LogProb | None], ...]
 
     def to_dict(self) -> dict:
         return {
             "k_max": self.k_max,
             "log10_p_min": self.log10_p_min.log10_value,
             "status": self.status,
-            "curve": [{"k": k, "log10_p": v.log10_value} for k, v in self.curve],
+            "curve": [{"k": k, "log10_p": None if v is None else v.log10_value}
+                      for k, v in self.curve],
         }
 
 
@@ -85,21 +91,71 @@ class BoundsReport:
         }
 
 
-def log10_logical_error(log10_b: float, log10_eta_k: float, k: float) -> float:
+def log10_logical_error(log10_b: float, log10_eta_k, k):
     """log10 p(k) = -log10 b + 2^k (log10 b + log10 eta_k), with p(0) = eta_0.
 
     The concatenation recursion in log space, for a fault-pair count b (any
     real b >= 1: the crosstalk mapping passes an amplified one) and the
     physical error eta_k of a level-k computer.  Every logical-error curve in
-    the package goes through here; k may be real for the continuous curve.
+    the package goes through here.  k may be real, and k and log10_eta_k may
+    be arrays that broadcast against each other.
     """
-    if k < 0:
+    lowest, highest = (k.min(), k.max()) if isinstance(k, np.ndarray) else (k, k)
+    if lowest < 0:
         raise ValueError("concatenation level must be >= 0")
-    if k > MAX_K_CAP:
-        raise ValueError(f"level {k} exceeds the supported cap {MAX_K_CAP}")
-    if k == 0:
-        return log10_eta_k
-    return -log10_b + (2.0 ** k) * (log10_b + log10_eta_k)
+    if highest > MAX_K_CAP:
+        raise ValueError(f"level {highest} exceeds the supported cap {MAX_K_CAP}")
+    if not isinstance(k, np.ndarray):
+        return log10_eta_k if k == 0 else -log10_b + 2.0 ** k * (log10_b + log10_eta_k)
+    two_k = np.ldexp(1.0, k) if k.dtype.kind in "iu" else np.exp2(k)  # exact 2^k
+    values = two_k * (log10_b + log10_eta_k)
+    values += -log10_b  # the same sum as -log10_b + values, in place
+    np.copyto(values, log10_eta_k, where=k == 0)
+    return values
+
+
+def log10_curve(scheme: FTScheme, model: NoiseModel, ks) -> np.ndarray:
+    """log10 p(k) at every level of the array ks, on the last axis.
+
+    A law family's axes lead.  A value that overflows the float range is
+    +inf, which ranks worse than every finite level; a curve the law leaves
+    undefined (NaN) is a ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = log10_logical_error(
+            math.log10(scheme.B), model.log10_eta(ks, scheme.D), ks
+        )
+    if np.isnan(values).any():
+        raise ValueError("the noise law gives an undefined curve (NaN): a parameter "
+                         "leaves the float range")
+    return values
+
+
+def levels(k_cap: int, model: NoiseModel | None = None) -> np.ndarray:
+    """The levels 0..k_cap a scan covers; a table's length caps them too."""
+    if not 1 <= k_cap <= MAX_K_CAP:
+        raise ValueError(f"k_cap must be in [1, {MAX_K_CAP}], got {k_cap}")
+    if isinstance(model, TabulatedNoise):
+        k_cap = min(k_cap, len(model.f_values) - 1)
+    return np.arange(k_cap + 1)
+
+
+def first_minima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each curve's smallest level attaining its minimum (the last axis),
+    and that minimum."""
+    k_max = np.argmin(values, axis=-1)
+    return k_max, np.take_along_axis(values, k_max[..., None], axis=-1)[..., 0]
+
+
+def scan_status(k_max: int, k_cap: int) -> str:
+    """Status of a scan over 0..k_cap whose first argmin is k_max."""
+    if k_max == k_cap and k_cap >= 1:
+        # first-occurrence argmin at the cap <=> strictly below every earlier
+        # point, i.e. no turnaround was seen.
+        return STATUS_UNBOUNDED
+    if k_max == 0:
+        return STATUS_NO_ENCODING
+    return STATUS_OPTIMUM
 
 
 def logical_error_log10(scheme: FTScheme, model: NoiseModel, k: int) -> LogProb:
@@ -116,26 +172,15 @@ def find_kmax(
     The scan is global (curves can have several local minima); ties break
     toward the smaller, cheaper level.
     """
-    if not 1 <= k_cap <= MAX_K_CAP:
-        raise ValueError(f"k_cap must be in [1, {MAX_K_CAP}], got {k_cap}")
-    if isinstance(model, TabulatedNoise):
-        k_cap = min(k_cap, len(model.f_values) - 1)
+    ks = levels(k_cap, model)
+    values = log10_curve(scheme, model, ks)
+    k_max = int(np.argmin(values))
     curve = tuple(
-        (k, logical_error_log10(scheme, model, k)) for k in range(k_cap + 1)
+        (k, None if v == math.inf else LogProb(v))
+        for k, v in enumerate(values.tolist())
     )
-    values = [v.log10_value for _, v in curve]
-    k_max = min(range(len(values)), key=values.__getitem__)
-    if k_max == k_cap and k_cap >= 1:
-        # first-occurrence argmin at the cap <=> strictly below every earlier
-        # point, i.e. no turnaround was seen.
-        status = STATUS_UNBOUNDED
-    elif k_max == 0:
-        status = STATUS_NO_ENCODING
-    else:
-        status = STATUS_OPTIMUM
-    return OptResult(
-        k_max=k_max, log10_p_min=curve[k_max][1], status=status, curve=curve
-    )
+    return OptResult(k_max=k_max, log10_p_min=curve[k_max][1],
+                     status=scan_status(k_max, len(ks) - 1), curve=curve)
 
 
 def affine_usefulness_threshold(B: float, eta0: float) -> float:
@@ -187,14 +232,6 @@ def one_level_condition(B: float, D: float, beta: float) -> float:
     if B < 1 or D < 1 or beta < 0:
         raise ValueError("need B >= 1, D >= 1, beta >= 0")
     return math.exp(-math.log(B) - 2.0 * beta * math.log(D))
-
-
-def log10_p_continuous(
-    scheme: FTScheme, eta0: float, beta: float, k: float
-) -> float:
-    """log10 p(k) for the exponential law with k treated as a real variable."""
-    log10_eta_k = math.log10(eta0) + beta * k * math.log10(scheme.D)
-    return log10_logical_error(math.log10(scheme.B), log10_eta_k, k)
 
 
 def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport:
@@ -252,8 +289,9 @@ def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport
 
 
 def curve_to_csv(result: OptResult) -> str:
-    """Render the scanned curve as CSV with the fixed header ``k,log10_p``."""
+    """Render the scanned curve as CSV with the fixed header ``k,log10_p``;
+    an overflowed value is an empty cell."""
     lines = ["k,log10_p"]
     for k, v in result.curve:
-        lines.append(f"{k},{v.log10_value!r}")
+        lines.append(f"{k}," if v is None else f"{k},{v.log10_value!r}")
     return "\n".join(lines) + "\n"

@@ -24,6 +24,25 @@ PI_SQ_OVER_16 = math.pi ** 2 / 16.0
 LOG10 = math.log(10.0)
 
 
+def _log10(x):
+    """math.log10 of a scalar, or of each element of an array.
+
+    np.log10 can differ from math.log10 in the last bit, so the curves over
+    arrays of levels take their logarithms here and match the scalar curve
+    bit for bit.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.log10, x.ravel().tolist()), float,
+                           x.size).reshape(x.shape)
+    return math.log10(x)
+
+
+def _values(field) -> list:
+    """The scalar values of a noise-law field: an array field (a law family,
+    see NoiseModel) holds one value per member."""
+    return field.ravel().tolist() if isinstance(field, np.ndarray) else [field]
+
+
 @dataclass(frozen=True, order=True)
 class LogProb:
     """Base-10 logarithm of a nonnegative quantity.
@@ -144,9 +163,16 @@ def get_scheme(name_or_scheme: Union[str, FTScheme]) -> FTScheme:
         ) from None
 
 
-def _check_eta0(eta0: float) -> None:
-    if not 0.0 < eta0 < 1.0:
-        raise ValueError(f"eta0 must lie in (0, 1), got {eta0!r}")
+def _check_eta0(field) -> None:
+    for eta0 in _values(field):
+        if not 0.0 < eta0 < 1.0:
+            raise ValueError(f"eta0 must lie in (0, 1), got {eta0!r}")
+
+
+def _check_growth(name: str, field) -> None:
+    for value in _values(field):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +185,11 @@ class AffineNoise:
 
     def __post_init__(self) -> None:
         _check_eta0(self.eta0)
-        if self.c < 0:
-            raise ValueError(f"c must be >= 0, got {self.c!r}")
+        _check_growth("c", self.c)
+
+    def log10_eta(self, ks, D: float | None = None):
+        """log10 eta(k) = log10 eta0 + log10(1 + c*k) at each level in ks."""
+        return _log10(self.eta0) + _log10(1.0 + self.c * ks)
 
 
 @dataclass(frozen=True)
@@ -178,8 +207,15 @@ class ExponentialNoise:
 
     def __post_init__(self) -> None:
         _check_eta0(self.eta0)
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
+        _check_growth("beta", self.beta)
+
+    def log10_eta(self, ks, D: float | None = None):
+        """log10 eta(k) = log10 eta0 + beta*k*log10 D at each level in ks."""
+        if D is None:
+            raise ValueError("ExponentialNoise needs the scheme's D at evaluation")
+        if D < 1:
+            raise ValueError(f"D must be >= 1, got {D!r}")
+        return _log10(self.eta0) + self.beta * ks * _log10(D)
 
 
 @dataclass(frozen=True)
@@ -201,8 +237,15 @@ class TabulatedNoise:
         if f[0] != 1.0:
             raise ValueError(f"f_values[0] must equal 1, got {f[0]!r}")
         for a, b in zip(f, f[1:]):
-            if b < a:
+            if not b >= a:
                 raise ValueError("f_values must be monotone non-decreasing")
+
+    def log10_eta(self, ks, D: float | None = None):
+        """log10 eta(k) = log10 eta0 + log10 f_values[k] at each level in ks."""
+        top = np.max(ks)
+        if top >= len(self.f_values):
+            raise ValueError(f"level {top} outside table (length {len(self.f_values)})")
+        return _log10(self.eta0) + _log10(np.asarray(self.f_values)[ks])
 
 
 @dataclass(frozen=True)
@@ -225,12 +268,24 @@ class ShorPhotonNoise:
     def __post_init__(self) -> None:
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L!r}")
-        if not self.n_tot > 0:
-            raise ValueError(f"n_tot must be > 0, got {self.n_tot!r}")
-        if self.A < 1:
-            raise ValueError(f"A must be >= 1, got {self.A!r}")
+        for n_tot in _values(self.n_tot):
+            if not n_tot > 0:
+                raise ValueError(f"n_tot must be > 0, got {n_tot!r}")
+        if not 1 <= self.A < math.inf:
+            raise ValueError(f"A must be finite and >= 1, got {self.A!r}")
+
+    def log10_eta(self, ks, D: float | None = None):
+        """log10 eta(k) = log10(pi^2/16) + log10 L + k log10 A - log10 n_tot
+        at each level in ks."""
+        return (math.log10(PI_SQ_OVER_16) + _log10(self.L) + ks * _log10(self.A)
+                - _log10(self.n_tot))
 
 
+# Every law evaluates log10 eta(k) with log10_eta(ks, D), where ks is a level
+# or an array of levels.  A law whose fields are arrays is a law family, one
+# member per element: the sweep builds one with each swept field shaped along
+# its own grid axis, and log10_eta then broadcasts the fields against ks (the
+# last axis).  Validation checks every member.
 NoiseModel = Union[AffineNoise, ExponentialNoise, TabulatedNoise, ShorPhotonNoise]
 
 
@@ -245,28 +300,7 @@ def eta_at_level(model: NoiseModel, k: int, D: float | None = None) -> LogProb:
     """
     if k < 0:
         raise ValueError("concatenation level must be >= 0")
-    if isinstance(model, AffineNoise):
-        return LogProb(math.log10(model.eta0) + math.log10(1.0 + model.c * k))
-    if isinstance(model, ExponentialNoise):
-        if D is None:
-            raise ValueError("ExponentialNoise needs the scheme's D at evaluation")
-        if D < 1:
-            raise ValueError(f"D must be >= 1, got {D!r}")
-        return LogProb(math.log10(model.eta0) + model.beta * k * math.log10(D))
-    if isinstance(model, TabulatedNoise):
-        if k >= len(model.f_values):
-            raise ValueError(
-                f"level {k} outside table (length {len(model.f_values)})"
-            )
-        return LogProb(math.log10(model.eta0) + math.log10(model.f_values[k]))
-    if isinstance(model, ShorPhotonNoise):
-        return LogProb(
-            math.log10(PI_SQ_OVER_16)
-            + math.log10(model.L)
-            + k * math.log10(model.A)
-            - math.log10(model.n_tot)
-        )
-    raise TypeError(f"unknown noise model {model!r}")
+    return LogProb(model.log10_eta(k, D))
 
 
 @dataclass(frozen=True)

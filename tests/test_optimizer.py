@@ -24,7 +24,7 @@ from qecopt.optimizer import (
     exp_model_bounds,
     find_kmax,
     generic_kmax_bound,
-    log10_p_continuous,
+    log10_curve,
     logical_error_log10,
     one_level_condition,
 )
@@ -275,11 +275,13 @@ class TestExpModelBounds:
         )
 
     def test_bound_values_match_continuous_curve(self):
-        # log10 p at k_st and k_tilde evaluated through the generic
-        # continuous-k formula must equal the closed forms.
+        # log10 p at k_st and k_tilde evaluated through the curve kernel at
+        # real levels must equal the closed forms.
         report = exp_model_bounds(ALIFERIS, 1e-12, 1.0)
-        direct_lower = log10_p_continuous(ALIFERIS, 1e-12, 1.0, report.k_st)
-        direct_upper = log10_p_continuous(ALIFERIS, 1e-12, 1.0, report.k_tilde)
+        direct_lower, direct_upper = log10_curve(
+            ALIFERIS, ExponentialNoise(1e-12, beta=1.0),
+            np.array([report.k_st, report.k_tilde]),
+        ).tolist()
         assert report.log10_p_lower.log10_value == pytest.approx(direct_lower, rel=1e-9)
         assert report.log10_p_upper.log10_value == pytest.approx(direct_upper, rel=1e-9)
 
@@ -326,9 +328,7 @@ class TestExpModelBounds:
         for eta0, beta in ((1e-12, 1.0), (1e-7, 0.3), (1e-10, 2.0)):
             report = exp_model_bounds(ALIFERIS, eta0, beta)
             ks = np.linspace(0.0, report.k_tilde + 2.0, 200)
-            logs = np.array(
-                [log10_p_continuous(ALIFERIS, eta0, beta, k) for k in ks]
-            )
+            logs = log10_curve(ALIFERIS, ExponentialNoise(eta0, beta=beta), ks)
             p = 10.0 ** np.clip(logs, -300, 300)
             second = np.diff(p, 2)
             assert np.all(second >= -1e-12 * np.max(p))
