@@ -328,6 +328,8 @@ _SWEEPABLE = ("eta0", "c", "beta", "B_eta0", "n_L")
 def _axis_values(axis: dict) -> list[float]:
     lo, hi, count = float(axis["min"]), float(axis["max"]), int(axis["count"])
     spacing = axis.get("spacing", "linear")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("axis min and max must be finite")
     if hi < lo:
         raise UsageError("axis max must be >= min")
     if count == 1:
@@ -336,9 +338,14 @@ def _axis_values(axis: dict) -> list[float]:
         if lo <= 0:
             raise UsageError("log axis needs min > 0")
         ratio = (hi / lo) ** (1.0 / (count - 1))
-        return [lo * ratio ** i for i in range(count)]
-    step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+        values = [lo * ratio ** i for i in range(count)]
+    else:
+        step = (hi - lo) / (count - 1)
+        values = [lo + step * i for i in range(count)]
+    # The grid is monotone, so its last value overflows first (to inf or NaN).
+    if not math.isfinite(values[-1]):
+        raise UsageError("axis spacing overflows float range")
+    return values
 
 
 def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
@@ -483,6 +490,7 @@ def cmd_shor(args: argparse.Namespace, config: dict) -> int:
     sch = _parse_scheme(cfg["scheme"])
     problem = shor.ShorProblem(R=cfg["R"], P_target=cfg["ptarget"])
     p_err = shor.error_target(problem, cfg["perr"])
+    shor.search_cap(cfg["nlcap"])  # echoed in every report, so checked on both paths
 
     if cfg["nL"] is None:
         budget = shor.min_photon_budget(

@@ -31,9 +31,9 @@ B_AMPLIFICATION = 2.0 * math.exp(2.0 + 1.0 / math.e)  # ~21.349
 
 MAX_CHAIN_SITES = 10 ** 6
 MAX_SQUARE_SIDE = 10 ** 4
-# Below this size the literal all-sites maximum is cheap; above it the
-# central site is used (its optimality is verified on small instances).
-FULL_SCAN_SIDE = 64
+# Lattice terms the oracle evaluates at once (whole rows, at least one): 512 KB
+# of floats per temporary, so a square at MAX_SQUARE_SIDE stays near 2 MB.
+ORACLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,50 +80,49 @@ class LatticeSpec:
                 "a": self.a, "aspect": self.aspect}
 
 
-def _chain_row_sums(n: int, z: float) -> np.ndarray:
-    """Row sums sum_j |i-j|^(-z) for every site i of an n-site chain."""
-    weights = np.arange(1, n, dtype=float) ** (-z)
-    prefix = np.concatenate([[0.0], np.cumsum(weights)])
-    idx = np.arange(n)
-    return prefix[idx] + prefix[n - 1 - idx]
+def _centre_row_sum(side: int, d: int, z: float) -> float:
+    """Row sum of the centre site c = (side-1)//2 of a chain (d = 1) or a
+    side x side square (d = 2), in O(side) memory.
 
-
-def _square_row_sum(side: int, z: float, site: tuple[int, int]) -> float:
-    """Row sum over all other sites of a side x side lattice (pairwise np.sum)."""
-    si, sj = site
-    di = (np.arange(side, dtype=float) - si) ** 2
-    dj = (np.arange(side, dtype=float) - sj) ** 2
-    r2 = di[:, None] + dj[None, :]
-    r2[si, sj] = np.inf  # exclude the site itself
-    return float(np.sum(r2 ** (-z / 2.0)))
+    Folding the offsets [-c, side-1-c] on each axis gives u in [0, side-1-c],
+    with multiplicity 2 for 1 <= u <= c and 1 otherwise.  The chain is the
+    u = 0 row of that quadrant; the square is summed in blocks of rows.  The
+    self term is zeroed after the power, so z = 0 counts the other sites.
+    """
+    c = (side - 1) // 2
+    offsets = np.arange(side - c, dtype=float)
+    weights = np.where((offsets >= 1) & (offsets <= c), 2.0, 1.0)
+    squares = offsets * offsets
+    rows = 1 if d == 1 else offsets.size
+    step = max(1, ORACLE_BLOCK // offsets.size)
+    sums = []
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        with np.errstate(divide="ignore"):  # 0 ** (-z/2) at the centre site
+            terms = (squares[start:stop, None] + squares) ** (-z / 2.0)
+        if start == 0:
+            terms[0, 0] = 0.0
+        sums.append(np.sum(weights[start:stop, None] * weights * terms))
+    return math.fsum(sums)  # pairwise block sums, combined exactly
 
 
 def delta_lattice_oracle(spec: LatticeSpec) -> float:
     """Error strength max_i sum_j |r_i - r_j|^(-z), in units of delta/a^z.
 
-    Literal evaluation of the defining maximum.  Chains are handled exactly
-    for all sizes (prefix sums give every row in O(N0)); squares above
-    FULL_SCAN_SIDE use the central site, which attains the maximum by
-    symmetry (checked against the literal scan on small instances in the
-    test-suite).
+    The centre site attains the maximum at every size and every z >= 0, so
+    this is its row sum.  Proof: put the site in row i < c of an n-row
+    lattice, fix its column window, and let g(a) be the sum over the sites
+    at row offset a.  Moving the site to row i+1 adds g(i+1) and drops
+    g(n-1-i), with 1 <= i+1 <= n-1-i.  For a >= 1, g(a) holds no self term
+    and none of its terms (a^2 + b^2)^(-z/2) grows with a, so the move never
+    lowers the sum.  Rows past the centre mirror rows before it, and the same
+    step along each axis takes any site to the centre.
     """
-    z = spec.z
-    if spec.aspect == "chain":
-        if spec.N0 > MAX_CHAIN_SITES:
-            raise ValueError(f"chain N0 capped at {MAX_CHAIN_SITES}")
-        return float(np.max(_chain_row_sums(spec.N0, z)))
-
-    side = spec.side
-    if side > MAX_SQUARE_SIDE:
+    if spec.aspect == "chain" and spec.N0 > MAX_CHAIN_SITES:
+        raise ValueError(f"chain N0 capped at {MAX_CHAIN_SITES}")
+    if spec.aspect == "square" and spec.side > MAX_SQUARE_SIDE:
         raise ValueError(f"square side capped at {MAX_SQUARE_SIDE}")
-    if side <= FULL_SCAN_SIDE:
-        best = 0.0
-        for si in range(side):
-            for sj in range(si, side):  # reflection symmetry halves the scan
-                best = max(best, _square_row_sum(side, z, (si, sj)))
-        return best
-    center = ((side - 1) // 2, (side - 1) // 2)
-    return _square_row_sum(side, z, center)
+    return _centre_row_sum(spec.side, spec.d, spec.z)
 
 
 def _c_z_integral(z: float) -> float:

@@ -115,6 +115,13 @@ def error_target(problem: ShorProblem, p_err: float | None = None) -> float:
     return p_err
 
 
+def search_cap(n_L_cap: float) -> float:
+    """The cap on the photon-budget search, which must be positive and finite."""
+    if not 0.0 < n_L_cap < math.inf:
+        raise ValueError(f"nlcap must be positive and finite, got {n_L_cap!r}")
+    return n_L_cap
+
+
 def photon_noise_model(
     problem: ShorProblem, n_L: float, scheme: FTScheme
 ) -> ShorPhotonNoise:
@@ -158,8 +165,7 @@ def min_photon_budget(
     infeasible result when the budget exceeds n_L_cap, which must be positive
     and finite.  p_err, when given, must lie in (0, 1].
     """
-    if not 0.0 < n_L_cap < math.inf:
-        raise ValueError(f"nlcap must be positive and finite, got {n_L_cap!r}")
+    log_cap = math.log10(search_cap(n_L_cap))
     target = math.log10(error_target(problem, p_err))
     log_b = math.log10(scheme.B)
     log_n = min(
@@ -168,7 +174,7 @@ def min_photon_budget(
         for k in range(DEFAULT_K_CAP + 1)
     )
     # n_L > n_L_cap, compared in log space so 10^log_n cannot overflow.
-    if not log_n <= math.log10(n_L_cap):
+    if not log_n <= log_cap:
         return MinBudget(n_L=n_L_cap, k=0, feasible=False)
     n_L = max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
     result = optimize_photon_budget(problem, n_L, scheme)

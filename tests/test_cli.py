@@ -334,6 +334,30 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("axis, message", [
+        ({"min": 1e4, "max": math.inf, "spacing": "log"}, "must be finite"),
+        ({"min": -math.inf, "max": 1e6}, "must be finite"),
+        ({"min": math.nan, "max": 1e6}, "must be finite"),
+        ({"min": 1e4, "max": math.nan}, "must be finite"),
+        ({"min": 1e-300, "max": 1e300, "spacing": "log", "count": 3}, "overflows"),
+        ({"min": -1e308, "max": 1e308, "count": 3}, "overflows"),
+    ])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_axis_values_must_be_finite(self, tmp_path, capsys, axis, message, form):
+        axis = {"param": "n_L", "count": 2, **axis}
+        if form == "flag":
+            text = ":".join(str(axis[key]) for key in ("param", "min", "max", "count"))
+            source = ["--axis", f"{text}:{axis.get('spacing', 'linear')}"]
+        else:
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps({"axes": [axis]}))  # Infinity, NaN
+            source = ["--config", str(path)]
+        code, out, err = run(capsys, "sweep", "--model", "shor", "--R", "1000",
+                             "--format", "json", *source)
+        assert code == 2
+        assert out == ""
+        assert message in err and err.count("\n") == 1
+
 
 class TestGatesim:
     def test_reports_pauli_errors(self, capsys):
@@ -510,6 +534,17 @@ class TestShorCommand:
         assert out == ""
         assert "nlcap" in err and "Traceback" not in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-5", "nan", "inf"])
+    def test_cap_is_checked_with_an_explicit_budget(self, capsys, cap):
+        # The report echoes nlcap on the --nL path too.
+        code, out, err = run(
+            capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10",
+            "--nL", "1e6", "--nlcap", cap,
+        )
+        assert code == 2
+        assert out == ""
+        assert "nlcap must be positive and finite" in err and err.count("\n") == 1
 
 
 class TestFit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from qecopt.crosstalk import (
     B_AMPLIFICATION,
     LOCAL_NOISE_PREFACTOR,
+    MAX_CHAIN_SITES,
+    MAX_SQUARE_SIDE,
     LatticeSpec,
     amplified_fault_pairs,
     compare_to_csv,
@@ -99,27 +102,42 @@ class TestDeltaLatticeOracle:
 
     def test_matches_literal_double_loop_squares(self):
         for side in (2, 3, 4, 5):
-            for z in (0.5, 1.0, 2.0):
+            for z in (0.0, 0.5, 1.0, 2.0):
                 spec = LatticeSpec(d=2, z=z, N0=side * side, aspect="square")
                 assert delta_lattice_oracle(spec) == pytest.approx(
                     literal_square_max(side, z), rel=1e-12
                 )
 
     def test_center_site_shortcut_equals_full_scan(self):
-        # The large-lattice path evaluates only the central site; verify the
-        # symmetry argument against the full maximum on odd and even sides.
-        from qecopt.crosstalk import _square_row_sum
-
-        for side in (7, 8, 11, 12):
-            z = 1.0
-            spec = LatticeSpec(d=2, z=z, N0=side * side, aspect="square")
-            full = delta_lattice_oracle(spec)  # full scan at this size
-            center = _square_row_sum(side, z, ((side - 1) // 2, (side - 1) // 2))
-            assert center == pytest.approx(full, rel=1e-12)
+        # The oracle sums the centre site only; the literal maximum over all
+        # sites agrees on odd and even sides, z = 0 included.
+        for side in range(2, 13):
+            for z in (0.0, 0.5, 1.0, 2.0, 4.0):
+                spec = LatticeSpec(d=2, z=z, N0=side * side, aspect="square")
+                assert delta_lattice_oracle(spec) == pytest.approx(
+                    literal_square_max(side, z), rel=1e-12
+                ), (side, z)
 
     def test_size_caps(self):
         with pytest.raises(ValueError, match="capped"):
             delta_lattice_oracle(LatticeSpec(d=1, z=0.5, N0=10 ** 6 + 1))
+        side = MAX_SQUARE_SIDE + 1
+        with pytest.raises(ValueError, match="capped"):
+            delta_lattice_oracle(LatticeSpec(d=2, z=0.5, N0=side * side, aspect="square"))
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(d=2, z=1.0, N0=MAX_SQUARE_SIDE ** 2, aspect="square"),
+        LatticeSpec(d=1, z=0.5, N0=MAX_CHAIN_SITES),
+    ], ids=["square", "chain"])
+    def test_bounded_memory_at_the_caps(self, spec):
+        tracemalloc.start()
+        try:
+            value = delta_lattice_oracle(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value) and value > 0
+        assert peak <= 32 * 2 ** 20, peak
 
 
 class TestDelta0Asymptotic:
