@@ -244,7 +244,7 @@ CONFIG_SCHEMA = {command: _schema(command) for command in COMMANDS}
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -14,11 +14,11 @@ The drive is time-independent in this frame (the lab-frame
 oscillation at omega0 only enters the validity check n_g << omega0/gamma), so
 in the Pauli basis (1, x, y, z) the noisy gate is exactly expm(tau G), with G
 the generator of the damped, driven Bloch equations (Torrey, Phys. Rev. 76,
-1059 (1949)).  The noise map E is the noisy gate with the ideal rotation
-divided out, E = R(-theta) expm(tau G); its Pauli-transfer matrix and the
-diagonal of its chi (process) matrix: the X/Y/Z error probabilities: are
-what the error-correction analysis consumes.  tau G depends on theta and n_g
-alone, and the result is bitwise reproducible.
+1059 (1949)), whose exponential has a closed form.  The noise map E is the
+noisy gate with the ideal rotation divided out, E = R(-theta) expm(tau G);
+its Pauli-transfer matrix and the diagonal of its chi (process) matrix: the
+X/Y/Z error probabilities: are what the error-correction analysis consumes.
+tau G depends on theta and n_g alone, and the result is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -92,36 +92,6 @@ class GateSpec:
 
 
 @dataclass(frozen=True)
-class BlochState:
-    """Bloch vector of a unit-trace qubit state."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if self.norm > 1.0 + 1e-9:
-            raise ValueError(f"Bloch vector leaves the unit ball: {self}")
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    @classmethod
-    def from_density(cls, rho: np.ndarray) -> "BlochState":
-        return cls(
-            x=float(np.trace(SIGMA_X @ rho).real),
-            y=float(np.trace(SIGMA_Y @ rho).real),
-            z=float(np.trace(SIGMA_Z @ rho).real),
-        )
-
-    def to_density(self) -> np.ndarray:
-        return 0.5 * (
-            IDENTITY + self.x * SIGMA_X + self.y * SIGMA_Y + self.z * SIGMA_Z
-        )
-
-
-@dataclass(frozen=True)
 class QubitChannel:
     """Noise map in Pauli-transfer representation plus its chi diagonal.
 
@@ -151,10 +121,6 @@ class QubitChannel:
         if not sum(self.chi_diag) <= 1.0 + 1e-9:
             raise ValueError(f"chi diagonal exceeds unit weight: {self.chi_diag}")
 
-    def apply(self, state: BlochState) -> BlochState:
-        vec = self.ptm @ np.array([1.0, state.x, state.y, state.z])
-        return BlochState(x=vec[1], y=vec[2], z=vec[3])
-
     def to_dict(self) -> dict:
         return {
             "ptm": [[float(v) for v in row] for row in self.ptm],
@@ -166,14 +132,16 @@ class QubitChannel:
 def pulse_params(spec: GateSpec) -> tuple[float, float]:
     """(Omega, tau) of the square pulse; Omega * tau == theta identically.
 
-    ValueError when 4 gamma n_g or Omega leaves the float range."""
+    ValueError when 4 gamma n_g, Omega or tau leaves the float range."""
     rate = 4.0 * spec.gamma * spec.n_g
     omega = rate / spec.theta
-    if not (rate > 0.0 and math.isfinite(omega)):
+    tau = spec.theta ** 2 / rate if rate > 0.0 else math.inf
+    if not (math.isfinite(omega) and math.isfinite(tau)):
         raise ValueError(
-            f"pulse is outside float range: 4 gamma n_g = {rate:g}, Omega = {omega:g}"
+            f"pulse is outside float range: 4 gamma n_g = {rate:g}, "
+            f"Omega = {omega:g}, tau = {tau:g}"
         )
-    return omega, spec.theta ** 2 / rate
+    return omega, tau
 
 
 def ideal_rotation_ptm(theta: float) -> np.ndarray:
@@ -195,22 +163,6 @@ def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
     return 0.5 * (choi + choi.conj().T)
 
 
-def _bloch_generator(rotation: float, decay: float) -> np.ndarray:
-    """Generator of the Bloch equations in the (1, x, y, z) basis for the
-    drive (Omega/2) sigma_x and decay at rate gamma into |0> (z = +1):
-    dx/dt = -gamma x/2, dy/dt = -gamma y/2 - Omega z,
-    dz/dt = Omega y - gamma (z - 1).  Called with Omega tau and gamma tau it
-    returns tau G, so the pulse time never appears on its own."""
-    return np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, -0.5 * decay, 0.0, 0.0],
-            [0.0, 0.0, -0.5 * decay, -rotation],
-            [decay, 0.0, rotation, -decay],
-        ]
-    )
-
-
 def extract_chi_diag(
     ptm: np.ndarray, theta: float = 0.0
 ) -> tuple[float, float, float, float]:
@@ -229,15 +181,58 @@ def extract_chi_diag(
     return (float(chi[0]), float(chi[1]), float(chi[2]), float(chi[3]))
 
 
+def _bloch_propagator(rotation: float, decay: float) -> np.ndarray:
+    """expm(tau G) in the (1, x, y, z) basis, in closed form, for Omega tau =
+    rotation and gamma tau = decay; G generates the Bloch equations
+    dx/dt = -gamma x/2, dy/dt = -gamma y/2 - Omega z, dz/dt = Omega y - gamma (z - 1).
+
+    x decays as e^(-decay/2).  The homogeneous (y, z) block
+    M = [[-decay/2, -rotation], [rotation, -decay]] obeys (M - s)^2 = q^2 with
+    s = -3 decay/4 and q^2 = decay^2/16 - rotation^2, so
+    exp M = e^s [C + S (M - s)]: C = cos p and S = sin p / p with p^2 = -q^2
+    (underdamped), C = cosh q and S = sinh q / q (overdamped, written through
+    e^(s+q) and expm1 so that neither overflows), C = S = 1 (critical).  The
+    affine column is (1 - exp M) v_ss for the driven steady state
+    v_ss = (-2r, 1) / (1 + 2r^2), r = rotation/decay.  Nothing squares the
+    decay, so every finite decay gives a finite matrix.
+    """
+    a = 0.25 * decay  # M - s = [[a, -rotation], [rotation, -a]]
+    if a > rotation:
+        q = math.sqrt(a - rotation) * math.sqrt(a + rotation)
+        lead = math.exp(-3.0 * a + q)  # e^s C and e^s S below
+        cos_part = 0.5 * lead * (1.0 + math.exp(-2.0 * q))
+        sin_part = -lead * math.expm1(-2.0 * q) / (2.0 * q)
+    elif a < rotation:
+        p = math.sqrt(rotation - a) * math.sqrt(rotation + a)
+        lead = math.exp(-3.0 * a)
+        cos_part, sin_part = lead * math.cos(p), lead * math.sin(p) / p
+    else:
+        cos_part = sin_part = math.exp(-3.0 * a)
+    yy, zz = cos_part + sin_part * a, cos_part - sin_part * a
+    yz, zy = -sin_part * rotation, sin_part * rotation
+    # v_ss from rotation and decay divided by the larger of the two, so no
+    # square overflows and decay = 0 (theta^2 underflowing) stays defined
+    scale = max(rotation, decay)
+    g, w = decay / scale, rotation / scale
+    y_ss, z_ss = -2.0 * w * g / (g * g + 2.0 * w * w), g * g / (g * g + 2.0 * w * w)
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, math.exp(-0.5 * decay), 0.0, 0.0],
+            [(1.0 - yy) * y_ss - yz * z_ss, 0.0, yy, yz],
+            [(1.0 - zz) * z_ss - zy * y_ss, 0.0, zy, zz],
+        ]
+    )
+
+
 def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
     """Noise map of the driven gate: R(-theta) expm(tau G).
 
     With Omega tau = theta and gamma tau = theta^2 / (4 n_g), tau G depends
-    on theta and n_g alone.  The propagator overflows once gamma tau passes
-    ~3e38 (n_g below ~1e-38 photons); that raises ValueError.
+    on theta and n_g alone.  Every finite gamma tau gives a finite
+    propagator; once gamma tau itself overflows (n_g below ~1e-308 photons)
+    the propagator is not finite, and that raises ValueError.
     """
-    from scipy.linalg import expm
-
     if spec.omega0 is not None and spec.n_g >= RWA_FRACTION * spec.omega0 / spec.gamma:
         warnings.warn(
             f"rotating-wave approximation is marginal: n_g={spec.n_g:g} vs "
@@ -245,7 +240,7 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
             stacklevel=2,
         )
     decay = spec.theta ** 2 / (4.0 * spec.n_g)
-    ptm = ideal_rotation_ptm(-spec.theta) @ expm(_bloch_generator(spec.theta, decay))
+    ptm = ideal_rotation_ptm(-spec.theta) @ _bloch_propagator(spec.theta, decay)
     if not np.all(np.isfinite(ptm)):
         raise ValueError(
             f"gate propagator is not finite at n_g={spec.n_g:g} "

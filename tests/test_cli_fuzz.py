@@ -197,29 +197,41 @@ def mutated_config(draw, config: dict) -> dict:
     return config
 
 
-def outcome(argv: list[str], workdir: Path) -> tuple[int, str, bool]:
-    """(exit code, stderr, whether argparse made the exit).  Python warnings
-    (rotating-wave margin, small N0) are silenced: they are diagnostics, not
-    the program's message."""
+def outcome(argv: list[str], workdir: Path) -> tuple[int, str, str, bool]:
+    """(exit code, stdout, stderr, whether argparse made the exit).  Python
+    warnings (rotating-wave margin, small N0) are silenced: they are
+    diagnostics, not the program's message."""
     argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return cli.main(argv), err.getvalue(), False
+            return cli.main(argv), out.getvalue(), err.getvalue(), False
         except SystemExit as exc:
-            return exc.code, err.getvalue(), True
+            return exc.code, out.getvalue(), err.getvalue(), True
+
+
+def strict_json(text: str) -> dict:
+    """A report parsed as standard JSON: NaN and Infinity are refused."""
+
+    def refuse(constant: str):
+        raise ValueError(f"report holds {constant}, which is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def check(argv: list[str], workdir: Path) -> None:
     """Exit 0, 1 or 2 and no traceback; the program's own exit 1 or 2 comes
-    with exactly one stderr line (argparse also prints its usage)."""
-    code, err, by_argparse = outcome(argv, workdir)
+    with exactly one stderr line (argparse also prints its usage).  A JSON
+    report on stdout is standard JSON."""
+    code, out, err, by_argparse = outcome(argv, workdir)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code != 0 and not by_argparse:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    if code == 0 and out.startswith("{"):
+        strict_json(out)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +249,7 @@ def base_configs(workdir) -> list[dict]:
     for i, argv in enumerate(BASES):
         out = workdir / f"base{i}.json"
         assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 0
-        configs.append(json.loads(out.read_text())["config"])
+        configs.append(strict_json(out.read_text())["config"])
     return configs
 
 

@@ -1,8 +1,9 @@
 """Driven-qubit gate channel, chi extraction and asymptotics.
 
-The exact channel is checked against an independent oracle defined here: a
-classical 4th-order Runge-Kutta integration of the Lindblad equation for the
-density matrix, which shares no code with the Bloch-generator propagator.
+The closed-form channel is checked against two independent oracles defined
+here: scipy.linalg.expm of the Bloch generator, and a classical 4th-order
+Runge-Kutta integration of the Lindblad equation for the density matrix.
+Neither shares code with the propagator.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qecopt.gatesim import (
-    BlochState,
     GateSpec,
     QubitChannel,
     asymptotic_pauli_errors,
@@ -36,6 +37,18 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _BASIS = (np.eye(2, dtype=complex), _SX, _SY, _SZ)
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |1> decays into |0>
 _SP = _SM.conj().T
+
+
+def expm_noise_ptm(theta, n_g):
+    """R(-theta) expm(tau G) by scipy's Pade expm, with tau G built here for
+    the Bloch equations dx/dt = -gamma x/2, dy/dt = -gamma y/2 - Omega z,
+    dz/dt = Omega y - gamma (z - 1): Omega tau = theta, gamma tau = theta^2/(4 n_g)."""
+    w, g = theta, theta ** 2 / (4.0 * n_g)
+    generator = np.array(
+        [[0.0, 0.0, 0.0, 0.0], [0.0, -g / 2.0, 0.0, 0.0],
+         [0.0, 0.0, -g / 2.0, -w], [g, 0.0, w, -g]]
+    )
+    return ideal_rotation_ptm(-theta) @ expm(generator)
 
 
 def _lindblad_rhs(rho, omega, gamma):
@@ -82,6 +95,24 @@ ORACLE_GRID = [
     for n_g in (theta / 64.0, theta / 16.0, 1.0, 30.0, 1e3, 1e6)
 ]
 ORACLE_STEPS = 2 ** 14
+
+
+def _critical_neighbours(theta):
+    """n_g = theta/16 (critical damping) and the floats on either side."""
+    n_g = theta / 16.0
+    return (n_g, math.nextafter(n_g, 0.0), math.nextafter(n_g, math.inf),
+            n_g * (1.0 - 1e-9), n_g * (1.0 + 1e-9))
+
+
+# Down to n_g = 1e-30: scipy's expm overflows once gamma tau passes ~3e38
+# (n_g ~ 1e-38); the sub-photon steady-state test covers the range below.
+EXPM_GRID = [
+    (theta, n_g)
+    for theta in (PI, PI / 2, 2.0 * PI, 2.3, 0.3, 1e-3)
+    for n_g in (theta / 64.0, *_critical_neighbours(theta), 1e-30, 1e-8,
+                1e-2, 1.0, 30.0, 1e3, 1e6, 1e12)
+]
+PROPAGATOR_ABS = 1e-13
 
 
 class TestGateSpec:
@@ -202,8 +233,9 @@ class TestEvolveNoisyGate:
         for _ in range(200):
             v = rng.normal(size=3)
             v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
-            out = channel.apply(BlochState(x=v[0], y=v[1], z=v[2]))
-            assert out.norm <= 1.0 + 1e-9
+            out = channel.ptm @ np.array([1.0, *v])
+            assert out[0] == 1.0
+            assert np.linalg.norm(out[1:]) <= 1.0 + 1e-9
 
     def test_fourth_order_convergence(self):
         # The oracle's error against the exact channel falls ~16x per halving.
@@ -215,6 +247,24 @@ class TestEvolveNoisyGate:
         }
         assert 10.0 < err[40] / err[80] < 24.0
         assert 10.0 < err[80] / err[160] < 24.0
+
+    @pytest.mark.parametrize("theta,n_g", EXPM_GRID)
+    def test_closed_form_matches_expm(self, theta, n_g):
+        channel = evolve_noisy_gate(GateSpec(theta=theta, gamma=1.0, n_g=n_g))
+        gap = np.max(np.abs(channel.ptm - expm_noise_ptm(theta, n_g)))
+        assert gap <= PROPAGATOR_ABS, gap
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        theta=st.floats(1e-3, 2.0 * PI),
+        log10_n_g=st.floats(-30.0, 12.0),
+        critical=st.sampled_from([None, 0, 1, 2, 3, 4]),
+    )
+    def test_closed_form_matches_expm_property(self, theta, log10_n_g, critical):
+        n_g = 10.0 ** log10_n_g if critical is None else _critical_neighbours(theta)[critical]
+        channel = evolve_noisy_gate(GateSpec(theta=theta, gamma=1.0, n_g=n_g))
+        gap = np.max(np.abs(channel.ptm - expm_noise_ptm(theta, n_g)))
+        assert gap <= PROPAGATOR_ABS, (theta, n_g, gap)
 
     def test_exact_channel_matches_rk4_oracle(self):
         for theta, n_g in ORACLE_GRID:
@@ -243,8 +293,9 @@ class TestEvolveNoisyGate:
         # gamma tau = theta^2/(4 n_g) >> 1: every input relaxes to the
         # driven steady state y = -2 r z, z = 1/(1 + 2 r^2), r = Omega/gamma,
         # which the inverse pi rotation maps to (-y, -z).  Fixed-step
-        # integration needed ~1e6 and ~1e10 steps for these two pulses.
-        for n_g in (1e-4, 1e-8):
+        # integration needed ~1e6 and ~1e10 steps for the first two pulses;
+        # the closed form stays finite for every finite gamma tau.
+        for n_g in (1e-4, 1e-8, 1e-100, 1e-300):
             channel = evolve_noisy_gate(GateSpec(theta=PI, gamma=1.0, n_g=n_g))
             r = 4.0 * n_g / PI
             z = 1.0 / (1.0 + 2.0 * r * r)
@@ -252,8 +303,9 @@ class TestEvolveNoisyGate:
             assert channel.ptm[3] == pytest.approx([-z, 0, 0, 0], abs=1e-12)
 
     def test_overflowing_propagator_is_a_value_error(self):
-        with pytest.raises(ValueError, match="not finite at n_g=1e-100"):
-            evolve_noisy_gate(GateSpec(theta=PI, gamma=1.0, n_g=1e-100))
+        # gamma tau = pi^2 / (4e-320) is itself beyond float range.
+        with pytest.raises(ValueError, match="propagator is not finite"):
+            evolve_noisy_gate(GateSpec(theta=PI, gamma=1.0, n_g=1e-320))
 
     def test_composition_of_half_pulses(self):
         # Two pi/2 pulses sharing the photon budget compose to the pi-pulse
@@ -330,9 +382,3 @@ class TestQubitChannelInvariants:
             QubitChannel(ptm=nan_block, chi_diag=(1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="chi"):
             QubitChannel(ptm=np.eye(4), chi_diag=(math.nan, 0.0, 0.0, 0.0))
-
-    def test_bloch_state_norm_guard(self):
-        with pytest.raises(ValueError):
-            BlochState(x=1.0, y=1.0, z=1.0)
-        state = BlochState.from_density(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert (state.x, state.y, state.z) == pytest.approx((0.0, 0.0, 1.0))
