@@ -70,6 +70,19 @@ from .shor import (
 
 __version__ = "0.1.0"
 
+
+def _warn(message: str) -> None:
+    """Log a diagnostic as a warning on the "qecopt" logger.  The logger has
+    a NullHandler, so nothing reaches stderr unless the application
+    configures logging; the logging module is imported by the first
+    diagnostic, not by ``import qecopt``."""
+    import logging
+
+    logger = logging.getLogger(__name__)
+    if not logger.handlers:
+        logger.addHandler(logging.NullHandler())
+    logger.warning(message)
+
 __all__ = [
     "AffineNoise", "ExponentialNoise", "FitResult", "FTScheme", "LogProb",
     "NoiseModel", "SCHEME_PRESETS", "ShorPhotonNoise", "TabulatedNoise",

@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ COMMANDS = ("optimize", "sweep", "gatesim", "longrange", "shor", "fit")
 MAX_SWEEP_POINTS = 10 ** 6
 # Curve values a sweep evaluates at once (points x levels): 1 MB of floats.
 SWEEP_BLOCK = 1 << 17
+# Table rows a report renders and writes at once.
+REPORT_ROWS = 1 << 12
 
 
 class UsageError(ValueError):
@@ -243,16 +245,113 @@ def _schema(command: str) -> dict:
 CONFIG_SCHEMA = {command: _schema(command) for command in COMMANDS}
 
 
-def _dump_json(payload: dict) -> str:
+def _dump_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _json_scalar(value: Any, strings: dict[str, str]) -> str:
+    """One scalar's JSON text as _dump_json writes it; a string is encoded
+    once and kept in strings."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        strings[value] = json.dumps(value)
+        return strings[value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return _dump_json(value)[:-1]  # null, true, false; a non-finite float raises
+
+
+def _array_cells(column: np.ndarray) -> list[str]:
+    """The text of every value of an int or float array, as json and the CSV
+    reports write it: int.__repr__, or float.__repr__ taken once per distinct
+    float (told apart by their bits, so -0.0 keeps its sign)."""
+    if column.dtype.kind != "f":
+        return list(map(int.__repr__, column.tolist()))
+    bits, index = np.unique(np.ascontiguousarray(column, float).view(np.int64),
+                            return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(float).tolist()))
+    return list(map(texts.__getitem__, index.tolist()))
+
+
+def _check_finite(column: np.ndarray) -> None:
+    """Raise json's own ValueError for the first non-finite float of an array."""
+    bad = ~np.isfinite(column)
+    if bad.any():
+        _dump_json(column[bad][0].item())
+
+
+def _json_cells(column: Sequence, strings: dict[str, str]) -> list[str]:
+    """The JSON text of every value of a column."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            _check_finite(column)
+        return _array_cells(column)
+    return [strings[v] if v in strings else _json_scalar(v, strings) for v in column]
+
+
+def _json_table(blocks: Iterable[dict[str, Sequence]], depth: int) -> Iterator[str]:
+    """A list of objects, text for text as _dump_json writes it at nesting
+    depth `depth`, one chunk per block.
+
+    Each block maps every key (at least one) to a column of scalars, one per
+    row.  One row template is built from the sorted keys and the depth, and
+    each row is that template filled with its cells.  A non-finite float
+    raises the ValueError that json raises for it.
+    """
+    indent = "\n" + "  " * (depth + 1)
+    template = None
+    strings: dict[str, str] = {}
+    for block in blocks:
+        keys = sorted(block)
+        cells = [_json_cells(block[key], strings) for key in keys]
+        if not cells[0]:
+            continue
+        if template is None:
+            template = "{" + ",".join(
+                f"{indent}  {json.dumps(key).replace('%', '%%')}: %s" for key in keys
+            ) + indent + "}"
+            yield "[" + indent
+        else:
+            yield "," + indent
+        yield ("," + indent).join(map(template.__mod__, zip(*cells)))
+    yield "[]" if template is None else "\n" + "  " * depth + "]"
+
+
+# Stands for a report's table; no accepted config string holds a NUL.
+_TABLE = "\x00table"
+
+
+def _report(payload: dict, blocks: Iterable[dict[str, Sequence]]) -> Iterator[str]:
+    """The chunks of _dump_json(payload) with its one _TABLE value replaced
+    by the table in blocks.  The rest of the report is encoded before the
+    first chunk is returned, so a bad value there writes nothing."""
+    head, _, tail = _dump_json(payload).partition(json.dumps(_TABLE))
+    line = head[head.rfind("\n") + 1:]
+    depth = (len(line) - len(line.lstrip(" "))) // 2
+    return itertools.chain((head,), _json_table(blocks, depth), (tail,))
+
+
+def _csv_table(names: Sequence[str], blocks: Iterable[dict[str, Sequence]]) -> Iterator[str]:
+    """A header of names and one line per row, one chunk per block: floats
+    by float.__repr__, ints by int.__repr__, strings as they are."""
+    yield ",".join(names) + "\n"
+    template = ",".join(["%s"] * len(names)) + "\n"
+    for block in blocks:
+        cells = [_array_cells(column) if isinstance(column, np.ndarray) else column
+                 for column in map(block.get, names)]
+        yield "".join(map(template.__mod__, zip(*cells)))
+
+
+def _emit(report: str | Iterable[str], out: str | None) -> None:
+    """Write a report, whole or in chunks, to stdout or to the file out."""
+    chunks = (report,) if isinstance(report, str) else report
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
@@ -309,7 +408,7 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
     if args.format == "csv":
         _emit(optimizer.curve_to_csv(result), args.out)
         return 0
-    report: dict[str, Any] = result.to_dict()
+    report: dict[str, Any] = dict(result.to_dict(), curve=_TABLE)
     if isinstance(model, scheme.ExponentialNoise):
         report["bounds"] = optimizer.exp_model_bounds(
             sch, model.eta0, model.beta
@@ -318,14 +417,14 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
         c_star = optimizer.affine_usefulness_threshold(sch.B, model.eta0)
         report["usefulness_c_star"] = c_star
         report["no_c_helps"] = c_star == 0.0
-    _emit(_dump_json({"config": cfg, "result": report}), args.out)
+    _emit(_report({"config": cfg, "result": report}, [result.curve_columns()]), args.out)
     return 0
 
 
 _SWEEPABLE = ("eta0", "c", "beta", "B_eta0", "n_L")
 
 
-def _axis_values(axis: dict) -> list[float]:
+def _axis_values(axis: dict) -> np.ndarray:
     lo, hi, count = float(axis["min"]), float(axis["max"]), int(axis["count"])
     spacing = axis.get("spacing", "linear")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -333,15 +432,16 @@ def _axis_values(axis: dict) -> list[float]:
     if hi < lo:
         raise UsageError("axis max must be >= min")
     if count == 1:
-        return [lo]
+        return np.array([lo])
     if spacing == "log":
         if lo <= 0:
             raise UsageError("log axis needs min > 0")
         ratio = (hi / lo) ** (1.0 / (count - 1))
-        values = [lo * ratio ** i for i in range(count)]
+        # Python's pow, which numpy's vectorised power need not match bit for bit.
+        values = np.fromiter((lo * ratio ** i for i in range(count)), float, count)
     else:
-        step = (hi - lo) / (count - 1)
-        values = [lo + step * i for i in range(count)]
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            values = lo + (hi - lo) / (count - 1) * np.arange(count)
     # The grid is monotone, so its last value overflows first (to inf or NaN).
     if not math.isfinite(values[-1]):
         raise UsageError("axis spacing overflows float range")
@@ -349,8 +449,9 @@ def _axis_values(axis: dict) -> list[float]:
 
 
 def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
-                  values: list[list[float]], kcap: int) -> tuple[list, list]:
-    """k_max and log10 p_min at every grid point, outer axis slowest.
+                  values: list[np.ndarray], kcap: int) -> tuple[np.ndarray, np.ndarray]:
+    """k_max and log10 p_min at every grid point, outer axis slowest: two
+    flat arrays, 16 bytes a point.
 
     point holds the law's fixed fields; the grid is evaluated in blocks of at
     most SWEEP_BLOCK curve values, and in each block every swept field of
@@ -358,7 +459,7 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
     logarithm once per distinct value.
     """
     ks = optimizer.levels(kcap)
-    shape = [len(v) for v in values]
+    shape = [v.size for v in values]
     inner = min(shape[-1], max(1, SWEEP_BLOCK // ks.size))
     chunks = [max(1, SWEEP_BLOCK // (inner * ks.size))] * (len(shape) - 1) + [inner]
     k_max, p_min = np.empty(shape, dtype=int), np.empty(shape)
@@ -366,7 +467,7 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
         block = tuple(slice(s, s + c) for s, c in zip(starts, chunks))
         for i, (axis, vals) in enumerate(zip(axes, values)):
             # A later axis on the same field overrides an earlier one.
-            field = np.asarray(vals[block[i]]).reshape(
+            field = vals[block[i]].reshape(
                 [-1 if d == i else 1 for d in range(len(shape))] + [1])
             if axis["param"] == "B_eta0":
                 point["eta0"] = field / sch.B
@@ -376,7 +477,25 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
                 point[axis["param"]] = field
         k_max[block], p_min[block] = optimizer.first_minima(
             optimizer.log10_curve(sch, scheme.model_from_dict(point), ks))
-    return k_max.ravel().tolist(), p_min.ravel().tolist()
+    return k_max.ravel(), p_min.ravel()
+
+
+def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
+                p_min: np.ndarray, kcap: int) -> Iterator[dict[str, Sequence]]:
+    """The sweep's table, REPORT_ROWS rows at a time, as columns: each axis
+    (a repeated axis shows its later values), k_max, log10_p_min and status."""
+    status = [optimizer.scan_status(k, kcap) for k in range(kcap + 1)]
+    strides = [math.prod(v.size for v in values[i + 1:]) for i in range(len(values))]
+    for start in range(0, k_max.size, REPORT_ROWS):
+        rows = np.arange(start, min(start + REPORT_ROWS, k_max.size))
+        block: dict[str, Sequence] = {
+            axis["param"]: vals[rows // stride % vals.size]
+            for axis, vals, stride in zip(axes, values, strides)
+        }
+        block["k_max"] = k_max[rows]
+        block["log10_p_min"] = p_min[rows]
+        block["status"] = list(map(status.__getitem__, block["k_max"].tolist()))
+        yield block
 
 
 def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
@@ -415,21 +534,14 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         point.update(L=shor.ShorProblem(R=cfg["R"]).L, A=float(sch.D))
     values = [_axis_values(axis) for axis in axes]
     k_max, p_min = _sweep_minima(sch, point, axes, values, cfg["kcap"])
-    status = [optimizer.scan_status(k, cfg["kcap"]) for k in k_max]
-    names = [axis["param"] for axis in axes]
-
+    # The whole grid is computed and checked before the table is streamed.
+    rows = _sweep_rows(axes, values, k_max, p_min, cfg["kcap"])
     if args.format == "csv" or args.format is None:
-        texts = itertools.product(*([repr(v) for v in vals] for vals in values))
-        lines = [",".join(names + ["k_max", "log10_p_min", "status"])]
-        for cells, k, p, s in zip(texts, k_max, p_min, status):
-            row = dict(zip(names, cells))  # a repeated axis shows its later values
-            lines.append(",".join([*(row[n] for n in names), str(k), repr(p), s]))
-        _emit("\n".join(lines) + "\n", args.out)
+        names = [axis["param"] for axis in axes] + ["k_max", "log10_p_min", "status"]
+        _emit(_csv_table(names, rows), args.out)
     else:
-        rows = [dict(zip(names, assignment), k_max=k, log10_p_min=p, status=s)
-                for assignment, k, p, s
-                in zip(itertools.product(*values), k_max, p_min, status)]
-        _emit(_dump_json({"config": cfg, "result": {"rows": rows}}), args.out)
+        _check_finite(p_min)  # -inf where n_L * L overflows; the axes are finite
+        _emit(_report({"config": cfg, "result": {"rows": _TABLE}}, rows), args.out)
     return 0
 
 
@@ -461,6 +573,8 @@ def cmd_gatesim(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_longrange(args: argparse.Namespace, config: dict) -> int:
     cfg = _settings(args, config)
+    if not 0 < cfg["kappa"] < math.inf:  # echoed in every report, so checked unused too
+        raise UsageError(f"--kappa must be positive and finite, got {cfg['kappa']!r}")
     spec = crosstalk.LatticeSpec(
         d=1 if cfg["lattice"] == "chain" else 2,
         z=cfg["z"],

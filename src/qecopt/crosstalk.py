@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +62,8 @@ class LatticeSpec:
             raise ValueError(f"d={self.d} inconsistent with aspect={self.aspect!r}")
         if self.N0 < 2:
             raise ValueError(f"N0 must be >= 2, got {self.N0!r}")
-        if not self.z >= 0:  # also rejects NaN
-            raise ValueError(f"z must be >= 0, got {self.z!r}")
+        if not 0 <= self.z < math.inf:  # also rejects NaN
+            raise ValueError(f"z must be finite and >= 0, got {self.z!r}")
         if self.delta <= 0 or self.a <= 0:
             raise ValueError("delta and a must be positive")
         if self.aspect == "square":
@@ -198,10 +197,9 @@ def delta0_asymptotic(spec: LatticeSpec, kappa: float = 1.0) -> float:
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     if n0 < 100:
-        warnings.warn(
-            f"asymptotic lattice formula is unreliable for N0={n0} < 100",
-            stacklevel=2,
-        )
+        from . import _warn
+
+        _warn(f"asymptotic lattice formula is unreliable for N0={n0} < 100")
     if spec.aspect == "chain":
         if z == 1.0:
             return 2.0 * math.log(kappa * n0 / 2.0)

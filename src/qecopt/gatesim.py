@@ -24,7 +24,6 @@ tau G depends on theta and n_g alone, and the result is bitwise reproducible.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,11 +233,10 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
     the propagator is not finite, and that raises ValueError.
     """
     if spec.omega0 is not None and spec.n_g >= RWA_FRACTION * spec.omega0 / spec.gamma:
-        warnings.warn(
-            f"rotating-wave approximation is marginal: n_g={spec.n_g:g} vs "
-            f"omega0/gamma={spec.omega0 / spec.gamma:g}",
-            stacklevel=2,
-        )
+        from . import _warn
+
+        _warn(f"rotating-wave approximation is marginal: n_g={spec.n_g:g} vs "
+              f"omega0/gamma={spec.omega0 / spec.gamma:g}")
     decay = spec.theta ** 2 / (4.0 * spec.n_g)
     ptm = ideal_rotation_ptm(-spec.theta) @ _bloch_propagator(spec.theta, decay)
     if not np.all(np.isfinite(ptm)):

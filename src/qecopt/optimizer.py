@@ -55,13 +55,18 @@ class OptResult:
     curve: tuple[tuple[int, LogProb | None], ...]
 
     def to_dict(self) -> dict:
+        """The scalar fields; the curve is a table (see curve_columns)."""
         return {
             "k_max": self.k_max,
             "log10_p_min": self.log10_p_min.log10_value,
             "status": self.status,
-            "curve": [{"k": k, "log10_p": None if v is None else v.log10_value}
-                      for k, v in self.curve],
         }
+
+    def curve_columns(self) -> dict:
+        """The curve as columns: the levels "k" = 0, 1, ... (an array) and
+        their "log10_p" (a list, None where the value overflowed)."""
+        return {"k": np.arange(len(self.curve)),
+                "log10_p": [None if v is None else v.log10_value for _, v in self.curve]}
 
 
 @dataclass(frozen=True)
@@ -291,7 +296,7 @@ def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport
 def curve_to_csv(result: OptResult) -> str:
     """Render the scanned curve as CSV with the fixed header ``k,log10_p``;
     an overflowed value is an empty cell."""
-    lines = ["k,log10_p"]
-    for k, v in result.curve:
-        lines.append(f"{k}," if v is None else f"{k},{v.log10_value!r}")
-    return "\n".join(lines) + "\n"
+    columns = result.curve_columns()
+    cells = ["" if v is None else repr(v) for v in columns["log10_p"]]
+    return "k,log10_p\n" + "".join([f"{k},{cell}\n"
+                                     for k, cell in zip(columns["k"].tolist(), cells)])

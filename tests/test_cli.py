@@ -410,6 +410,15 @@ class TestGatesim:
         assert out == ""
         assert message in err and err.count("\n") == 1
 
+    def test_rwa_margin_is_logged_not_printed(self, capsys, caplog):
+        code, out, err = run(
+            capsys, "gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1000",
+            "--omega0", "1", "--out", "/nonexistent-dir/x.json",
+        )
+        assert code == 2 and out == ""
+        assert "cannot write" in err and err.count("\n") == 1
+        assert "rotating-wave" in caplog.text
+
     def test_step_count_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "50",
@@ -453,6 +462,18 @@ class TestLongrange:
             "--N0", "101", "--format", "csv",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lattice", "square", "--N0", "144", "--z", "inf"], "z must be finite"),
+        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "inf"], "--kappa"),
+        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "nan"], "--kappa"),
+        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "0"], "--kappa"),
+    ])
+    @pytest.mark.parametrize("compare", [[], ["--compare"]])
+    def test_non_finite_parameters_exit_2(self, capsys, flags, message, compare):
+        code, out, err = run(capsys, "longrange", *flags, *compare)
+        assert code == 2 and out == ""
+        assert message in err and err.count("\n") == 1
 
 
 class TestShorCommand:

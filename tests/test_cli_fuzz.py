@@ -14,7 +14,6 @@ import contextlib
 import io
 import json
 import math
-import warnings
 from pathlib import Path
 
 import pytest
@@ -198,14 +197,10 @@ def mutated_config(draw, config: dict) -> dict:
 
 
 def outcome(argv: list[str], workdir: Path) -> tuple[int, str, str, bool]:
-    """(exit code, stdout, stderr, whether argparse made the exit).  Python
-    warnings (rotating-wave margin, small N0) are silenced: they are
-    diagnostics, not the program's message."""
+    """(exit code, stdout, stderr, whether argparse made the exit)."""
     argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             return cli.main(argv), out.getvalue(), err.getvalue(), False
         except SystemExit as exc:

@@ -65,8 +65,9 @@ class TestLatticeSpec:
             LatticeSpec(d=1, z=-0.5, N0=100)
         with pytest.raises(ValueError):
             LatticeSpec(d=1, z=0.5, N0=1)
-        with pytest.raises(ValueError, match="z must be"):
-            LatticeSpec(d=1, z=math.nan, N0=100)
+        for z in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="z must be"):
+                LatticeSpec(d=1, z=z, N0=100)
 
     def test_json_round_trip_fields(self):
         spec = LatticeSpec(d=2, z=1.0, N0=10 ** 4, aspect="square")
@@ -212,9 +213,11 @@ class TestDelta0Asymptotic:
         with pytest.raises(ValueError, match="kappa"):
             delta0_asymptotic(LatticeSpec(d=1, z=1.0, N0=1000), kappa=kappa)
 
-    def test_small_lattice_warns(self):
-        with pytest.warns(UserWarning, match="unreliable"):
-            delta0_asymptotic(LatticeSpec(d=1, z=0.5, N0=50))
+    def test_small_lattice_warns(self, caplog):
+        delta0_asymptotic(LatticeSpec(d=1, z=0.5, N0=50))
+        [record] = caplog.records
+        assert record.name == "qecopt" and record.levelname == "WARNING"
+        assert "unreliable" in record.getMessage()
 
     def test_relative_deviation_shrinks_with_size(self):
         # power-law regime: <= 20% at N0 = 100, <= 5% at N0 = 1e4 (chain)

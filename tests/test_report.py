@@ -1,0 +1,192 @@
+"""Report emission: tables rendered from columns, byte for byte as json.
+
+`cli._json_table` writes a list of objects from blocks of columns with one
+row template; it must give exactly the text of
+``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``, raise the same
+ValueError for a non-finite float, and give the same bytes however the rows
+are split into blocks.  A sweep streams its table in blocks of
+`cli.REPORT_ROWS` rows, so its memory does not grow with the grid.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qecopt import cli
+from qecopt.optimizer import STATUS_NO_ENCODING, STATUS_OPTIMUM, STATUS_UNBOUNDED
+
+STATUSES = (STATUS_OPTIMUM, STATUS_UNBOUNDED, STATUS_NO_ENCODING)
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308,
+               0.1, 1e-7, 1e16, 123456789.0)
+
+floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+ints = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
+scalars = st.one_of(floats, ints, st.none(), st.booleans(), st.sampled_from(STATUSES),
+                    st.text(max_size=5))
+keys = st.lists(st.sampled_from(["B_eta0", "c", "k", "k_max", "log10_p", "n_L",
+                                 "status", "a%s", "é"]),
+                min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def tables(draw) -> tuple[dict, list[dict]]:
+    """Columns keyed by name, and the same table as json's rows.  Each column
+    is a float array, an int array, or a list of mixed scalars."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    columns = {}
+    for key in draw(keys):
+        kind = draw(st.sampled_from(["float", "int", "list"]))
+        if kind == "float":
+            columns[key] = np.array(draw(st.lists(floats, min_size=n, max_size=n)), float)
+        elif kind == "int":
+            values = draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n))
+            columns[key] = np.array(values, dtype=np.int64)
+        else:
+            columns[key] = draw(st.lists(scalars, min_size=n, max_size=n))
+    values = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in columns.items()}
+    rows = [{k: values[k][i] for k in columns} for i in range(n)]
+    return columns, rows
+
+
+def blocks_of(columns: dict, cuts: list[int]) -> list[dict]:
+    """The table split into blocks at the given row numbers."""
+    n = len(next(iter(columns.values())))
+    edges = [0, *sorted(c % (n + 1) for c in cuts), n]
+    return [{k: c[lo:hi] for k, c in columns.items()} for lo, hi in zip(edges, edges[1:])]
+
+
+def dump(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.lists(st.integers(min_value=0, max_value=20), max_size=4),
+       st.integers(min_value=0, max_value=3))
+def test_table_text_is_json_text(table, cuts, depth):
+    columns, rows = table
+    blocks = blocks_of(columns, cuts)
+    assert "".join(cli._json_table(blocks, 0)) == dump(rows)
+    # Nested `depth` objects deep, between other members.
+    payload: dict = {"rows": cli._TABLE, "a": 1.5, "z": [None, "x"]}
+    expected: dict = {"rows": rows, "a": 1.5, "z": [None, "x"]}
+    for _ in range(depth):
+        payload, expected = {"m": payload, "n": 0}, {"m": expected, "n": 0}
+    assert "".join(cli._report(payload, blocks)) == dump(expected) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.sampled_from([math.inf, -math.inf, math.nan]), st.data())
+def test_non_finite_floats_raise_as_json_does(table, bad, data):
+    columns, rows = table
+    if not rows:
+        return
+    key = data.draw(st.sampled_from(sorted(columns)))
+    row = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    column = columns[key]
+    if isinstance(column, np.ndarray):
+        column = column.astype(float)
+        rows = [dict(r, **{key: v}) for r, v in zip(rows, column.tolist())]
+    else:
+        column = list(column)
+    column[row] = bad
+    columns = dict(columns, **{key: column})
+    rows[row][key] = bad
+    with pytest.raises(ValueError) as expected:
+        dump(rows)
+    with pytest.raises(ValueError) as got:
+        "".join(cli._json_table([columns], 2))
+    assert str(got.value) == str(expected.value)
+
+
+def test_empty_table_is_an_empty_list():
+    assert "".join(cli._json_table([], 3)) == "[]"
+    assert "".join(cli._json_table([{"k": np.arange(0)}], 0)) == dump([])
+
+
+def invoke(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv_from_json(report: str, names: list[str]) -> str:
+    """The CSV sweep text that a JSON sweep's rows stand for."""
+    columns = names + ["k_max", "log10_p_min", "status"]
+    lines = [",".join(columns)]
+    for row in json.loads(report)["result"]["rows"]:
+        lines.append(",".join(str(row[name]) for name in columns))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("axes", [
+    ["c:0:10:13", "B_eta0:0.01:0.99:9"],
+    ["c:0:10:13", "c:0:3:5"],  # a repeated axis shows its later values
+    ["beta:0:2:1"],
+])
+def test_sweep_bytes_do_not_depend_on_the_row_block(monkeypatch, axes):
+    argv = ["sweep", "--model", "exp" if axes[0].startswith("beta") else "affine",
+            "--eta0", "1e-6", "--kcap", "16"]
+    for axis in axes:
+        argv += ["--axis", axis]
+    code, report, _ = invoke(*argv, "--format", "json")
+    assert code == 0
+    assert report == cli._dump_json(json.loads(report))
+    names = [axis.split(":")[0] for axis in axes]
+    reports = {"json": report, "csv": csv_from_json(report, names)}
+    for rows in (1, 7, cli.REPORT_ROWS):
+        monkeypatch.setattr(cli, "REPORT_ROWS", rows)
+        for fmt, text in reports.items():
+            assert invoke(*argv, "--format", fmt) == (0, text, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_undefined_curve_writes_no_file(tmp_path, fmt):
+    out = tmp_path / "sweep.out"
+    code, stdout, err = invoke("sweep", "--scheme", "1,1,1,1,1", "--model", "exp",
+                               "--eta0", "1e-5", "--beta", "1e308",
+                               "--axis", "c:0:1:3", "--format", fmt, "--out", out)
+    assert code == 2 and stdout == ""
+    assert "NaN" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_finite_minimum_writes_no_file(tmp_path):
+    # n_L * L overflows at the top of the axis, so that row's log10_p_min is
+    # -inf, which JSON cannot hold; numpy's overflow warning is silenced here.
+    out = tmp_path / "sweep.json"
+    with np.errstate(over="ignore"):
+        code, stdout, err = invoke("sweep", "--model", "shor", "--R", "1000",
+                                   "--axis", "n_L:1:1.7976931348623157e308:3:log",
+                                   "--format", "json", "--out", out)
+    assert code == 2 and stdout == ""
+    assert err == "qecopt: Out of range float values are not JSON compliant: -inf\n"
+    assert not out.exists()
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # 2 x 10^5 rows: their dicts and indented text alone would take several
+    # hundred MB; the streamed report holds two arrays of 1.6 MB and a block.
+    out = tmp_path / "sweep.json"
+    tracemalloc.start()
+    try:
+        code, _, err = invoke("sweep", "--model", "affine", "--axis", "c:0:10:400",
+                              "--axis", "B_eta0:0.01:0.99:500", "--kcap", "8",
+                              "--format", "json", "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak <= 16 * 2 ** 20, peak
+    with out.open() as report:
+        assert sum(line.startswith('        "status": ') for line in report) == 2 * 10 ** 5
