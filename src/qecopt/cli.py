@@ -192,8 +192,8 @@ PARAMS = (
     Param("beta", "--beta", float, NUMBER, dict.fromkeys(_SCAN, REQUIRED)),
     Param("f_values", "--f-values", _floats, {"type": "array", "items": NUMBER},
           {"optimize": REQUIRED}),
-    Param("L", "--L", int, INTEGER, {"optimize": REQUIRED}),
-    Param("ntot", "--ntot", float, NUMBER, {"optimize": REQUIRED}),
+    Param("nL", "--nL", float, NUMBER, {"optimize": REQUIRED, "shor": None},
+          "photons per logical gate"),
     Param("A", "--A", float, NUMBER, {"optimize": _scheme_growth}),
     Param("kcap", "--kcap", int, {"type": "integer", "minimum": 1},
           dict.fromkeys(_SCAN, optimizer.DEFAULT_K_CAP)),
@@ -212,7 +212,6 @@ PARAMS = (
     Param("kappa", "--kappa", float, NUMBER, {"longrange": 1.0}),
     Param("compare", "--compare", bool, {"type": "boolean"}, {"longrange": False},
           action="store_true"),
-    Param("nL", "--nL", float, NUMBER, {"shor": None}),
     Param("ptarget", "--ptarget", float, NUMBER, {"shor": 2.0 / 3.0}),
     Param("perr", "--perr", float, NUMBER, {"shor": None},
           "explicit per-gate error target"),
@@ -332,15 +331,27 @@ def _report(payload: dict, blocks: Iterable[dict[str, Sequence]]) -> Iterator[st
     return itertools.chain((head,), _json_table(blocks, depth), (tail,))
 
 
+def _csv_cells(column: Sequence) -> Sequence:
+    """The CSV text of every value of a column: floats by float.__repr__,
+    ints by int.__repr__, strings as they are, None as an empty cell."""
+    if isinstance(column, np.ndarray):
+        return _array_cells(column)
+    return ["" if v is None else v for v in column]
+
+
 def _csv_table(names: Sequence[str], blocks: Iterable[dict[str, Sequence]]) -> Iterator[str]:
-    """A header of names and one line per row, one chunk per block: floats
-    by float.__repr__, ints by int.__repr__, strings as they are."""
+    """A header of names and one line per row, one chunk per block (see
+    _csv_cells).  The only CSV writer: every CSV report goes through here."""
     yield ",".join(names) + "\n"
     template = ",".join(["%s"] * len(names)) + "\n"
     for block in blocks:
-        cells = [_array_cells(column) if isinstance(column, np.ndarray) else column
-                 for column in map(block.get, names)]
+        cells = [_csv_cells(column) for column in map(block.get, names)]
         yield "".join(map(template.__mod__, zip(*cells)))
+
+
+def _csv_row(names: Sequence[str], row: dict) -> Iterator[str]:
+    """A one-row CSV table of row's values under names."""
+    return _csv_table(names, [{name: [row[name]] for name in names}])
 
 
 def _emit(report: str | Iterable[str], out: str | None) -> None:
@@ -406,7 +417,7 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
     model = scheme.model_from_dict(cfg)
     result = optimizer.find_kmax(sch, model, k_cap=cfg["kcap"])
     if args.format == "csv":
-        _emit(optimizer.curve_to_csv(result), args.out)
+        _emit(_csv_table(("k", "log10_p"), [result.curve_columns()]), args.out)
         return 0
     report: dict[str, Any] = dict(result.to_dict(), curve=_TABLE)
     if isinstance(model, scheme.ExponentialNoise):
@@ -437,8 +448,12 @@ def _axis_values(axis: dict) -> np.ndarray:
         if lo <= 0:
             raise UsageError("log axis needs min > 0")
         ratio = (hi / lo) ** (1.0 / (count - 1))
-        # Python's pow, which numpy's vectorised power need not match bit for bit.
-        values = np.fromiter((lo * ratio ** i for i in range(count)), float, count)
+        # Python's pow, which numpy's vectorised power need not match bit for
+        # bit; it raises where a power leaves the float range.
+        try:
+            values = np.fromiter((lo * ratio ** i for i in range(count)), float, count)
+        except OverflowError:
+            raise UsageError("axis spacing overflows float range") from None
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             values = lo + (hi - lo) / (count - 1) * np.arange(count)
@@ -472,7 +487,7 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
             if axis["param"] == "B_eta0":
                 point["eta0"] = field / sch.B
             elif axis["param"] == "n_L":
-                point["ntot"] = field * point["L"]
+                point["nL"] = field
             else:
                 point[axis["param"]] = field
         k_max[block], p_min[block] = optimizer.first_minima(
@@ -514,7 +529,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
             raise UsageError(f"axis count must lie in [1, {MAX_SWEEP_POINTS}]")
     if math.prod(int(axis["count"]) for axis in axes) > MAX_SWEEP_POINTS:
         raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
-    # B_eta0 sets eta0; n_L sets the photon law's ntot.
+    # B_eta0 sets eta0; n_L sets the photon law's nL.
     swept = {"eta0" if a["param"] == "B_eta0" else a["param"] for a in axes}
     if model == "table":
         raise UsageError("sweep does not support --model table")
@@ -524,14 +539,14 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         if "n_L" not in swept:
             raise UsageError("shor sweeps vary n_L")
         _settings(args, config, ("R",), cfg)
+        shor.ShorProblem(R=cfg["R"])  # echoed in every report, so checked unused too
     else:
         fixed = [key for key in scheme.MODEL_FIELDS[model] if key not in swept]
         _settings(args, config, fixed, cfg)
 
     sch = _parse_scheme(cfg["scheme"])
-    point = dict(cfg)  # model_from_dict reads only the model's fields
-    if model == "shor":
-        point.update(L=shor.ShorProblem(R=cfg["R"]).L, A=float(sch.D))
+    # model_from_dict reads only the model's fields of point.
+    point = dict(cfg, A=_scheme_growth(cfg))
     values = [_axis_values(axis) for axis in axes]
     k_max, p_min = _sweep_minima(sch, point, axes, values, cfg["kcap"])
     # The whole grid is computed and checked before the table is streamed.
@@ -540,7 +555,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         names = [axis["param"] for axis in axes] + ["k_max", "log10_p_min", "status"]
         _emit(_csv_table(names, rows), args.out)
     else:
-        _check_finite(p_min)  # -inf where n_L * L overflows; the axes are finite
+        _check_finite(p_min)  # before the first byte; the axes are finite
         _emit(_report({"config": cfg, "result": {"rows": _TABLE}}, rows), args.out)
     return 0
 
@@ -590,10 +605,8 @@ def cmd_longrange(args: argparse.Namespace, config: dict) -> int:
     if args.format == "csv":
         if not cfg["compare"]:
             raise UsageError("csv output requires --compare")
-        _emit(
-            crosstalk.compare_to_csv([(cfg["N0"], oracle, result["asymptotic"])]),
-            args.out,
-        )
+        _emit(_csv_row(("N0", "oracle", "asymptotic", "rel_err"),
+                       dict(result, N0=cfg["N0"])), args.out)
     else:
         _emit(_dump_json({"config": cfg, "result": result}), args.out)
     return 0
@@ -624,12 +637,6 @@ def cmd_shor(args: argparse.Namespace, config: dict) -> int:
     bill = shor.energy_bill(problem, n_L, k, cfg["gamma"], cfg["omega0"], sch)
     margin = shor.rwa_margin(n_L, k, cfg["gamma"], cfg["omega0"], sch)
 
-    if args.format == "csv":
-        _emit(
-            shor.bill_csv_header() + "\n" + shor.bill_to_csv_row(cfg["R"], bill) + "\n",
-            args.out,
-        )
-        return 0
     result = bill.to_dict()
     result.update(
         {
@@ -642,7 +649,11 @@ def cmd_shor(args: argparse.Namespace, config: dict) -> int:
             "rwa_marginal": margin <= shor.RWA_MARGINAL_RATIO,
         }
     )
-    _emit(_dump_json({"config": cfg, "result": result}), args.out)
+    if args.format == "csv":
+        names = ("R", "n_L", "k", "E_tot_J", "P_W", "T_tot_s", "tau_g_s")
+        _emit(_csv_row(names, result), args.out)
+    else:
+        _emit(_dump_json({"config": cfg, "result": result}), args.out)
     return 0
 
 

@@ -246,11 +246,3 @@ def crosstalk_usefulness_threshold(B: float, D: float, beta: float) -> float:
     the one-level condition with B -> b', [B_AMPLIFICATION B^2 D^(2 beta)]^(-1)."""
     return one_level_condition(amplified_fault_pairs(B), D, beta)
 
-
-def compare_to_csv(rows: list[tuple[int, float, float]]) -> str:
-    """CSV of oracle-vs-asymptotic rows, header ``N0,oracle,asymptotic,rel_err``."""
-    lines = ["N0,oracle,asymptotic,rel_err"]
-    for n0, oracle, asym in rows:
-        rel = abs(asym - oracle) / oracle if oracle else math.inf
-        lines.append(f"{n0},{oracle!r},{asym!r},{rel!r}")
-    return "\n".join(lines) + "\n"

@@ -292,11 +292,3 @@ def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport
         useful=eta0 < one_level_condition(scheme.B, scheme.D, beta),
     )
 
-
-def curve_to_csv(result: OptResult) -> str:
-    """Render the scanned curve as CSV with the fixed header ``k,log10_p``;
-    an overflowed value is an empty cell."""
-    columns = result.curve_columns()
-    cells = ["" if v is None else repr(v) for v in columns["log10_p"]]
-    return "k,log10_p\n" + "".join([f"{k},{cell}\n"
-                                     for k, cell in zip(columns["k"].tolist(), cells)])

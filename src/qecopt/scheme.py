@@ -124,16 +124,6 @@ class FTScheme:
         """Scale-independent threshold error probability, 1/B."""
         return 1.0 / self.B
 
-    def gate_count(self, k: int) -> int:
-        """Physical gates in a level-k logical gate: A * A_prime**(k-1).
-
-        Exact combinatorial count, for reporting.  The noise-scaling models
-        take their per-level growth factor separately (usually D).
-        """
-        if k < 0:
-            raise ValueError("concatenation level must be >= 0")
-        return 1 if k == 0 else self.A * self.A_prime ** (k - 1)
-
     def to_dict(self) -> dict:
         return {"A": self.A, "A_prime": self.A_prime, "B": self.B,
                 "D": self.D, "M": self.M}
@@ -250,35 +240,41 @@ class TabulatedNoise:
 
 @dataclass(frozen=True)
 class ShorPhotonNoise:
-    """Error per physical pi-pulse under a total photon budget.
+    """Error per physical pi-pulse under a photon budget per logical gate.
 
-    An algorithm of L logical gates runs on n_tot photons in total; at level
-    k every logical gate costs A**k physical gates (A is the per-level gate
-    growth factor), so each physical gate receives n_tot / (L * A**k) photons
-    and fails with probability eta(k) = (pi^2/16) * L * A**k / n_tot.
+    Each logical gate gets n_L photons.  At level k it tiles into A**k
+    physical gates (A is the per-level gate growth), so each physical gate
+    receives n_L / A**k photons and fails with probability
+    eta(k) = (pi^2/16) * A**k / n_L.  This is the one place that counts
+    photons per physical gate: the energy bill and the rotating-wave margin
+    read photons_per_gate.
 
     eta(k) may exceed 1 for large k; such values mean "worse than useless"
     and are kept un-saturated (see LogProb).
     """
 
-    L: int
-    n_tot: float
+    n_L: float
     A: float
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L!r}")
-        for n_tot in _values(self.n_tot):
-            if not n_tot > 0:
-                raise ValueError(f"n_tot must be > 0, got {n_tot!r}")
+        for n_L in _values(self.n_L):
+            if not 0 < n_L < math.inf:
+                raise ValueError(f"n_L must be positive and finite, got {n_L!r}")
         if not 1 <= self.A < math.inf:
             raise ValueError(f"A must be finite and >= 1, got {self.A!r}")
 
     def log10_eta(self, ks, D: float | None = None):
-        """log10 eta(k) = log10(pi^2/16) + log10 L + k log10 A - log10 n_tot
-        at each level in ks."""
-        return (math.log10(PI_SQ_OVER_16) + _log10(self.L) + ks * _log10(self.A)
-                - _log10(self.n_tot))
+        """log10 eta(k) = log10(pi^2/16) + k log10 A - log10 n_L at each
+        level in ks."""
+        return math.log10(PI_SQ_OVER_16) + ks * _log10(self.A) - _log10(self.n_L)
+
+    def photons_per_gate(self, k: int) -> float:
+        """n_L / A**k, the photons of one physical gate at level k (0.0 once
+        A**k leaves the float range)."""
+        try:
+            return self.n_L / self.A ** k
+        except OverflowError:
+            return 0.0
 
 
 # Every law evaluates log10 eta(k) with log10_eta(ks, D), where ks is a level
@@ -332,7 +328,10 @@ def fit_noise_model(
     fitted linearly in k on log10 eta, with the slope converted to beta via
     the supplied growth factor D.  The reported residual is RMS in log10
     space for both laws.  kind is the law's wire name, "affine" or "exp".
+    D, when given, must lie in (1, inf) whichever the law.
     """
+    if D is not None and not 1 < D < math.inf:
+        raise ValueError(f"D must lie in (1, inf) to resolve beta, got {D!r}")
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
     ks = np.asarray([s[0] for s in samples], dtype=float)
@@ -357,8 +356,6 @@ def fit_noise_model(
     elif kind == "exp":
         if D is None:
             raise ValueError("exponential fit needs the scheme's D")
-        if D <= 1:
-            raise ValueError(f"D must be > 1 to resolve beta, got {D!r}")
         log_etas = np.log10(etas)
         coef, *_ = np.linalg.lstsq(design, log_etas, rcond=None)
         intercept, slope = float(coef[0]), float(coef[1])
@@ -375,12 +372,12 @@ def fit_noise_model(
 
 
 # The wire vocabulary of the noise laws: each law's name and its fields.
-# ShorPhotonNoise.n_tot travels as "ntot".
+# ShorPhotonNoise.n_L travels as "nL".
 MODEL_FIELDS: dict[str, tuple[str, ...]] = {
     "affine": ("eta0", "c"),
     "exp": ("eta0", "beta"),
     "table": ("eta0", "f_values"),
-    "shor": ("L", "ntot", "A"),
+    "shor": ("nL", "A"),
 }
 
 _MODEL_CLASSES = {"affine": AffineNoise, "exp": ExponentialNoise,
@@ -397,7 +394,7 @@ def model_to_dict(model: NoiseModel) -> dict:
         return {"model": "table", "eta0": model.eta0,
                 "f_values": list(model.f_values)}
     if isinstance(model, ShorPhotonNoise):
-        return {"model": "shor", "L": model.L, "ntot": model.n_tot, "A": model.A}
+        return {"model": "shor", "nL": model.n_L, "A": model.A}
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -417,5 +414,5 @@ def model_from_dict(data: dict) -> NoiseModel:
     except KeyError as exc:
         raise ValueError(f"noise model {kind!r} missing field {exc}") from None
     if kind == "shor":
-        fields["n_tot"] = fields.pop("ntot")
+        fields["n_L"] = fields.pop("nL")
     return _MODEL_CLASSES[kind](**fields)

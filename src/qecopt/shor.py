@@ -53,7 +53,9 @@ class EnergyBill:
     """Photon, energy, power and timing figures for one full run.
 
     Sequential execution of the logical gates is assumed for the power
-    figure.  Invariants (n_g = n_L/A^k, tau_L = M^k tau_g, T_tot = L tau_L,
+    figure.  n_g is the photons per physical gate of the noise law the
+    optimizer scans (ShorPhotonNoise.photons_per_gate).  Invariants
+    (eta(k) = (pi^2/16)/n_g, tau_L = M^k tau_g, T_tot = L tau_L,
     E_tot = P_avg T_tot) hold to relative 1e-12 by construction.
     """
 
@@ -123,17 +125,18 @@ def search_cap(n_L_cap: float) -> float:
 
 
 def photon_noise_model(
-    problem: ShorProblem, n_L: float, scheme: FTScheme
+    problem: ShorProblem | None, n_L: float, scheme: FTScheme
 ) -> ShorPhotonNoise:
     """Photon-budget noise law for n_L photons per logical gate.
 
-    The per-level growth factor is the scheme's component growth D: each
-    added level multiplies the number of physical gates competing for the
-    fixed budget by D.
+    The per-level gate growth is the scheme's D: a level-k gate tiles into
+    D^k non-overlapping rectangles, one per location of a level-(k-1) gate
+    (Aliferis, Gottesman and Preskill, quant-ph/0504218; D = A' for the
+    7-qubit preset).  Counting A * A'^(k-1) extended rectangles instead
+    would count each shared leading error-correction box twice.  The law
+    does not depend on the problem: its L logical gates cancel.
     """
-    if n_L <= 0:
-        raise ValueError(f"n_L must be > 0, got {n_L!r}")
-    return ShorPhotonNoise(L=problem.L, n_tot=n_L * problem.L, A=scheme.D)
+    return ShorPhotonNoise(n_L=n_L, A=float(scheme.D))
 
 
 def optimize_photon_budget(
@@ -186,11 +189,14 @@ def min_photon_budget(
                      log10_p_min=result.log10_p_min)
 
 
-def _check_operating_point(n_L: float, k: int, gamma: float, omega0: float) -> None:
+def _photons_per_gate(n_L: float, k: int, gamma: float, omega0: float,
+                      scheme: FTScheme) -> float:
+    """n_g at a checked operating point, from the law the optimizer scans."""
     if not all(0.0 < v < math.inf for v in (n_L, gamma, omega0)):
         raise ValueError("n_L, gamma and omega0 must be positive and finite")
     if k < 0:
         raise ValueError("concatenation level must be >= 0")
+    return photon_noise_model(None, n_L, scheme).photons_per_gate(k)
 
 
 def energy_bill(
@@ -203,13 +209,12 @@ def energy_bill(
 ) -> EnergyBill:
     """Energy, power and timing of a full run at a given budget and level.
 
-    The photon budget per physical gate divides by the exact per-level gate
-    factor A; the clock interval is the pi-pulse duration pi^2/(4 gamma n_g);
-    a level-k logical gate takes M^k clock cycles.  ValueError when a figure
+    Each physical gate gets the n_g photons of the noise law
+    (photon_noise_model); the clock interval is the pi-pulse duration
+    pi^2/(4 gamma n_g); a level-k logical gate takes M^k clock cycles.  ValueError when a figure
     leaves the float range.
     """
-    _check_operating_point(n_L, k, gamma, omega0)
-    n_g = n_L / scheme.A ** k
+    n_g = _photons_per_gate(n_L, k, gamma, omega0, scheme)
     rate = 4.0 * gamma * n_g
     tau_g = math.pi ** 2 / rate if rate > 0.0 else math.inf
     tau_L = scheme.M ** k * tau_g
@@ -236,25 +241,15 @@ def energy_bill(
 def rwa_margin(
     n_L: float, k: int, gamma: float, omega0: float, scheme: FTScheme
 ) -> float:
-    """(omega0/gamma) / n_g with n_g = n_L / A^k.
+    """(omega0/gamma) / n_g, with n_g the photons per physical gate of the
+    noise law (photon_noise_model).
 
     Ratios <= RWA_MARGINAL_RATIO mean the rotating-wave design of the gates
     is marginal at this operating point.
     """
-    _check_operating_point(n_L, k, gamma, omega0)
-    n_g = n_L / scheme.A ** k
+    n_g = _photons_per_gate(n_L, k, gamma, omega0, scheme)
     margin = (omega0 / gamma) / n_g if n_g > 0.0 else math.inf
     if not 0.0 < margin < math.inf:
         raise ValueError(f"rotating-wave margin is outside float range: {margin:g}")
     return margin
 
-
-def bill_csv_header() -> str:
-    return "R,n_L,k,E_tot_J,P_W,T_tot_s,tau_g_s"
-
-
-def bill_to_csv_row(R: int, bill: EnergyBill) -> str:
-    return (
-        f"{R},{bill.n_L!r},{bill.k},{bill.E_tot!r},{bill.P_avg!r},"
-        f"{bill.T_tot!r},{bill.tau_g!r}"
-    )

@@ -87,6 +87,31 @@ class TestOptimize:
         assert report["status"] == "optimum-found"
         assert report["k_max"] == 1
 
+    def test_photon_law_takes_photons_per_logical_gate(self, tmp_path, capsys):
+        code, out, err = run(capsys, "optimize", "--model", "shor", "--nL", "1e9",
+                             "--kcap", "8")
+        assert code == 0, err
+        report = json.loads(out)
+        assert {key: report["config"][key] for key in ("nL", "A")} == {
+            "nL": 1e9, "A": 291.0}
+        assert report["result"]["k_max"] == 1
+        first = tmp_path / "shor.json"
+        first.write_text(out)
+        assert run(capsys, "optimize", "--config", str(first))[1] == out
+
+    def test_old_photon_vocabulary_is_gone(self, tmp_path, capsys):
+        for flags in (["--L", "1000000", "--ntot", "1e15"], ["--ntot", "1e15"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["optimize", "--model", "shor", *flags])
+            assert excinfo.value.code == 2
+        capsys.readouterr()  # argparse's usage text
+        for key, value in (("L", 1000000), ("ntot", 1e15)):
+            config = tmp_path / f"{key}.json"
+            config.write_text(json.dumps({"model": "shor", "nL": 1e9, key: value}))
+            code, out, err = run(capsys, "optimize", "--config", str(config))
+            assert code == 2 and out == ""
+            assert f"'{key}'" in err and err.count("\n") == 1
+
     def test_explicit_scheme_tuple(self, capsys):
         code, out, _ = run(
             capsys, "optimize", "--scheme", "575,291,10000,291,3",
@@ -261,6 +286,22 @@ class TestSweep:
         assert ks == sorted(ks)
         assert ks[0] == 0 and ks[-1] >= 2
 
+    def test_photon_budget_up_to_the_float_range(self, capsys):
+        # n_L is the law's own field, so no n_L * L product can overflow.
+        argv = ["sweep", "--model", "shor", "--R", "1000",
+                "--axis", "n_L:1:1.7976931348623157e308:3:log"]
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and err == ""
+        csv_rows = [[float(n_L), int(k), float(p), status] for n_L, k, p, status
+                    in (line.split(",") for line in out.strip().split("\n")[1:])]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        json_rows = [[row["n_L"], row["k_max"], row["log10_p_min"], row["status"]]
+                     for row in json.loads(out)["result"]["rows"]]
+        assert csv_rows == json_rows
+        assert len(json_rows) == 3
+        assert all(math.isfinite(row[2]) for row in json_rows)
+
     def test_too_many_axes_exits_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--model", "affine", "--eta0", "5e-6",
@@ -341,6 +382,9 @@ class TestSweep:
         ({"min": 1e4, "max": math.nan}, "must be finite"),
         ({"min": 1e-300, "max": 1e300, "spacing": "log", "count": 3}, "overflows"),
         ({"min": -1e308, "max": 1e308, "count": 3}, "overflows"),
+        # The largest power, ratio ** 4, rounds above the float range.
+        ({"min": 1.0, "max": 1.7976931348623157e308, "spacing": "log", "count": 5},
+         "overflows"),
     ])
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_axis_values_must_be_finite(self, tmp_path, capsys, axis, message, form):
@@ -628,6 +672,14 @@ class TestFit:
         )
         assert code == 2 and out == ""
         assert "cannot write" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("D", ["nan", "inf", "1", "-3"])
+    @pytest.mark.parametrize("model", ["exp", "affine"])
+    def test_growth_factor_must_lie_above_one(self, capsys, D, model):
+        code, out, err = run(capsys, "fit", "--samples", "0:1e-6,1:2.91e-4",
+                             "--model", model, "--D", D)
+        assert code == 2 and out == ""
+        assert "D must lie in (1, inf)" in err and err.count("\n") == 1
 
     def test_degenerate_samples_exit_2(self, capsys):
         code, _, _ = run(

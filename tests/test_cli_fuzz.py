@@ -32,7 +32,7 @@ BASES = [
     ["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1", "--kcap", "8"],
     ["optimize", "--model", "exp", "--eta0", "1e-12", "--beta", "1", "--kcap", "8"],
     ["optimize", "--model", "table", "--eta0", "1e-9", "--f-values", "1,300,90000"],
-    ["optimize", "--model", "shor", "--L", "1000000", "--ntot", "1e15", "--kcap", "8"],
+    ["optimize", "--model", "shor", "--nL", "1e9", "--kcap", "8"],
     ["sweep", "--model", "affine", "--eta0", "5e-6", "--axis", "c:0:4:3", "--kcap", "8"],
     ["sweep", "--model", "exp", "--beta", "1", "--axis", "eta0:1e-12:1e-6:3:log",
      "--axis", "beta:0.1:1:2", "--kcap", "8"],
@@ -55,8 +55,6 @@ VALID = {
     "c": ["1", "0"],
     "beta": ["1", "0.5", "0"],
     "f_values": ["1,300,90000", "1,2", "2,1", ""],
-    "L": ["1000000", "1"],
-    "ntot": ["1e15", "1e12"],
     "A": ["291", "1"],
     "R": ["1000", "2", "64"],
     "theta": ["pi", "pi/2", "2pi", "1.5", "tau"],

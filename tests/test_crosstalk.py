@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qecopt.cli import main
 from qecopt.crosstalk import (
     B_AMPLIFICATION,
     LOCAL_NOISE_PREFACTOR,
@@ -15,7 +16,6 @@ from qecopt.crosstalk import (
     MAX_SQUARE_SIDE,
     LatticeSpec,
     amplified_fault_pairs,
-    compare_to_csv,
     crosstalk_usefulness_threshold,
     delta0_asymptotic,
     delta_lattice_oracle,
@@ -337,8 +337,10 @@ class TestLogicalCrosstalk:
 
 
 class TestCompareCsv:
-    def test_header_and_row(self):
-        text = compare_to_csv([(10001, 279.936, 282.857)])
+    def test_header_and_row(self, capsys):
+        assert main(["longrange", "--lattice", "chain", "--z", "0.5", "--N0", "10001",
+                     "--compare", "--format", "csv"]) == 0
+        text = capsys.readouterr().out
         lines = text.strip().split("\n")
         assert lines[0] == "N0,oracle,asymptotic,rel_err"
         assert lines[1].startswith("10001,")

@@ -83,9 +83,9 @@ def table_log_eta(eta0, f_values):
     return lambda k: math.log10(eta0) + math.log10(f_values[k])
 
 
-def shor_log_eta(L, ntot, A):
-    return lambda k: (math.log10(math.pi ** 2 / 16.0) + math.log10(L)
-                      + k * math.log10(A) - math.log10(ntot))
+def shor_log_eta(n_L, A):
+    return lambda k: (math.log10(math.pi ** 2 / 16.0) + k * math.log10(A)
+                      - math.log10(n_L))
 
 
 def _value(lo, hi):
@@ -125,7 +125,7 @@ def sweeps(draw):
                  f"n_L:{n_lo!r}:{n_lo * 10.0 ** draw(_value(0.0, 9.0))!r}:{n * m}:log"]
 
         def log_eta(row):
-            return shor_log_eta(R * R, row["n_L"] * (R * R), float(D))
+            return shor_log_eta(row["n_L"], float(D))
     return argv, B, kcap, log_eta
 
 
@@ -172,10 +172,9 @@ def laws(draw):
         for step in draw(st.lists(_value(0.0, 1e3), max_size=20)):
             f.append(f[-1] * (1.0 + step))
         return TabulatedNoise(eta0, tuple(f)), sch, kcap, table_log_eta(eta0, f)
-    L = draw(st.integers(1, 10 ** 9))
-    ntot = L * 10.0 ** draw(_value(0.0, 15.0))
+    n_L = 10.0 ** draw(_value(0.0, 15.0))
     A = draw(_value(1.0, 1e4))
-    return ShorPhotonNoise(L, ntot, A), sch, kcap, shor_log_eta(L, ntot, A)
+    return ShorPhotonNoise(n_L, A), sch, kcap, shor_log_eta(n_L, A)
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,10 +253,11 @@ class TestOverflow:
         lambda: AffineNoise(1e-5, c=math.nan),
         lambda: ExponentialNoise(1e-5, beta=math.inf),
         lambda: ExponentialNoise(1e-5, beta=math.nan),
-        lambda: ShorPhotonNoise(10, 1e9, math.inf),
+        lambda: ShorPhotonNoise(1e9, math.inf),
+        lambda: ShorPhotonNoise(math.inf, 291.0),
         lambda: TabulatedNoise(1e-5, (1.0, math.nan)),
         lambda: AffineNoise(np.array([1e-5, 1.0]), c=0.0),
-        lambda: ShorPhotonNoise(10, np.array([1e9, -1.0]), 2.0),
+        lambda: ShorPhotonNoise(np.array([1e9, -1.0]), 2.0),
     ])
     def test_laws_that_would_give_nan_are_rejected(self, law):
         with pytest.raises(ValueError):

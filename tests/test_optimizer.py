@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecopt.cli import main
 from qecopt.optimizer import (
     STATUS_NO_ENCODING,
     STATUS_OPTIMUM,
     STATUS_UNBOUNDED,
     affine_usefulness_threshold,
-    curve_to_csv,
     exp_model_bounds,
     find_kmax,
     generic_kmax_bound,
@@ -335,9 +335,10 @@ class TestExpModelBounds:
 
 
 class TestCurveCsv:
-    def test_header_and_shape(self):
-        result = find_kmax(ALIFERIS, AffineNoise(5e-6, c=1.0), k_cap=3)
-        text = curve_to_csv(result)
+    def test_header_and_shape(self, capsys):
+        assert main(["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1",
+                     "--kcap", "3", "--format", "csv"]) == 0
+        text = capsys.readouterr().out
         lines = text.strip().split("\n")
         assert lines[0] == "k,log10_p"
         assert len(lines) == 5

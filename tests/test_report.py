@@ -161,14 +161,22 @@ def test_undefined_curve_writes_no_file(tmp_path, fmt):
     assert not out.exists()
 
 
-def test_non_finite_minimum_writes_no_file(tmp_path):
-    # n_L * L overflows at the top of the axis, so that row's log10_p_min is
-    # -inf, which JSON cannot hold; numpy's overflow warning is silenced here.
+def test_non_finite_minimum_writes_no_file(tmp_path, monkeypatch):
+    # No legal law gives a -inf minimum (the photon law takes n_L itself, so
+    # no n_L * L product can overflow); a curve forced to -inf at its top
+    # level still exits 2 with json's message before the first byte.
+    real_curve = cli.optimizer.log10_curve
+
+    def minus_inf_at_the_top(*args):
+        values = real_curve(*args)
+        values[..., -1] = -math.inf
+        return values
+
+    monkeypatch.setattr(cli.optimizer, "log10_curve", minus_inf_at_the_top)
     out = tmp_path / "sweep.json"
-    with np.errstate(over="ignore"):
-        code, stdout, err = invoke("sweep", "--model", "shor", "--R", "1000",
-                                   "--axis", "n_L:1:1.7976931348623157e308:3:log",
-                                   "--format", "json", "--out", out)
+    code, stdout, err = invoke("sweep", "--model", "shor", "--R", "1000",
+                               "--axis", "n_L:1:1.7976931348623157e308:3:log",
+                               "--format", "json", "--out", out)
     assert code == 2 and stdout == ""
     assert err == "qecopt: Out of range float values are not JSON compliant: -inf\n"
     assert not out.exists()

@@ -13,6 +13,7 @@ from qecopt.scheme import (
     ExponentialNoise,
     FTScheme,
     LogProb,
+    PI_SQ_OVER_16,
     SCHEME_PRESETS,
     ShorPhotonNoise,
     TabulatedNoise,
@@ -46,12 +47,6 @@ class TestFTScheme:
     def test_rejects_non_integer_counts(self):
         with pytest.raises(TypeError):
             make_scheme(575.0, 291, 10_000, 291, 3)
-
-    def test_gate_count_recursion(self):
-        assert ALIFERIS.gate_count(0) == 1
-        assert ALIFERIS.gate_count(1) == 575
-        assert ALIFERIS.gate_count(2) == 575 * 291
-        assert ALIFERIS.gate_count(3) == 575 * 291 ** 2
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown scheme preset"):
@@ -110,8 +105,8 @@ class TestEtaAtLevel:
             eta_at_level(model, 3)
 
     def test_shor_photon_direct_evaluation(self):
-        # (pi^2/16) * L * A^0 / n_tot with L = 1e6, n_tot = 1e12
-        model = ShorPhotonNoise(L=10 ** 6, n_tot=1e12, A=575)
+        # (pi^2/16) * A^0 / n_L with n_L = 1e6
+        model = ShorPhotonNoise(n_L=1e6, A=575)
         expected = math.log10(math.pi ** 2 / 16 * 1e6 / 1e12)
         got = eta_at_level(model, 0)
         assert got.log10_value == pytest.approx(expected, abs=1e-12)
@@ -138,7 +133,7 @@ class TestEtaAtLevel:
         table = TabulatedNoise(1e-6, (1.0, 1.0, 2.5, 2.5, 7.0))
         for k in range(4):
             assert eta_at_level(table, k + 1) >= eta_at_level(table, k)
-        photon = ShorPhotonNoise(L=10 ** 6, n_tot=1e15, A=291)
+        photon = ShorPhotonNoise(n_L=1e9, A=291)
         for k in range(12):
             assert eta_at_level(photon, k + 1) >= eta_at_level(photon, k)
 
@@ -182,10 +177,21 @@ class TestNoiseModelValidation:
             TabulatedNoise(1e-5, (1.0, 3.0, 2.0))
 
     def test_shor_photon_validation(self):
-        with pytest.raises(ValueError):
-            ShorPhotonNoise(L=0, n_tot=1e6, A=575)
-        with pytest.raises(ValueError):
-            ShorPhotonNoise(L=10, n_tot=0.0, A=575)
+        for n_L in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_L"):
+                ShorPhotonNoise(n_L=n_L, A=575)
+        with pytest.raises(ValueError, match="A must"):
+            ShorPhotonNoise(n_L=1e6, A=0.5)
+
+    def test_shor_photons_per_gate(self):
+        # eta(k) = (pi^2/16) / photons_per_gate(k): one count of gates.
+        model = ShorPhotonNoise(n_L=1e12, A=291.0)
+        for k in range(6):
+            n_g = model.photons_per_gate(k)
+            assert n_g == pytest.approx(1e12 / 291.0 ** k, rel=1e-15)
+            assert n_g == pytest.approx(
+                PI_SQ_OVER_16 / 10.0 ** model.log10_eta(k), rel=1e-12)
+        assert model.photons_per_gate(200) == 0.0  # 291^200 has no float value
 
 
 class TestFitNoiseModel:
@@ -254,7 +260,7 @@ class TestSerialization:
             AffineNoise(5e-6, c=1.0),
             ExponentialNoise(1e-9, beta=0.5),
             TabulatedNoise(1e-5, (1.0, 2.0, 4.0, 8.0)),
-            ShorPhotonNoise(L=10 ** 6, n_tot=1e12, A=291),
+            ShorPhotonNoise(n_L=1e6, A=291.0),
         ],
     )
     def test_round_trip(self, model):
@@ -268,8 +274,10 @@ class TestSerialization:
         assert d == {"model": "exp", "eta0": 1e-9, "beta": 0.5}
         d = model_to_dict(TabulatedNoise(1e-5, (1.0, 2.0)))
         assert d == {"model": "table", "eta0": 1e-5, "f_values": [1.0, 2.0]}
-        d = model_to_dict(ShorPhotonNoise(L=4, n_tot=2.0, A=575))
-        assert d == {"model": "shor", "L": 4, "ntot": 2.0, "A": 575}
+        d = model_to_dict(ShorPhotonNoise(n_L=2.0, A=575))
+        assert d == {"model": "shor", "nL": 2.0, "A": 575}
+        with pytest.raises(ValueError, match="missing field 'nL'"):
+            model_from_dict({"model": "shor", "L": 4, "ntot": 8.0, "A": 575})
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown noise model"):

@@ -69,9 +69,9 @@ class TestOptimizePhotonBudget:
     def test_model_construction(self):
         problem = ShorProblem(R=10 ** 3)
         model = photon_noise_model(problem, 1e6, ALIFERIS)
-        assert model.L == 10 ** 6
-        assert model.n_tot == pytest.approx(1e12)
-        assert model.A == ALIFERIS.D  # per-level component growth
+        assert model.n_L == 1e6  # L cancels: the law sees photons per logical gate
+        assert model.A == ALIFERIS.D  # per-level gate growth
+        assert model == photon_noise_model(ShorProblem(R=10 ** 7), 1e6, ALIFERIS)
 
     def test_small_key_needs_no_encoding(self):
         result = optimize_photon_budget(ShorProblem(R=10 ** 3), 1e6, ALIFERIS)
@@ -221,10 +221,10 @@ class TestEnergyBill:
     def test_hundred_thousand_bit_reference(self):
         problem = ShorProblem(R=10 ** 5)
         bill = energy_bill(problem, 1e9, 1, gamma=10.0, omega0=1e10, scheme=ALIFERIS)
-        assert bill.n_g == pytest.approx(1e9 / 575.0, rel=1e-12)
+        assert bill.n_g == pytest.approx(1e9 / 291.0, rel=1e-12)
         assert bill.E_tot == pytest.approx(1.05e-5, rel=1e-2)  # ~10 uJ
-        assert bill.T_tot == pytest.approx(4.26e3, rel=1e-2)  # ~1000 s scale
-        assert bill.P_avg == pytest.approx(2.48e-9, rel=1e-2)  # ~1 nW scale
+        assert bill.T_tot == pytest.approx(2.15e3, rel=1e-2)  # ~1000 s scale
+        assert bill.P_avg == pytest.approx(4.90e-9, rel=1e-2)  # ~1 nW scale
 
     def test_no_concatenation_means_no_clock_slowdown(self):
         problem = ShorProblem(R=10 ** 3)
@@ -235,7 +235,7 @@ class TestEnergyBill:
     def test_identities(self, n_L, k):
         problem = ShorProblem(R=10 ** 4)
         bill = energy_bill(problem, n_L, k, gamma=10.0, omega0=1e10, scheme=ALIFERIS)
-        assert bill.n_g == pytest.approx(n_L / ALIFERIS.A ** k, rel=1e-12)
+        assert bill.n_g == pytest.approx(n_L / ALIFERIS.D ** k, rel=1e-12)
         assert bill.tau_L == pytest.approx(ALIFERIS.M ** k * bill.tau_g, rel=1e-12)
         assert bill.T_tot == pytest.approx(problem.L * bill.tau_L, rel=1e-12)
         assert bill.P_avg * bill.T_tot == pytest.approx(bill.E_tot, rel=1e-12)
@@ -274,7 +274,33 @@ class TestRwaMargin:
 
     def test_concatenated_operating_point(self):
         got = rwa_margin(1e11, 2, gamma=10.0, omega0=1e10, scheme=ALIFERIS)
-        n_g = 1e11 / 575.0 ** 2
-        assert n_g == pytest.approx(3.02e5, rel=1e-2)
+        n_g = 1e11 / 291.0 ** 2
+        assert n_g == pytest.approx(1.18e6, rel=1e-2)
         assert got == pytest.approx(1e9 / n_g, rel=1e-12)
-        assert got == pytest.approx(3.3e3, rel=2e-2)
+        assert got == pytest.approx(8.47e2, rel=2e-2)
+
+
+def _assert_bill_prices_the_law(problem, n_L, k, scheme):
+    """The bill's n_g and the RWA margin use the photons per physical gate
+    of the noise law the optimizer scans: eta(k) = (pi^2/16) / n_g."""
+    law = photon_noise_model(problem, n_L, scheme)
+    bill = energy_bill(problem, n_L, k, gamma=10.0, omega0=1e10, scheme=scheme)
+    assert bill.n_g == pytest.approx(PI_SQ_OVER_16 / 10.0 ** law.log10_eta(k), rel=1e-12)
+    assert rwa_margin(n_L, k, 10.0, 1e10, scheme) == pytest.approx(
+        (1e10 / 10.0) / bill.n_g, rel=1e-12)
+
+
+class TestOnePhotonLaw:
+    @pytest.mark.parametrize("R, k", [(10 ** 3, 0), (10 ** 5, 1), (10 ** 7, 2)])
+    def test_bill_at_the_minimum_budget(self, R, k):
+        problem = ShorProblem(R=R)
+        budget = min_photon_budget(problem, ALIFERIS)
+        assert budget.k == k
+        _assert_bill_prices_the_law(problem, budget.n_L, budget.k, ALIFERIS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_n_L=st.floats(0.0, 20.0), k=st.integers(0, 12),
+           D=st.integers(2, 1000), R=st.integers(2, 10 ** 6))
+    def test_bill_over_a_grid(self, log_n_L, k, D, R):
+        scheme = make_scheme(575, 291, 10_000, D, 3)
+        _assert_bill_prices_the_law(ShorProblem(R=R), 10.0 ** log_n_L, k, scheme)
