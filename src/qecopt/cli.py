@@ -12,7 +12,9 @@ under every command that takes it.  The argparse subcommands, the
 per-command config schemas (CONFIG_SCHEMA) and config resolution (flag, else
 config, else default) are all generated from that table.
 
-Exit codes: 0 success, 1 computational infeasibility, 2 usage error.
+Exit codes: 0 success, 1 computational infeasibility, 2 usage error, and
+141 (128 + SIGPIPE, as a shell reports a reader that left early) when
+stdout is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -243,6 +246,72 @@ def _schema(command: str) -> dict:
 # also accepted, and its "config" member is then used).
 CONFIG_SCHEMA = {command: _schema(command) for command in COMMANDS}
 
+# JSON Schema's types: a bool is neither a number nor an integer, and a float
+# with no fraction (2.0) is an integer.
+_JSON_TYPES: dict[str, Callable[[Any], bool]] = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _same(a: Any, b: Any) -> bool:
+    """JSON equality of scalars, where true is not 1."""
+    return isinstance(a, bool) is isinstance(b, bool) and a == b
+
+
+def _violation(value: Any, schema: dict) -> str | None:
+    """The first way value breaks schema, or None.
+
+    Covers the keywords CONFIG_SCHEMA uses, with JSON Schema's meaning:
+    type, const, enum, oneOf, minimum, maximum, minItems, maxItems, items,
+    required, properties and additionalProperties (false only).  As in JSON
+    Schema, a keyword about numbers, arrays or objects passes other values.
+    """
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        if not any(_JSON_TYPES[t](value) for t in types):
+            return f"{value!r} is not of type {', '.join(map(repr, types))}"
+    if "const" in schema and not _same(value, schema["const"]):
+        return f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        return f"{value!r} is not one of {schema['enum']!r}"
+    if "oneOf" in schema:
+        matches = sum(_violation(value, branch) is None for branch in schema["oneOf"])
+        if matches != 1:
+            return f"{value!r} matches {matches} of the oneOf schemas, not exactly 1"
+    if _JSON_TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            return f"{value!r} is too long"
+        for item in value if "items" in schema else ():
+            if (problem := _violation(item, schema["items"])) is not None:
+                return problem
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                if (problem := _violation(item, properties[key])) is not None:
+                    return problem
+            elif schema.get("additionalProperties", True) is False:
+                return f"additional property {key!r} is not allowed"
+    return None
+
 
 def _dump_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -370,8 +439,6 @@ def _emit(report: str | Iterable[str], out: str | None) -> None:
 def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
-    import jsonschema  # only a run with --config pays for the import
-
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -380,12 +447,9 @@ def _load_config(path: str | None, command: str) -> dict:
         data = data["config"]
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA[command])
-    except jsonschema.ValidationError as exc:
-        raise UsageError(
-            f"config does not match the {command} schema: {exc.message}"
-        ) from exc
+    problem = _violation(data, CONFIG_SCHEMA[command])
+    if problem is not None:
+        raise UsageError(f"config does not match the {command} schema: {problem}")
     return data
 
 
@@ -579,7 +643,7 @@ def cmd_gatesim(args: argparse.Namespace, config: dict) -> int:
             "p_y": channel.chi_diag[2],
             "p_z": channel.chi_diag[3],
             "asymptotic": {"p_x": asym[0], "p_y": asym[1], "p_z": asym[2]},
-            "rwa_marginal": spec.rwa_margin <= shor.RWA_MARGINAL_RATIO,
+            "rwa_marginal": spec.rwa_margin <= gatesim.RWA_MARGINAL_RATIO,
         }
     )
     _emit(_dump_json({"config": cfg, "result": result}), args.out)
@@ -646,7 +710,7 @@ def cmd_shor(args: argparse.Namespace, config: dict) -> int:
             "log10_p_min": log10_p_min.log10_value,
             "meets_target": log10_p_min.log10_value <= math.log10(p_err),
             "rwa_margin": margin,
-            "rwa_marginal": margin <= shor.RWA_MARGINAL_RATIO,
+            "rwa_marginal": margin <= gatesim.RWA_MARGINAL_RATIO,
         }
     )
     if args.format == "csv":
@@ -741,8 +805,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+# Exit code when stdout closes before the report is written (128 + SIGPIPE).
+CLOSED_PIPE_EXIT = 141
+
+
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # Python's documented idiom: stdout points at devnull, so the flush
+        # at exit writes nowhere instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_PIPE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -54,7 +54,9 @@ _CHOI_BASIS = np.array([[np.kron(p, q.T) for q in PAULIS] for p in PAULIS])
 
 TP_TOL = 1e-9
 CP_TOL = -1e-8
-RWA_FRACTION = 0.01  # warn when n_g >= RWA_FRACTION * omega0/gamma
+# The rotating-wave approximation is marginal when (omega0/gamma) / n_g is
+# at most this ratio.
+RWA_MARGINAL_RATIO = 100.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ class GateSpec:
 
     @property
     def rwa_margin(self) -> float:
-        """(omega0/gamma) / n_g; values <= 100 are marginal for the RWA."""
+        """(omega0/gamma) / n_g; values <= RWA_MARGINAL_RATIO are marginal
+        for the RWA."""
         if self.omega0 is None:
             return math.inf
         return (self.omega0 / self.gamma) / self.n_g
@@ -232,7 +235,7 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
     propagator; once gamma tau itself overflows (n_g below ~1e-308 photons)
     the propagator is not finite, and that raises ValueError.
     """
-    if spec.omega0 is not None and spec.n_g >= RWA_FRACTION * spec.omega0 / spec.gamma:
+    if spec.rwa_margin <= RWA_MARGINAL_RATIO:
         from . import _warn
 
         _warn(f"rotating-wave approximation is marginal: n_g={spec.n_g:g} vs "

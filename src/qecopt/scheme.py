@@ -382,19 +382,20 @@ MODEL_FIELDS: dict[str, tuple[str, ...]] = {
 
 _MODEL_CLASSES = {"affine": AffineNoise, "exp": ExponentialNoise,
                   "table": TabulatedNoise, "shor": ShorPhotonNoise}
+# Each wire field's attribute name, where the two differ.
+_ATTRIBUTES = {"nL": "n_L"}
 
 
 def model_to_dict(model: NoiseModel) -> dict:
-    """JSON-ready representation: {"model": name, **fields}."""
-    if isinstance(model, AffineNoise):
-        return {"model": "affine", "eta0": model.eta0, "c": model.c}
-    if isinstance(model, ExponentialNoise):
-        return {"model": "exp", "eta0": model.eta0, "beta": model.beta}
-    if isinstance(model, TabulatedNoise):
-        return {"model": "table", "eta0": model.eta0,
-                "f_values": list(model.f_values)}
-    if isinstance(model, ShorPhotonNoise):
-        return {"model": "shor", "nL": model.n_L, "A": model.A}
+    """JSON-ready representation: {"model": name, **fields}, a table's
+    f_values as a list."""
+    for kind, cls in _MODEL_CLASSES.items():
+        if isinstance(model, cls):
+            data: dict = {"model": kind}
+            for name in MODEL_FIELDS[kind]:
+                value = getattr(model, _ATTRIBUTES.get(name, name))
+                data[name] = list(value) if isinstance(value, tuple) else value
+            return data
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -410,9 +411,7 @@ def model_from_dict(data: dict) -> NoiseModel:
             f"unknown noise model {kind!r}; known: {', '.join(MODEL_FIELDS)}"
         )
     try:
-        fields = {name: data[name] for name in MODEL_FIELDS[kind]}
+        fields = {_ATTRIBUTES.get(name, name): data[name] for name in MODEL_FIELDS[kind]}
     except KeyError as exc:
         raise ValueError(f"noise model {kind!r} missing field {exc}") from None
-    if kind == "shor":
-        fields["n_L"] = fields.pop("nL")
     return _MODEL_CLASSES[kind](**fields)

@@ -15,12 +15,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .gatesim import GateSpec, pulse_params
 from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax
 from .scheme import PI_SQ_OVER_16, FTScheme, LogProb, ShorPhotonNoise
 
 HBAR = 1.054571817e-34  # J*s
-
-RWA_MARGINAL_RATIO = 100.0
 
 N_L_SEARCH_CAP = 1e30
 
@@ -189,14 +188,15 @@ def min_photon_budget(
                      log10_p_min=result.log10_p_min)
 
 
-def _photons_per_gate(n_L: float, k: int, gamma: float, omega0: float,
-                      scheme: FTScheme) -> float:
-    """n_g at a checked operating point, from the law the optimizer scans."""
-    if not all(0.0 < v < math.inf for v in (n_L, gamma, omega0)):
-        raise ValueError("n_L, gamma and omega0 must be positive and finite")
+def _physical_pulse(n_L: float, k: int, gamma: float, omega0: float,
+                    scheme: FTScheme) -> GateSpec:
+    """The pi-pulse of one physical gate at level k, with the n_g of the law
+    the optimizer scans; the law and GateSpec check n_L, gamma, omega0 and
+    n_g."""
     if k < 0:
         raise ValueError("concatenation level must be >= 0")
-    return photon_noise_model(None, n_L, scheme).photons_per_gate(k)
+    n_g = photon_noise_model(None, n_L, scheme).photons_per_gate(k)
+    return GateSpec(theta=math.pi, gamma=gamma, n_g=n_g, omega0=omega0)
 
 
 def energy_bill(
@@ -211,24 +211,23 @@ def energy_bill(
 
     Each physical gate gets the n_g photons of the noise law
     (photon_noise_model); the clock interval is the pi-pulse duration
-    pi^2/(4 gamma n_g); a level-k logical gate takes M^k clock cycles.  ValueError when a figure
-    leaves the float range.
+    pi^2/(4 gamma n_g) (gatesim.pulse_params); a level-k logical gate takes
+    M^k clock cycles.  ValueError when a figure leaves the float range.
     """
-    n_g = _photons_per_gate(n_L, k, gamma, omega0, scheme)
-    rate = 4.0 * gamma * n_g
-    tau_g = math.pi ** 2 / rate if rate > 0.0 else math.inf
+    pulse = _physical_pulse(n_L, k, gamma, omega0, scheme)
+    _, tau_g = pulse_params(pulse)
     tau_L = scheme.M ** k * tau_g
     t_tot = problem.L * tau_L
     e_tot = HBAR * omega0 * problem.L * n_L
     p_avg = e_tot / t_tot if t_tot > 0.0 else math.inf
-    if not all(0.0 < v < math.inf for v in (n_g, tau_g, t_tot, e_tot, p_avg)):
+    if not all(0.0 < v < math.inf for v in (t_tot, e_tot, p_avg)):
         raise ValueError(
             f"energy bill is outside float range at n_L={n_L:g}, k={k}, "
             f"gamma={gamma:g}, omega0={omega0:g}"
         )
     return EnergyBill(
         n_L=n_L,
-        n_g=n_g,
+        n_g=pulse.n_g,
         k=k,
         E_tot=e_tot,
         P_avg=p_avg,
@@ -241,14 +240,13 @@ def energy_bill(
 def rwa_margin(
     n_L: float, k: int, gamma: float, omega0: float, scheme: FTScheme
 ) -> float:
-    """(omega0/gamma) / n_g, with n_g the photons per physical gate of the
-    noise law (photon_noise_model).
+    """(omega0/gamma) / n_g (GateSpec.rwa_margin), with n_g the photons per
+    physical gate of the noise law (photon_noise_model).
 
-    Ratios <= RWA_MARGINAL_RATIO mean the rotating-wave design of the gates
-    is marginal at this operating point.
+    Ratios <= gatesim.RWA_MARGINAL_RATIO mean the rotating-wave design of
+    the gates is marginal at this operating point.
     """
-    n_g = _photons_per_gate(n_L, k, gamma, omega0, scheme)
-    margin = (omega0 / gamma) / n_g if n_g > 0.0 else math.inf
+    margin = _physical_pulse(n_L, k, gamma, omega0, scheme).rwa_margin
     if not 0.0 < margin < math.inf:
         raise ValueError(f"rotating-wave margin is outside float range: {margin:g}")
     return margin

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qecopt
-from qecopt.cli import COMMANDS, CONFIG_SCHEMA, main
+from qecopt.cli import CLOSED_PIPE_EXIT, COMMANDS, CONFIG_SCHEMA, main
 from qecopt.scheme import PI_SQ_OVER_16
 
 
@@ -688,25 +688,50 @@ class TestFit:
         assert code == 2
 
 
-def test_import_leaves_scipy_submodules_unloaded():
-    # The runtime is numpy-only: neither the gate channel nor the square
-    # lattice's C_z loads SciPy, and jsonschema (--config) is imported by the
-    # calls that need it, not by the CLI.
+def _cli_env() -> dict:
     env = dict(os.environ)
     src = str(Path(qecopt.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src] + [env.get("PYTHONPATH", "")])
+    return env
+
+
+def test_import_leaves_scipy_submodules_unloaded(tmp_path):
+    # The runtime is numpy-only: neither the gate channel nor the square
+    # lattice's C_z loads SciPy, and --config is checked without jsonschema,
+    # which is blocked from import here.
     probe = (
         "import contextlib, io, sys\n"
+        "sys.modules['jsonschema'] = None\n"
         "import qecopt.cli as cli\n"
-        "print('jsonschema' in sys.modules)\n"
         "for argv in (['gatesim', '--theta', 'pi', '--gamma', '1', '--ng', '1000'],\n"
         "             ['longrange', '--lattice', 'square', '--z', '1.1',\n"
         "              '--N0', '250000', '--compare']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
+        "report = sys.argv[1]\n"
+        "assert cli.main(['shor', '--R', '1000', '--gamma', '10', '--omega0', '1e10',\n"
+        "                 '--out', report]) == 0\n"
+        "again = io.StringIO()\n"
+        "with contextlib.redirect_stdout(again):\n"
+        "    assert cli.main(['shor', '--config', report]) == 0\n"
+        "assert again.getvalue() == open(report).read()\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "shor.json")],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["False", "[]"]
+    assert done.stdout.split("\n")[:1] == ["[]"]
+
+
+def test_closed_pipe_exits_quietly():
+    # The reader leaves after one line of a long report: no traceback, and
+    # the exit code names the closed pipe.
+    argv = [sys.executable, "-m", "qecopt.cli", "sweep", "--model", "affine",
+            "--eta0", "5e-6", "--axis", "c:0:4:100000", "--kcap", "8"]
+    with subprocess.Popen(argv, env=_cli_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"c,k_max,log10_p_min,status\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == CLOSED_PIPE_EXIT == 141
+    assert err == b""

@@ -6,15 +6,20 @@ of valid, junk and edge values: 0, -1, nan, inf, 1e+-300, pi/0, a missing
 path, and the wrong command.  The flags and keys come from the command's own
 parameter table.  Grid counts, kcap and N0 come from short bounded lists, so
 every example stays small.
+
+The same configs, nudged with junk at any depth, also hold the config-schema
+walker (cli._violation) to jsonschema: both accept and reject the same ones.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -274,3 +279,152 @@ def test_fuzzed_config_exits_cleanly(workdir, base_configs, data):
         # Flags of the same command ride along; a flag wins over its key.
         argv += data.draw(mutated_argv(BASES[i]))[1:]
     check(argv, workdir)
+
+
+# The config walker against jsonschema, the reference it replaced.  Junk is
+# any JSON value, with keys drawn from the schemas' own names so that junk
+# objects come close to valid axes and schemes.
+SCHEMA_KEYS = sorted({p.key for p in cli.PARAMS} | {"command", "param", "min", "max",
+                                                     "count", "spacing", "A_prime",
+                                                     "B", "M"})
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from([2.0, -0.0, 1e300, 10 ** 400, "log", "affine", "chain", "shor"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(SCHEMA_KEYS), inner, max_size=5)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def nudged(draw, value):
+    """value with one member, at any depth, replaced by junk, dropped or
+    added; or value replaced by junk outright."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(st.sampled_from(list(copy) if isinstance(copy, dict)
+                                   else range(len(copy))))
+        if draw(st.integers(0, 4)) == 0:
+            del copy[key]
+        else:
+            copy[key] = draw(nudged(copy[key]))
+        return copy
+    if isinstance(value, dict) and draw(st.booleans()):
+        return dict(value, **{draw(st.sampled_from(SCHEMA_KEYS)): draw(JUNK)})
+    return draw(JUNK)
+
+
+@functools.cache
+def reference(command: str):
+    """The validator jsonschema.validate builds for the command's schema,
+    built once: the schema is checked here and not again per config."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = cli.CONFIG_SCHEMA[command]
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema)
+
+
+def assert_walker_agrees(config) -> None:
+    for command, schema in cli.CONFIG_SCHEMA.items():
+        problem = cli._violation(config, schema)
+        assert (problem is None) == reference(command).is_valid(config), (command, config)
+        if problem is not None:
+            assert "\n" not in problem
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_walker_agrees_with_jsonschema(base_configs, data):
+    i = data.draw(st.integers(0, len(BASES) - 1))
+    config = data.draw(mutated_config(base_configs[i]))
+    for _ in range(data.draw(st.integers(0, 2))):
+        config = data.draw(nudged(config))
+    assert_walker_agrees(config)
+
+
+AXIS = {"param": "c", "min": 0.0, "max": 1.0, "count": 3}
+SCHEME = {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3}
+
+
+@pytest.mark.parametrize("config", [
+    # 2.0 is an integer and true is neither an integer nor a number.
+    {"command": "shor", "R": 2.0}, {"command": "shor", "R": True},
+    {"command": "shor", "gamma": 2.0}, {"command": "shor", "gamma": True},
+    {"command": "longrange", "N0": 1e300}, {"command": "longrange", "N0": 2.5},
+    {"command": "longrange", "compare": 1}, {"command": "longrange", "compare": True},
+    # const and enum tell true from 1.
+    {"command": True}, {"command": 1}, {"command": "optimize", "model": True},
+    # -0.0, NaN and inf against minimum and maximum.
+    {"command": "optimize", "kcap": -0.0}, {"command": "optimize", "kcap": math.nan},
+    {"command": "optimize", "kcap": math.inf}, {"command": "optimize", "kcap": 10 ** 400},
+    {"command": "sweep", "axes": [dict(AXIS, count=-0.0)]},
+    {"command": "sweep", "axes": [dict(AXIS, count=1e6)]},
+    {"command": "sweep", "axes": [dict(AXIS, count=1e6 + 1)]},
+    {"command": "sweep", "axes": [dict(AXIS, count=math.nan)]},
+    {"command": "sweep", "axes": [dict(AXIS, count=math.inf)]},
+    {"command": "sweep", "axes": [dict(AXIS, min=math.nan, max=-math.inf)]},
+    # An extra or missing key inside an axis object, and too many axes.
+    {"command": "sweep", "axes": [dict(AXIS, volume=1)]},
+    {"command": "sweep", "axes": [{"param": "c", "min": 0.0, "max": 1.0}]},
+    {"command": "sweep", "axes": [AXIS, AXIS, AXIS]},
+    {"command": "sweep", "axes": [dict(AXIS, spacing="cubic")]},
+    # A scheme under neither oneOf branch, and one under the object branch.
+    {"command": "shor", "scheme": 291}, {"command": "shor", "scheme": [575]},
+    {"command": "shor", "scheme": dict(SCHEME, D=291.5)},
+    {"command": "shor", "scheme": dict(SCHEME, extra=1)},
+    {"command": "shor", "scheme": SCHEME}, {"command": "shor", "scheme": dict(SCHEME, D=2.0)},
+    # Pairs of exactly two numbers.
+    {"command": "fit", "samples": [[0, 1e-5], [1, True]]},
+    {"command": "fit", "samples": [[0, 1e-5, 3]]}, {"command": "fit", "samples": [[0]]},
+    # null only where a parameter is optional.
+    {"command": "shor", "nL": None}, {"command": "shor", "R": None},
+    {"command": "gatesim", "omega0": None}, {"command": "gatesim", "omega0": "1e9"},
+])
+def test_walker_agrees_with_jsonschema_on_edges(config):
+    assert_walker_agrees(config)
+
+
+@pytest.mark.parametrize("schema", [
+    {"const": 1}, {"const": True}, {"enum": [1, 2.0]}, {"enum": [False]},
+    {"minimum": 1}, {"maximum": 1}, {"type": "number", "minimum": -1, "maximum": 1},
+    {"type": ["integer", "null"]}, {"oneOf": [{"type": "number"}, {"type": "integer"}]},
+])
+@pytest.mark.parametrize("value", [
+    True, False, 1, 1.0, 2.0, 0, -0.0, math.nan, math.inf, -math.inf, None, "1", [1],
+])
+def test_walker_keeps_json_schema_rules_beyond_config_schema(schema, value):
+    # CONFIG_SCHEMA compares only strings and bounds only integers, so these
+    # rules (true is not 1; NaN passes minimum and maximum) show only here.
+    jsonschema = pytest.importorskip("jsonschema")
+    accepted = jsonschema.validators.validator_for(schema)(schema).is_valid(value)
+    assert (cli._violation(value, schema) is None) == accepted
+
+
+WALKER_KEYWORDS = {"type", "const", "enum", "oneOf", "minimum", "maximum", "minItems",
+                   "maxItems", "items", "required", "properties", "additionalProperties"}
+
+
+def schema_keywords(schema: dict) -> Iterator[tuple[str, object]]:
+    """Every (keyword, value) pair of a schema and of its subschemas."""
+    for keyword, value in schema.items():
+        yield keyword, value
+        if keyword == "properties":
+            for sub in value.values():
+                yield from schema_keywords(sub)
+        elif keyword == "items":
+            yield from schema_keywords(value)
+        elif keyword == "oneOf":
+            for sub in value:
+                yield from schema_keywords(sub)
+
+
+def test_config_schema_uses_only_the_walkers_keywords():
+    pairs = [pair for schema in cli.CONFIG_SCHEMA.values()
+             for pair in schema_keywords(schema)]
+    assert {keyword for keyword, _ in pairs} == WALKER_KEYWORDS
+    # The walker reads additionalProperties as false and compares const and
+    # enum values as scalars.
+    assert {repr(v) for k, v in pairs if k == "additionalProperties"} == {"False"}
+    assert all(isinstance(v, str) for k, v in pairs if k == "const")
+    assert all(isinstance(e, str) for k, v in pairs if k == "enum" for e in v)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qecopt.gatesim import (
+    RWA_MARGINAL_RATIO,
     GateSpec,
     QubitChannel,
     asymptotic_pauli_errors,
@@ -322,6 +323,17 @@ class TestEvolveNoisyGate:
         [record] = caplog.records
         assert record.name == "qecopt" and record.levelname == "WARNING"
         assert "rotating-wave" in record.getMessage()
+
+    @pytest.mark.parametrize("omega0,warned", [
+        (1e9, True), (math.nextafter(1e9, math.inf), False), (None, False),
+    ])
+    def test_rwa_warning_threshold(self, caplog, omega0, warned):
+        # The warning and the reports' rwa_marginal share one threshold:
+        # a margin of exactly RWA_MARGINAL_RATIO is marginal.
+        spec = GateSpec(theta=PI, gamma=1.0, n_g=1e7, omega0=omega0)
+        assert (spec.rwa_margin <= RWA_MARGINAL_RATIO) is warned
+        evolve_noisy_gate(spec)
+        assert bool(caplog.records) is warned
 
     def test_channel_export_schema(self):
         spec = GateSpec(theta=PI, gamma=10.0, n_g=1e3, omega0=1e10)

@@ -289,6 +289,8 @@ class TestSerialization:
                 model_from_dict({"model": old, "eta0": 1e-5, "beta": 1.0})
         with pytest.raises(ValueError, match="missing field 'beta'"):
             model_from_dict({"model": "exp", "eta0": 1e-5})
+        with pytest.raises(TypeError, match="unknown noise model"):
+            model_to_dict(FTScheme(1, 1, 1, 1, 1))
 
     def test_invalid_payload_rejected(self):
         with pytest.raises(ValueError):

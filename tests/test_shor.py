@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecopt.gatesim import GateSpec, pulse_params
 from qecopt.scheme import PI_SQ_OVER_16, get_scheme, make_scheme
 from qecopt.shor import (
     HBAR,
@@ -288,6 +289,15 @@ def _assert_bill_prices_the_law(problem, n_L, k, scheme):
     assert bill.n_g == pytest.approx(PI_SQ_OVER_16 / 10.0 ** law.log10_eta(k), rel=1e-12)
     assert rwa_margin(n_L, k, 10.0, 1e10, scheme) == pytest.approx(
         (1e10 / 10.0) / bill.n_g, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_L,k", [(1e6, 0), (1e9, 1), (1e11, 2), (3e12, 3)])
+def test_bill_and_margin_are_the_gate_pulse(n_L, k):
+    # One pulse formula and one margin, gatesim's, to the bit.
+    bill = energy_bill(ShorProblem(R=10 ** 4), n_L, k, 10.0, 1e10, ALIFERIS)
+    pulse = GateSpec(theta=math.pi, gamma=10.0, n_g=bill.n_g, omega0=1e10)
+    assert bill.tau_g == pulse_params(pulse)[1] == math.pi ** 2 / (4.0 * 10.0 * bill.n_g)
+    assert rwa_margin(n_L, k, 10.0, 1e10, ALIFERIS) == pulse.rwa_margin
 
 
 class TestOnePhotonLaw:
