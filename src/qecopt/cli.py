@@ -12,6 +12,11 @@ under every command that takes it.  The argparse subcommands, the
 per-command config schemas (CONFIG_SCHEMA) and config resolution (flag, else
 config, else default) are all generated from that table.
 
+Each cmd_* handler resolves its settings and computes; main renders every
+report, JSON through _report and CSV through _csv_table.  A parameter given
+by flag or config that the handler left out of its resolved config (it did
+not read it) is a usage error.
+
 Exit codes: 0 success, 1 computational infeasibility, 2 usage error, and
 141 (128 + SIGPIPE, as a shell reports a reader that left early) when
 stdout is closed before the report is written.
@@ -391,10 +396,13 @@ _TABLE = "\x00table"
 
 
 def _report(payload: dict, blocks: Iterable[dict[str, Sequence]]) -> Iterator[str]:
-    """The chunks of _dump_json(payload) with its one _TABLE value replaced
-    by the table in blocks.  The rest of the report is encoded before the
-    first chunk is returned, so a bad value there writes nothing."""
-    head, _, tail = _dump_json(payload).partition(json.dumps(_TABLE))
+    """The chunks of _dump_json(payload) with its _TABLE value, if it has
+    one, replaced by the table in blocks.  The rest of the report is encoded
+    before the first chunk is returned, so a bad value there writes nothing."""
+    text = _dump_json(payload)
+    head, marker, tail = text.partition(json.dumps(_TABLE))
+    if not marker:
+        return iter((text,))
     line = head[head.rfind("\n") + 1:]
     depth = (len(line) - len(line.lstrip(" "))) // 2
     return itertools.chain((head,), _json_table(blocks, depth), (tail,))
@@ -418,14 +426,8 @@ def _csv_table(names: Sequence[str], blocks: Iterable[dict[str, Sequence]]) -> I
         yield "".join(map(template.__mod__, zip(*cells)))
 
 
-def _csv_row(names: Sequence[str], row: dict) -> Iterator[str]:
-    """A one-row CSV table of row's values under names."""
-    return _csv_table(names, [{name: [row[name]] for name in names}])
-
-
-def _emit(report: str | Iterable[str], out: str | None) -> None:
-    """Write a report, whole or in chunks, to stdout or to the file out."""
-    chunks = (report,) if isinstance(report, str) else report
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write a report's chunks to stdout or to the file out."""
     if out is None:
         sys.stdout.writelines(chunks)
         return
@@ -436,21 +438,24 @@ def _emit(report: str | Iterable[str], out: str | None) -> None:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _load_config(path: str | None, command: str) -> dict:
+def _load_config(path: str | None, command: str) -> tuple[dict, bool]:
+    """The config in the file at path ({} for none), and whether the file
+    was a report, whose "config" member is then the config."""
     if path is None:
-        return {}
+        return {}, False
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if isinstance(data, dict) and "config" in data and "result" in data:
+    report = isinstance(data, dict) and "config" in data and "result" in data
+    if report:
         data = data["config"]
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
     problem = _violation(data, CONFIG_SCHEMA[command])
     if problem is not None:
         raise UsageError(f"config does not match the {command} schema: {problem}")
-    return data
+    return data, report
 
 
 def _settings(args: argparse.Namespace, config: dict,
@@ -474,29 +479,34 @@ def _settings(args: argparse.Namespace, config: dict,
     return cfg
 
 
-def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
+# What a handler returns: the resolved config, the report's result, the CSV
+# header (None for a report that is JSON only) and the table as blocks of
+# columns.  main renders it: a result without _TABLE is written alone in
+# JSON, and the CSV report is the table.
+Report = tuple[dict, dict, Sequence[str] | None, Iterable[dict[str, Sequence]]]
+
+
+def cmd_optimize(args: argparse.Namespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "model", "kcap"))
     _settings(args, config, scheme.MODEL_FIELDS[cfg["model"]], cfg)
     sch = _parse_scheme(cfg["scheme"])
     model = scheme.model_from_dict(cfg)
     result = optimizer.find_kmax(sch, model, k_cap=cfg["kcap"])
-    if args.format == "csv":
-        _emit(_csv_table(("k", "log10_p"), [result.curve_columns()]), args.out)
-        return 0
     report: dict[str, Any] = dict(result.to_dict(), curve=_TABLE)
     if isinstance(model, scheme.ExponentialNoise):
+        # The bounds hold for a law that grows: beta > 0 and D >= 2.
         report["bounds"] = optimizer.exp_model_bounds(
             sch, model.eta0, model.beta
-        ).to_dict() if model.beta > 0 else None
+        ).to_dict() if model.beta > 0 and sch.D >= 2 else None
     if isinstance(model, scheme.AffineNoise):
         c_star = optimizer.affine_usefulness_threshold(sch.B, model.eta0)
         report["usefulness_c_star"] = c_star
         report["no_c_helps"] = c_star == 0.0
-    _emit(_report({"config": cfg, "result": report}, [result.curve_columns()]), args.out)
-    return 0
+    return cfg, report, ("k", "log10_p"), [result.curve_columns()]
 
 
-_SWEEPABLE = ("eta0", "c", "beta", "B_eta0", "n_L")
+# The law's field each sweep axis sets; B_eta0 is eta0 in units of 1/B.
+_AXIS_FIELDS = {"eta0": "eta0", "c": "c", "beta": "beta", "B_eta0": "eta0", "n_L": "nL"}
 
 
 def _axis_values(axis: dict) -> np.ndarray:
@@ -527,33 +537,27 @@ def _axis_values(axis: dict) -> np.ndarray:
     return values
 
 
-def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
-                  values: list[np.ndarray], kcap: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_minima(sch: scheme.FTScheme, point: dict, grid: dict[str, np.ndarray],
+                  kcap: int) -> tuple[np.ndarray, np.ndarray]:
     """k_max and log10 p_min at every grid point, outer axis slowest: two
     flat arrays, 16 bytes a point.
 
-    point holds the law's fixed fields; the grid is evaluated in blocks of at
+    point holds the law's fixed fields and grid each swept field's values,
+    one axis per field in axis order.  The grid is evaluated in blocks of at
     most SWEEP_BLOCK curve values, and in each block every swept field of
     point is an array along its own axis, so the law family takes each
     logarithm once per distinct value.
     """
     ks = optimizer.levels(kcap)
-    shape = [v.size for v in values]
+    shape = [v.size for v in grid.values()]
     inner = min(shape[-1], max(1, SWEEP_BLOCK // ks.size))
     chunks = [max(1, SWEEP_BLOCK // (inner * ks.size))] * (len(shape) - 1) + [inner]
     k_max, p_min = np.empty(shape, dtype=int), np.empty(shape)
     for starts in itertools.product(*(range(0, n, c) for n, c in zip(shape, chunks))):
         block = tuple(slice(s, s + c) for s, c in zip(starts, chunks))
-        for i, (axis, vals) in enumerate(zip(axes, values)):
-            # A later axis on the same field overrides an earlier one.
-            field = vals[block[i]].reshape(
+        for i, (field, vals) in enumerate(grid.items()):
+            point[field] = vals[block[i]].reshape(
                 [-1 if d == i else 1 for d in range(len(shape))] + [1])
-            if axis["param"] == "B_eta0":
-                point["eta0"] = field / sch.B
-            elif axis["param"] == "n_L":
-                point["nL"] = field
-            else:
-                point[axis["param"]] = field
         k_max[block], p_min[block] = optimizer.first_minima(
             optimizer.log10_curve(sch, scheme.model_from_dict(point), ks))
     return k_max.ravel(), p_min.ravel()
@@ -561,8 +565,8 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, axes: list[dict],
 
 def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
                 p_min: np.ndarray, kcap: int) -> Iterator[dict[str, Sequence]]:
-    """The sweep's table, REPORT_ROWS rows at a time, as columns: each axis
-    (a repeated axis shows its later values), k_max, log10_p_min and status."""
+    """The sweep's table, REPORT_ROWS rows at a time, as columns: each axis,
+    k_max, log10_p_min and status."""
     status = [optimizer.scan_status(k, kcap) for k in range(kcap + 1)]
     strides = [math.prod(v.size for v in values[i + 1:]) for i in range(len(values))]
     for start in range(0, k_max.size, REPORT_ROWS):
@@ -577,56 +581,50 @@ def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
         yield block
 
 
-def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
+def cmd_sweep(args: argparse.Namespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "model", "kcap", "axes"))
     axes, model = cfg["axes"], cfg["model"]
     if not axes:
         raise UsageError("sweep needs at least one axis (--axis or config)")
-    if len(axes) > 2:
-        raise UsageError("at most 2 sweep axes are supported")
+    if model == "table":
+        raise UsageError("sweep does not support --model table")
+    fields = scheme.MODEL_FIELDS[model]
+    choices = [param for param, field in _AXIS_FIELDS.items() if field in fields]
+    swept: dict[str, str] = {}  # each swept field of the law, and its axis
     for axis in axes:
-        if axis["param"] not in _SWEEPABLE:
-            raise UsageError(
-                f"cannot sweep {axis['param']!r}; choose from {_SWEEPABLE}"
-            )
+        param = axis["param"]
+        if param not in choices:
+            raise UsageError(f"cannot sweep {param!r} under --model {model}; "
+                             f"choose from {', '.join(choices)}")
+        field = _AXIS_FIELDS[param]
+        if field in swept:
+            raise UsageError(f"cannot sweep {param!r}: axis {swept[field]!r} already sets "
+                             f"{field}; choose from {', '.join(choices)}, one per field")
+        swept[field] = param
         if not 1 <= int(axis["count"]) <= MAX_SWEEP_POINTS:
             raise UsageError(f"axis count must lie in [1, {MAX_SWEEP_POINTS}]")
     if math.prod(int(axis["count"]) for axis in axes) > MAX_SWEEP_POINTS:
         raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
-    # B_eta0 sets eta0; n_L sets the photon law's nL.
-    swept = {"eta0" if a["param"] == "B_eta0" else a["param"] for a in axes}
-    if model == "table":
-        raise UsageError("sweep does not support --model table")
-    if "n_L" in swept and model != "shor":
-        raise UsageError("only --model shor sweeps n_L")
-    if model == "shor":
-        if "n_L" not in swept:
-            raise UsageError("shor sweeps vary n_L")
+    if model == "shor":  # its one axis is n_L, and A is the scheme's D
         _settings(args, config, ("R",), cfg)
         shor.ShorProblem(R=cfg["R"])  # echoed in every report, so checked unused too
     else:
-        fixed = [key for key in scheme.MODEL_FIELDS[model] if key not in swept]
-        _settings(args, config, fixed, cfg)
+        _settings(args, config, [f for f in fields if f not in swept], cfg)
 
     sch = _parse_scheme(cfg["scheme"])
     # model_from_dict reads only the model's fields of point.
     point = dict(cfg, A=_scheme_growth(cfg))
     values = [_axis_values(axis) for axis in axes]
-    k_max, p_min = _sweep_minima(sch, point, axes, values, cfg["kcap"])
-    # The whole grid is computed and checked before the table is streamed.
-    rows = _sweep_rows(axes, values, k_max, p_min, cfg["kcap"])
-    if args.format == "csv" or args.format is None:
-        names = [axis["param"] for axis in axes] + ["k_max", "log10_p_min", "status"]
-        _emit(_csv_table(names, rows), args.out)
-    else:
-        _check_finite(p_min)  # before the first byte; the axes are finite
-        _emit(_report({"config": cfg, "result": {"rows": _TABLE}}, rows), args.out)
-    return 0
+    grid = {field: vals / sch.B if axis["param"] == "B_eta0" else vals
+            for field, axis, vals in zip(swept, axes, values)}
+    k_max, p_min = _sweep_minima(sch, point, grid, cfg["kcap"])
+    # Before the first byte; no legal law reaches it (see scheme.NoiseModel).
+    _check_finite(p_min)
+    names = [axis["param"] for axis in axes] + ["k_max", "log10_p_min", "status"]
+    return cfg, {"rows": _TABLE}, names, _sweep_rows(axes, values, k_max, p_min, cfg["kcap"])
 
 
-def cmd_gatesim(args: argparse.Namespace, config: dict) -> int:
-    if args.format == "csv":
-        raise UsageError("gatesim reports are JSON only")
+def cmd_gatesim(args: argparse.Namespace, config: dict) -> Report:
     cfg = _settings(args, config)
     spec = gatesim.GateSpec(
         theta=cfg["theta"], gamma=cfg["gamma"], n_g=cfg["ng"], omega0=cfg["omega0"]
@@ -646,11 +644,10 @@ def cmd_gatesim(args: argparse.Namespace, config: dict) -> int:
             "rwa_marginal": spec.rwa_margin <= gatesim.RWA_MARGINAL_RATIO,
         }
     )
-    _emit(_dump_json({"config": cfg, "result": result}), args.out)
-    return 0
+    return cfg, result, None, ()
 
 
-def cmd_longrange(args: argparse.Namespace, config: dict) -> int:
+def cmd_longrange(args: argparse.Namespace, config: dict) -> Report:
     cfg = _settings(args, config)
     if not 0 < cfg["kappa"] < math.inf:  # echoed in every report, so checked unused too
         raise UsageError(f"--kappa must be positive and finite, got {cfg['kappa']!r}")
@@ -666,17 +663,14 @@ def cmd_longrange(args: argparse.Namespace, config: dict) -> int:
         asym = crosstalk.delta0_asymptotic(spec, kappa=cfg["kappa"])
         result["asymptotic"] = asym
         result["rel_err"] = abs(asym - oracle) / oracle
-    if args.format == "csv":
-        if not cfg["compare"]:
-            raise UsageError("csv output requires --compare")
-        _emit(_csv_row(("N0", "oracle", "asymptotic", "rel_err"),
-                       dict(result, N0=cfg["N0"])), args.out)
-    else:
-        _emit(_dump_json({"config": cfg, "result": result}), args.out)
-    return 0
+    elif args.format == "csv":
+        raise UsageError("csv output requires --compare")
+    row = dict(result, N0=cfg["N0"])
+    return (cfg, result, ("N0", "oracle", "asymptotic", "rel_err"),
+            [{key: [value] for key, value in row.items()}])
 
 
-def cmd_shor(args: argparse.Namespace, config: dict) -> int:
+def cmd_shor(args: argparse.Namespace, config: dict) -> Report:
     cfg = _settings(args, config)
     sch = _parse_scheme(cfg["scheme"])
     problem = shor.ShorProblem(R=cfg["R"], P_target=cfg["ptarget"])
@@ -688,11 +682,8 @@ def cmd_shor(args: argparse.Namespace, config: dict) -> int:
             problem, sch, p_err=cfg["perr"], n_L_cap=cfg["nlcap"]
         )
         if not budget.feasible:
-            sys.stderr.write(
-                f"shor: target error {p_err:.3e} unreachable within "
-                f"n_L <= {cfg['nlcap']:.0e}\n"
-            )
-            return 1
+            raise RuntimeError(f"target error {p_err:.3e} unreachable within "
+                               f"n_L <= {cfg['nlcap']:.0e}")
         n_L, k, log10_p_min = budget.n_L, budget.k, budget.log10_p_min
     else:
         n_L = cfg["nL"]
@@ -713,12 +704,8 @@ def cmd_shor(args: argparse.Namespace, config: dict) -> int:
             "rwa_marginal": margin <= gatesim.RWA_MARGINAL_RATIO,
         }
     )
-    if args.format == "csv":
-        names = ("R", "n_L", "k", "E_tot_J", "P_W", "T_tot_s", "tau_g_s")
-        _emit(_csv_row(names, result), args.out)
-    else:
-        _emit(_dump_json({"config": cfg, "result": result}), args.out)
-    return 0
+    return (cfg, result, ("R", "n_L", "k", "E_tot_J", "P_W", "T_tot_s", "tau_g_s"),
+            [{key: [value] for key, value in result.items()}])
 
 
 def _read_samples(path: str) -> list[list[float]]:
@@ -732,9 +719,7 @@ def _read_samples(path: str) -> list[list[float]]:
     return [[float(a) for a in line.split(",")] for line in lines]
 
 
-def cmd_fit(args: argparse.Namespace, config: dict) -> int:
-    if args.format == "csv":
-        raise UsageError("fit reports are JSON only")
+def cmd_fit(args: argparse.Namespace, config: dict) -> Report:
     if args.samples is None and args.infile is not None:
         args.samples = _read_samples(args.infile)  # --in stands for --samples
     cfg = _settings(args, config)
@@ -746,8 +731,7 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
         "residual": fit.residual,
         "n_points": fit.n_points,
     }
-    _emit(_dump_json({"config": cfg, "result": result}), args.out)
-    return 0
+    return cfg, result, None, ()
 
 
 _HANDLERS = {
@@ -796,7 +780,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _load_config(args.config, args.command))
+        config, from_report = _load_config(args.config, args.command)
+        cfg, result, csv_names, table = args.func(args, config)
+        for key, param in _COMMAND_PARAMS[args.command].items():
+            if key not in cfg and (getattr(args, key) is not None
+                                   or config.get(key) is not None):
+                raise UsageError(f"{param.flag} is given but this {args.command} "
+                                 "does not read it")
+        # Only sweep has no default format: CSV, or JSON for a report fed back.
+        if (args.format or ("json" if from_report else "csv")) == "json":
+            _emit(_report({"config": cfg, "result": result}, table), args.out)
+        elif csv_names is None:
+            raise UsageError(f"{args.command} reports are JSON only")
+        else:
+            _emit(_csv_table(csv_names, table), args.out)
+        return 0
     except (UsageError, ValueError, TypeError) as exc:
         sys.stderr.write(f"qecopt: {exc}\n")
         return 2

@@ -282,6 +282,12 @@ class ShorPhotonNoise:
 # member per element: the sweep builds one with each swept field shaped along
 # its own grid axis, and log10_eta then broadcasts the fields against ks (the
 # last axis).  Validation checks every member.
+#
+# Every legal law keeps log10 eta_k >= -325: eta0 is a positive float (at
+# least 5e-324), the affine, exponential and table growth factors are >= 1,
+# and the photon law's n_L is at most the largest float.  So for k <= 1000,
+# 2^k (log10 B + log10 eta_k) stays above -3.5e303 and no curve value is
+# -inf; the sweep's finiteness check on its minima cannot fire for a legal law.
 NoiseModel = Union[AffineNoise, ExponentialNoise, TabulatedNoise, ShorPhotonNoise]
 
 

@@ -76,6 +76,13 @@ class TestOptimize:
         assert bounds["useful"] is True
         assert bounds["k_tilde"] == pytest.approx(2.247, abs=1e-3)
 
+    def test_exp_bounds_are_null_at_D_1(self, capsys):
+        # D = 1 never grows, so there are no bounds, as at beta = 0.
+        code, out, err = run(capsys, "optimize", "--model", "exp", "--scheme", "1,1,1,1,1",
+                             "--eta0", "1e-9", "--beta", "0.5", "--kcap", "4")
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["bounds"] is None
+
     def test_tabulated_model(self, capsys):
         code, out, _ = run(
             capsys, "optimize", "--model", "table", "--eta0", "1e-9",
@@ -161,6 +168,25 @@ class TestDeterminismAndRoundTrip:
                      "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_sweep_report_fed_back_stays_json(self, tmp_path, capsys):
+        # A sweep defaults to CSV, but a report fed back renders as JSON.
+        first = tmp_path / "s1.json"
+        assert main(["sweep", "--model", "shor", "--R", "1000", "--kcap", "8",
+                     "--axis", "n_L:1e4:1e13:3:log", "--format", "json",
+                     "--out", str(first)]) == 0
+        code, out, err = run(capsys, "sweep", "--config", str(first))
+        assert code == 0 and err == ""
+        assert out == first.read_text()
+        code, out, _ = run(capsys, "sweep", "--config", str(first), "--format", "csv")
+        assert code == 0 and out.startswith("n_L,k_max,log10_p_min,status\n")
+
+    def test_deeply_nested_config_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"command": "shor", "x": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}")
+        code, out, err = run(capsys, "shor", "--config", str(path))
+        assert code == 2 and out == ""
+        assert "cannot read config" in err and err.count("\n") == 1
+
     def test_shor_and_fit_round_trips(self, tmp_path):
         for argv in (
             ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"],
@@ -177,7 +203,7 @@ class TestDeterminismAndRoundTrip:
     def test_repeated_calls_share_one_parser(self, capsys):
         # main builds its parser once; nothing from one call leaks into the next.
         invocations = [
-            ["sweep", "--model", "affine", "--eta0", "5e-6", "--kcap", "8",
+            ["sweep", "--model", "affine", "--kcap", "8",
              "--axis", "c:0:4:3", "--axis", "B_eta0:0.1:0.9:2"],
             ["gatesim", "--theta", "pi/2", "--gamma", "1", "--ng", "300"],
             ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10",
@@ -226,6 +252,32 @@ class TestDeterminismAndRoundTrip:
         assert "R" not in CONFIG_SCHEMA["gatesim"]["properties"]
         assert CONFIG_SCHEMA["fit"]["properties"]["model"] == {"enum": ["affine", "exp"]}
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["optimize", "--model", "affine", "--eta0", "1e-6", "--beta", "3"], "--beta"),
+        (["optimize", "--model", "shor", "--nL", "1e9", "--c", "1"], "--c"),
+        (["sweep", "--model", "affine", "--eta0", "1e-6", "--axis", "c:0:1:3",
+          "--R", "5"], "--R"),
+        # The axis sets eta0, so the flag would be overridden.
+        (["sweep", "--model", "affine", "--eta0", "1e-6",
+          "--axis", "B_eta0:0.1:0.9:3"], "--eta0"),
+        (["sweep", "--model", "exp", "--beta", "1", "--axis", "beta:0:1:3",
+          "--axis", "eta0:1e-9:1e-8:2"], "--beta"),
+    ])
+    def test_a_given_value_that_is_not_read_exits_2(self, tmp_path, capsys, argv, flag):
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert flag in err and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_a_config_key_that_is_not_read_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "optimize", "model": "affine",
+                                    "eta0": 1e-6, "beta": 3.0}))
+        code, out, err = run(capsys, "optimize", "--config", str(path))
+        assert code == 2 and out == ""
+        assert "--beta" in err and err.count("\n") == 1
+
     def test_flag_wins_over_config(self, tmp_path, capsys):
         first = tmp_path / "first.json"
         assert main(["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1",
@@ -239,7 +291,7 @@ class TestDeterminismAndRoundTrip:
 class TestSweep:
     def test_row_count_and_ordering(self, capsys):
         code, out, _ = run(
-            capsys, "sweep", "--model", "affine", "--eta0", "5e-6",
+            capsys, "sweep", "--model", "affine",
             "--axis", "c:0:10:3", "--axis", "B_eta0:0.1:0.9:2",
         )
         assert code == 0
@@ -324,7 +376,7 @@ class TestSweep:
             "--axis", "n_L:1e4:1e6:3",
         )
         assert code == 2
-        assert "n_L" in err and "Traceback" not in err
+        assert "cannot sweep 'n_L' under --model affine; choose from eta0, c, B_eta0" in err
         assert err.count("\n") == 1
 
     def test_table_model_is_rejected(self, tmp_path, capsys):
@@ -367,6 +419,23 @@ class TestSweep:
         assert code == 0
         curve = [float(line.split(",")[1]) for line in opt_out.strip().split("\n")[1:]]
         assert float(rows[0].split(",")[2]) == min(curve)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", "exp", "--eta0", "1e-8", "--beta", "0.5", "--axis", "c:0:5:3"],
+         "cannot sweep 'c' under --model exp; choose from eta0, beta, B_eta0"),
+        (["--model", "shor", "--R", "1000", "--axis", "n_L:1e4:1e8:3:log",
+          "--axis", "eta0:1e-9:1e-8:2"],
+         "cannot sweep 'eta0' under --model shor; choose from n_L"),
+        (["--model", "affine", "--axis", "eta0:1e-9:1e-8:2", "--axis", "B_eta0:0.1:0.9:3"],
+         "cannot sweep 'B_eta0': axis 'eta0' already sets eta0"),
+        (["--model", "affine", "--eta0", "1e-6", "--axis", "c:0:1:3", "--axis", "c:0:2:3"],
+         "cannot sweep 'c': axis 'c' already sets c"),
+    ])
+    def test_each_axis_sets_its_own_field_of_the_law(self, capsys, argv, message):
+        # An axis the results do not depend on is a usage error, not a column.
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert message in err and err.count("\n") == 1
 
     def test_log_axis_needs_positive_min(self, capsys):
         code, _, _ = run(
@@ -557,7 +626,7 @@ class TestShorCommand:
             "--perr", "1e-300", "--nlcap", "1e12",
         )
         assert code == 1
-        assert "unreachable" in err
+        assert err == "qecopt: target error 1.000e-300 unreachable within n_L <= 1e+12\n"
 
     @pytest.mark.parametrize("budget", [[], ["--nL", "1e6"]])
     @pytest.mark.parametrize("perr", ["0", "-1", "nan", "inf", "2"])

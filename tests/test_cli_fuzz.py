@@ -39,7 +39,7 @@ BASES = [
     ["optimize", "--model", "table", "--eta0", "1e-9", "--f-values", "1,300,90000"],
     ["optimize", "--model", "shor", "--nL", "1e9", "--kcap", "8"],
     ["sweep", "--model", "affine", "--eta0", "5e-6", "--axis", "c:0:4:3", "--kcap", "8"],
-    ["sweep", "--model", "exp", "--beta", "1", "--axis", "eta0:1e-12:1e-6:3:log",
+    ["sweep", "--model", "exp", "--axis", "eta0:1e-12:1e-6:3:log",
      "--axis", "beta:0.1:1:2", "--kcap", "8"],
     ["sweep", "--model", "shor", "--R", "1000", "--axis", "n_L:1e4:1e13:3:log",
      "--kcap", "8"],

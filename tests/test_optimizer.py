@@ -128,9 +128,8 @@ class TestFindKmax:
 
     def test_min_and_argmin_consistent_with_curve(self):
         result = find_kmax(ALIFERIS, AffineNoise(5e-6, c=2.0))
-        values = [v.log10_value for _, v in result.curve]
-        assert result.log10_p_min.log10_value == min(values)
-        assert result.k_max == values.index(min(values))
+        assert result.log10_p_min.log10_value == min(result.curve)
+        assert result.k_max == result.curve.index(min(result.curve))
 
     def test_threshold_recovery_flat_noise(self):
         # Unbounded improvement iff eta0 < 1/B, for both flat laws.

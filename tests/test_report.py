@@ -131,18 +131,20 @@ def csv_from_json(report: str, names: list[str]) -> str:
 
 @pytest.mark.parametrize("axes", [
     ["c:0:10:13", "B_eta0:0.01:0.99:9"],
-    ["c:0:10:13", "c:0:3:5"],  # a repeated axis shows its later values
+    ["eta0:1e-9:1e-4:11:log", "c:0:3:5"],
     ["beta:0:2:1"],
 ])
 def test_sweep_bytes_do_not_depend_on_the_row_block(monkeypatch, axes):
     argv = ["sweep", "--model", "exp" if axes[0].startswith("beta") else "affine",
-            "--eta0", "1e-6", "--kcap", "16"]
+            "--kcap", "16"]
+    names = [axis.split(":")[0] for axis in axes]
+    if "eta0" not in names and "B_eta0" not in names:
+        argv += ["--eta0", "1e-6"]
     for axis in axes:
         argv += ["--axis", axis]
     code, report, _ = invoke(*argv, "--format", "json")
     assert code == 0
     assert report == cli._dump_json(json.loads(report))
-    names = [axis.split(":")[0] for axis in axes]
     reports = {"json": report, "csv": csv_from_json(report, names)}
     for rows in (1, 7, cli.REPORT_ROWS):
         monkeypatch.setattr(cli, "REPORT_ROWS", rows)
@@ -153,9 +155,10 @@ def test_sweep_bytes_do_not_depend_on_the_row_block(monkeypatch, axes):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_undefined_curve_writes_no_file(tmp_path, fmt):
     out = tmp_path / "sweep.out"
+    # D = 1 and beta = 1e308: beta * k overflows to inf, and inf * log10 D is NaN.
     code, stdout, err = invoke("sweep", "--scheme", "1,1,1,1,1", "--model", "exp",
-                               "--eta0", "1e-5", "--beta", "1e308",
-                               "--axis", "c:0:1:3", "--format", fmt, "--out", out)
+                               "--beta", "1e308", "--axis", "eta0:1e-5:1e-4:3",
+                               "--format", fmt, "--out", out)
     assert code == 2 and stdout == ""
     assert "NaN" in err and err.count("\n") == 1
     assert not out.exists()
