@@ -14,8 +14,8 @@ config, else default) are all generated from that table.
 
 Each cmd_* handler resolves its settings and computes; main renders every
 report, JSON through _report and CSV through _csv_table.  A parameter given
-by flag or config that the handler left out of its resolved config (it did
-not read it) is a usage error.
+by flag or config that the handler left out of its resolved config (it does
+not read it) is a usage error, raised before the handler computes.
 
 Exit codes: 0 success, 1 computational infeasibility, 2 usage error, and
 141 (128 + SIGPIPE, as a shell reports a reader that left early) when
@@ -426,6 +426,11 @@ def _csv_table(names: Sequence[str], blocks: Iterable[dict[str, Sequence]]) -> I
         yield "".join(map(template.__mod__, zip(*cells)))
 
 
+def _one_row(row: dict) -> list[dict[str, list]]:
+    """The table of the one row row, for _report or _csv_table."""
+    return [{key: [value] for key, value in row.items()}]
+
+
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write a report's chunks to stdout or to the file out."""
     if out is None:
@@ -458,6 +463,16 @@ def _load_config(path: str | None, command: str) -> tuple[dict, bool]:
     return data, report
 
 
+def _reject_unread(args: argparse.Namespace, config: dict, cfg: dict) -> None:
+    """A usage error for a parameter given by flag or config that the
+    resolved cfg leaves out, i.e. that the handler does not read."""
+    for key, param in _COMMAND_PARAMS[args.command].items():
+        if key not in cfg and (getattr(args, key) is not None
+                               or config.get(key) is not None):
+            raise UsageError(f"{param.flag} is given but this {args.command} "
+                             "does not read it")
+
+
 def _settings(args: argparse.Namespace, config: dict,
               keys: Sequence[str] | None = None, cfg: dict | None = None) -> dict:
     """Resolve keys (default: all of the command's parameters) into cfg:
@@ -482,13 +497,15 @@ def _settings(args: argparse.Namespace, config: dict,
 # What a handler returns: the resolved config, the report's result, the CSV
 # header (None for a report that is JSON only) and the table as blocks of
 # columns.  main renders it: a result without _TABLE is written alone in
-# JSON, and the CSV report is the table.
+# JSON, and the CSV report is the table.  A handler that resolves only some
+# of its parameters calls _reject_unread before it computes.
 Report = tuple[dict, dict, Sequence[str] | None, Iterable[dict[str, Sequence]]]
 
 
 def cmd_optimize(args: argparse.Namespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "model", "kcap"))
     _settings(args, config, scheme.MODEL_FIELDS[cfg["model"]], cfg)
+    _reject_unread(args, config, cfg)
     sch = _parse_scheme(cfg["scheme"])
     model = scheme.model_from_dict(cfg)
     result = optimizer.find_kmax(sch, model, k_cap=cfg["kcap"])
@@ -610,13 +627,14 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> Report:
         shor.ShorProblem(R=cfg["R"])  # echoed in every report, so checked unused too
     else:
         _settings(args, config, [f for f in fields if f not in swept], cfg)
+    _reject_unread(args, config, cfg)
 
     sch = _parse_scheme(cfg["scheme"])
     # model_from_dict reads only the model's fields of point.
     point = dict(cfg, A=_scheme_growth(cfg))
     values = [_axis_values(axis) for axis in axes]
-    grid = {field: vals / sch.B if axis["param"] == "B_eta0" else vals
-            for field, axis, vals in zip(swept, axes, values)}
+    grid = {_AXIS_FIELDS[axis["param"]]: vals / sch.B if axis["param"] == "B_eta0" else vals
+            for axis, vals in zip(axes, values)}
     k_max, p_min = _sweep_minima(sch, point, grid, cfg["kcap"])
     # Before the first byte; no legal law reaches it (see scheme.NoiseModel).
     _check_finite(p_min)
@@ -665,9 +683,8 @@ def cmd_longrange(args: argparse.Namespace, config: dict) -> Report:
         result["rel_err"] = abs(asym - oracle) / oracle
     elif args.format == "csv":
         raise UsageError("csv output requires --compare")
-    row = dict(result, N0=cfg["N0"])
     return (cfg, result, ("N0", "oracle", "asymptotic", "rel_err"),
-            [{key: [value] for key, value in row.items()}])
+            _one_row(dict(result, N0=cfg["N0"])))
 
 
 def cmd_shor(args: argparse.Namespace, config: dict) -> Report:
@@ -705,7 +722,7 @@ def cmd_shor(args: argparse.Namespace, config: dict) -> Report:
         }
     )
     return (cfg, result, ("R", "n_L", "k", "E_tot_J", "P_W", "T_tot_s", "tau_g_s"),
-            [{key: [value] for key, value in result.items()}])
+            _one_row(result))
 
 
 def _read_samples(path: str) -> list[list[float]]:
@@ -782,11 +799,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config, from_report = _load_config(args.config, args.command)
         cfg, result, csv_names, table = args.func(args, config)
-        for key, param in _COMMAND_PARAMS[args.command].items():
-            if key not in cfg and (getattr(args, key) is not None
-                                   or config.get(key) is not None):
-                raise UsageError(f"{param.flag} is given but this {args.command} "
-                                 "does not read it")
         # Only sweep has no default format: CSV, or JSON for a report fed back.
         if (args.format or ("json" if from_report else "csv")) == "json":
             _emit(_report({"config": cfg, "result": result}, table), args.out)

@@ -45,15 +45,14 @@ class OptResult:
     k_max is the smallest level attaining the minimum of the scanned curve;
     status is one of STATUS_OPTIMUM, STATUS_UNBOUNDED (the curve was still
     strictly decreasing at k_cap) and STATUS_NO_ENCODING (k_max = 0, bare
-    physical gates are best).  curve holds log10 p(k) for k = 0, 1, ...;
-    a value that overflows the float range is math.inf (reported as null);
-    level 0 never overflows.
+    physical gates are best).  A curve value that overflows the float range
+    is None (reported as null); level 0 never overflows.
     """
 
     k_max: int
     log10_p_min: LogProb
     status: str
-    curve: tuple[float, ...]
+    curve: tuple[tuple[int, LogProb | None], ...]
 
     def to_dict(self) -> dict:
         """The scalar fields; the curve is a table (see curve_columns)."""
@@ -67,7 +66,7 @@ class OptResult:
         """The curve as columns: the levels "k" = 0, 1, ... (an array) and
         their "log10_p" (a list, None where the value overflowed)."""
         return {"k": np.arange(len(self.curve)),
-                "log10_p": [None if v == math.inf else v for v in self.curve]}
+                "log10_p": [None if v is None else v.log10_value for _, v in self.curve]}
 
 
 @dataclass(frozen=True)
@@ -181,8 +180,11 @@ def find_kmax(
     ks = levels(k_cap, model)
     values = log10_curve(scheme, model, ks)
     k_max = int(np.argmin(values))
-    curve = tuple(values.tolist())
-    return OptResult(k_max=k_max, log10_p_min=LogProb(curve[k_max]),
+    curve = tuple(
+        (k, None if v == math.inf else LogProb(v))
+        for k, v in enumerate(values.tolist())
+    )
+    return OptResult(k_max=k_max, log10_p_min=curve[k_max][1],
                      status=scan_status(k_max, len(ks) - 1), curve=curve)
 
 
@@ -280,7 +282,9 @@ def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport
     except OverflowError:
         inner_upper = math.inf
     ln_p_lower = -ln_b - (beta / g2) * inner_lower
-    ln_p_upper = -ln_b - g1 * beta * inner_upper
+    # g1 * beta rounds to 0 for a subnormal beta, where inner_upper has
+    # overflowed: the product is still that limit, not 0 * inf = nan.
+    ln_p_upper = -math.inf if inner_upper == math.inf else -ln_b - g1 * beta * inner_upper
 
     return BoundsReport(
         k_st=k_st,

@@ -83,6 +83,15 @@ class TestOptimize:
         assert code == 0 and err == ""
         assert json.loads(out)["result"]["bounds"] is None
 
+    def test_exp_bounds_at_a_subnormal_beta_leave_csv_alone(self, capsys):
+        # g1 * beta rounds to 0 where the bound's exponential overflows; the
+        # CSV curve does not show the bounds and runs as it did before.
+        argv = ["optimize", "--model", "exp", "--scheme", "1,1,1,2,1", "--eta0", "1e-9",
+                "--beta", "5e-324", "--kcap", "4"]
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.startswith("k,log10_p\n") and out.count("\n") == 6
+
     def test_tabulated_model(self, capsys):
         code, out, _ = run(
             capsys, "optimize", "--model", "table", "--eta0", "1e-9",
@@ -269,6 +278,16 @@ class TestDeterminismAndRoundTrip:
         assert code == 2 and out == ""
         assert flag in err and err.count("\n") == 1
         assert not out_file.exists()
+
+    def test_an_unread_value_is_reported_before_the_grid_is_computed(
+            self, monkeypatch, capsys):
+        def no_grid(*args):
+            raise AssertionError("the grid was computed")
+        monkeypatch.setattr(qecopt.cli, "_sweep_minima", no_grid)
+        code, out, err = run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
+                             "--axis", "c:0:1:3", "--R", "5")
+        assert code == 2 and out == ""
+        assert err == "qecopt: --R is given but this sweep does not read it\n"
 
     def test_a_config_key_that_is_not_read_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

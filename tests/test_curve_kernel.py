@@ -184,7 +184,8 @@ def test_find_kmax_curve_matches_the_scalar_reference(case):
     top = min(kcap, len(law.f_values) - 1) if isinstance(law, TabulatedNoise) else kcap
     values = reference_curve(sch.B, log_eta, top)
     result = find_kmax(sch, law, k_cap=kcap)
-    assert list(map(repr, result.curve)) == list(map(repr, values))
+    got = [(k, None if v is None else repr(v.log10_value)) for k, v in result.curve]
+    assert got == [(k, None if v == math.inf else repr(v)) for k, v in enumerate(values)]
     k, p, status = reference_scan(values)
     assert (result.k_max, repr(result.log10_p_min.log10_value), result.status) == (
         k, repr(p), status)
@@ -197,7 +198,7 @@ def test_ties_break_toward_the_smaller_level():
     assert code == 0
     assert out.split("\n")[1] == "0.0,0,-4.0,no-encoding-best"
     result = find_kmax(get_scheme("aliferis2006"), AffineNoise(1e-4, c=0.0), k_cap=8)
-    assert set(result.curve) == {-4.0}
+    assert {v.log10_value for _, v in result.curve} == {-4.0}
     assert (result.k_max, result.status) == (0, "no-encoding-best")
 
 

@@ -128,8 +128,9 @@ class TestFindKmax:
 
     def test_min_and_argmin_consistent_with_curve(self):
         result = find_kmax(ALIFERIS, AffineNoise(5e-6, c=2.0))
-        assert result.log10_p_min.log10_value == min(result.curve)
-        assert result.k_max == result.curve.index(min(result.curve))
+        values = [v.log10_value for _, v in result.curve]
+        assert result.log10_p_min.log10_value == min(values)
+        assert result.k_max == values.index(min(values))
 
     def test_threshold_recovery_flat_noise(self):
         # Unbounded improvement iff eta0 < 1/B, for both flat laws.
@@ -294,6 +295,12 @@ class TestExpModelBounds:
         report = exp_model_bounds(ALIFERIS, 5e-6, 1e-9)
         assert report.k_tilde > 1e6
         assert report.k_st > 1e6
+
+    def test_subnormal_beta_keeps_the_overflow_limit(self):
+        # g1 * beta rounds to 0 while (B eta0)^(-g2/beta) overflows: the
+        # upper bound is the limit p -> 0, not 0 * inf = nan.
+        report = exp_model_bounds(make_scheme(1, 1, 1, 2, 1), 1e-9, 5e-324)
+        assert report.log10_p_upper.log10_value == -math.inf
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
