@@ -666,33 +666,42 @@ def cmd_gatesim(args: argparse.Namespace, config: dict) -> Report:
 
 
 def cmd_longrange(args: argparse.Namespace, config: dict) -> Report:
-    cfg = _settings(args, config)
-    if not 0 < cfg["kappa"] < math.inf:  # echoed in every report, so checked unused too
-        raise UsageError(f"--kappa must be positive and finite, got {cfg['kappa']!r}")
+    cfg = _settings(args, config, ("lattice", "z", "N0", "compare"))
+    if cfg["compare"]:
+        _settings(args, config, ("kappa",), cfg)
+        if not 0 < cfg["kappa"] < math.inf:
+            raise UsageError(f"--kappa must be positive and finite, got {cfg['kappa']!r}")
+    elif args.format == "csv":
+        raise UsageError("csv output requires --compare")
+    _reject_unread(args, config, cfg)
     spec = crosstalk.LatticeSpec(
         d=1 if cfg["lattice"] == "chain" else 2,
         z=cfg["z"],
         N0=cfg["N0"],
         aspect=cfg["lattice"],
     )
+    # The closed form first: a z it does not cover is rejected before the oracle.
+    asym = crosstalk.delta0_asymptotic(spec, kappa=cfg["kappa"]) if cfg["compare"] else None
     oracle = crosstalk.delta_lattice_oracle(spec)
     result: dict[str, Any] = {"oracle": oracle}
-    if cfg["compare"]:
-        asym = crosstalk.delta0_asymptotic(spec, kappa=cfg["kappa"])
+    if asym is not None:
         result["asymptotic"] = asym
         result["rel_err"] = abs(asym - oracle) / oracle
-    elif args.format == "csv":
-        raise UsageError("csv output requires --compare")
     return (cfg, result, ("N0", "oracle", "asymptotic", "rel_err"),
             _one_row(dict(result, N0=cfg["N0"])))
 
 
 def cmd_shor(args: argparse.Namespace, config: dict) -> Report:
-    cfg = _settings(args, config)
+    cfg = _settings(args, config, ("scheme", "nL", "R", "gamma", "omega0", "perr"))
+    if cfg["perr"] is None:  # the target comes from P_target
+        _settings(args, config, ("ptarget",), cfg)
+    if cfg["nL"] is None:  # the budget is searched for, up to the cap
+        _settings(args, config, ("nlcap",), cfg)
+    _reject_unread(args, config, cfg)
     sch = _parse_scheme(cfg["scheme"])
-    problem = shor.ShorProblem(R=cfg["R"], P_target=cfg["ptarget"])
+    problem = shor.ShorProblem(R=cfg["R"],
+                               P_target=cfg.get("ptarget", shor.ShorProblem.P_target))
     p_err = shor.error_target(problem, cfg["perr"])
-    shor.search_cap(cfg["nlcap"])  # echoed in every report, so checked on both paths
 
     if cfg["nL"] is None:
         budget = shor.min_photon_budget(
@@ -739,9 +748,12 @@ def _read_samples(path: str) -> list[list[float]]:
 def cmd_fit(args: argparse.Namespace, config: dict) -> Report:
     if args.samples is None and args.infile is not None:
         args.samples = _read_samples(args.infile)  # --in stands for --samples
-    cfg = _settings(args, config)
+    cfg = _settings(args, config, ("samples", "model"))
+    if cfg["model"] == "exp":  # D turns the fitted slope into beta
+        _settings(args, config, ("D",), cfg)
+    _reject_unread(args, config, cfg)
     fit = scheme.fit_noise_model(
-        [tuple(s) for s in cfg["samples"]], cfg["model"], D=cfg["D"]
+        [tuple(s) for s in cfg["samples"]], cfg["model"], D=cfg.get("D")
     )
     result = {
         "model": scheme.model_to_dict(fit.model),

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import qecopt
+from qecopt import crosstalk
 from qecopt.cli import CLOSED_PIPE_EXIT, COMMANDS, CONFIG_SCHEMA, main
 from qecopt.scheme import PI_SQ_OVER_16
 
@@ -595,6 +596,26 @@ class TestLongrange:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("z, flags, message", [
+        ("1", ["--format", "csv"], "csv output requires --compare"),
+        ("1", ["--kappa", "2"], "--kappa is given but this longrange does not read it"),
+        ("3", ["--compare"], "asymptotic form covers z <= d, got z=3.0, d=2"),
+    ])
+    def test_rejected_before_the_oracle(self, capsys, monkeypatch, z, flags, message):
+        calls = []
+        monkeypatch.setattr(crosstalk, "delta_lattice_oracle", calls.append)
+        code, out, err = run(capsys, "longrange", "--lattice", "square", "--z", z,
+                             "--N0", str(crosstalk.MAX_SQUARE_SIDE ** 2), *flags)
+        assert (code, out, err) == (2, "", f"qecopt: {message}\n")
+        assert calls == []
+
+    def test_kappa_is_echoed_only_with_compare(self, capsys):
+        flags = ["--lattice", "chain", "--z", "1", "--N0", "1001"]
+        code, out, _ = run(capsys, "longrange", *flags)
+        assert code == 0 and "kappa" not in json.loads(out)["config"]
+        code, out, _ = run(capsys, "longrange", *flags, "--compare", "--kappa", "2")
+        assert code == 0 and json.loads(out)["config"]["kappa"] == 2.0
+
     @pytest.mark.parametrize("flags, message", [
         (["--lattice", "square", "--N0", "144", "--z", "inf"], "z must be finite"),
         (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "inf"], "--kappa"),
@@ -690,14 +711,42 @@ class TestShorCommand:
 
     @pytest.mark.parametrize("cap", ["0", "-5", "nan", "inf"])
     def test_cap_is_checked_with_an_explicit_budget(self, capsys, cap):
-        # The report echoes nlcap on the --nL path too.
+        # An explicit budget searches nothing, so any cap is rejected unread.
         code, out, err = run(
             capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10",
             "--nL", "1e6", "--nlcap", cap,
         )
         assert code == 2
         assert out == ""
-        assert "nlcap must be positive and finite" in err and err.count("\n") == 1
+        assert err == "qecopt: --nlcap is given but this shor does not read it\n"
+
+    @pytest.mark.parametrize("given, unread", [
+        (["--nL", "1e6", "--nlcap", "1e12"], "--nlcap"),
+        (["--perr", "1e-9", "--ptarget", "0.9"], "--ptarget"),
+    ])
+    def test_values_given_but_unread_exit_2(self, capsys, given, unread):
+        code, out, err = run(
+            capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10", *given
+        )
+        assert code == 2 and out == ""
+        assert err == f"qecopt: {unread} is given but this shor does not read it\n"
+
+    @pytest.mark.parametrize("given, absent", [
+        (["--nL", "1e6"], {"nlcap"}),
+        (["--perr", "1e-9"], {"ptarget"}),
+        (["--nL", "1e6", "--perr", "1e-9"], {"nlcap", "ptarget"}),
+        ([], set()),
+    ])
+    def test_config_holds_only_what_is_read(self, capsys, tmp_path, given, absent):
+        code, out, _ = run(
+            capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10", *given
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert absent.isdisjoint(config) and {"nlcap", "ptarget"} - absent <= set(config)
+        report = tmp_path / "shor.json"
+        report.write_text(out, encoding="utf-8")
+        assert run(capsys, "shor", "--config", str(report))[:2] == (0, out)
 
 
 class TestFit:
@@ -764,10 +813,27 @@ class TestFit:
     @pytest.mark.parametrize("D", ["nan", "inf", "1", "-3"])
     @pytest.mark.parametrize("model", ["exp", "affine"])
     def test_growth_factor_must_lie_above_one(self, capsys, D, model):
+        # The affine fit reads no D, so any D it is given is rejected unread.
         code, out, err = run(capsys, "fit", "--samples", "0:1e-6,1:2.91e-4",
                              "--model", model, "--D", D)
         assert code == 2 and out == ""
-        assert "D must lie in (1, inf)" in err and err.count("\n") == 1
+        message = ("D must lie in (1, inf)" if model == "exp"
+                   else "--D is given but this fit does not read it")
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_affine_fit_rejects_a_growth_factor_unread(self, capsys, tmp_path, by_config):
+        given = ["--D", "291"]
+        if by_config:
+            path = tmp_path / "fit.json"
+            path.write_text(json.dumps({"D": 291.0}), encoding="utf-8")
+            given = ["--config", str(path)]
+        code, out, err = run(capsys, "fit", "--samples", "0:1e-5,1:2e-5",
+                             "--model", "affine", *given)
+        assert code == 2 and out == ""
+        assert err == "qecopt: --D is given but this fit does not read it\n"
+        code, out, _ = run(capsys, "fit", "--samples", "0:1e-5,1:2e-5", "--model", "affine")
+        assert code == 0 and "D" not in json.loads(out)["config"]
 
     def test_degenerate_samples_exit_2(self, capsys):
         code, _, _ = run(

@@ -7,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qecopt import crosstalk
 from qecopt.cli import main
 from qecopt.crosstalk import (
     B_AMPLIFICATION,
@@ -33,6 +36,14 @@ def literal_chain_max(n: int, z: float) -> float:
     for i in range(n):
         best = max(best, sum(abs(i - j) ** (-z) for j in range(n) if j != i))
     return best
+
+
+def direct_chain_sum(n0: int, z: float) -> float:
+    """The centre row sum of an n0-site chain, each power exactly summed:
+    2 H_c(z) plus the far edge (c+1)^-z of an even side, c = (n0-1)//2."""
+    c = (n0 - 1) // 2
+    edge = (c + 1) ** -z if n0 % 2 == 0 else 0.0
+    return 2.0 * math.fsum(u ** -z for u in range(1, c + 1)) + edge
 
 
 def literal_square_max(side: int, z: float) -> float:
@@ -81,9 +92,9 @@ class TestDeltaLatticeOracle:
         assert delta_lattice_oracle(spec) == pytest.approx(2.0, abs=1e-12)
 
     def test_z_zero_counts_pairs(self):
-        for n in (2, 17, 1000):
+        for n in (2, 17, 127, 128, 129, 130, 1000, 1001, MAX_CHAIN_SITES):
             spec = LatticeSpec(d=1, z=0.0, N0=n)
-            assert delta_lattice_oracle(spec) == pytest.approx(n - 1, abs=1e-9)
+            assert delta_lattice_oracle(spec) == n - 1, n
 
     def test_long_chain_matches_direct_summation(self):
         # 2 * sum_{m<=5000} m^{-1/2} at the center of a 10001-site chain
@@ -118,6 +129,40 @@ class TestDeltaLatticeOracle:
                 assert delta_lattice_oracle(spec) == pytest.approx(
                     literal_square_max(side, z), rel=1e-12
                 ), (side, z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n0=st.integers(2, 2 * 10 ** 5), z=st.floats(0.0, 60.0))
+    def test_chain_matches_the_direct_sum(self, n0, z):
+        got = delta_lattice_oracle(LatticeSpec(d=1, z=z, N0=n0))
+        assert got == pytest.approx(direct_chain_sum(n0, z), rel=1e-15, abs=0.0)
+
+    # c = 63, 64, 65 at the switch to Euler-Maclaurin, odd and even sides,
+    # the cap, and the integral's three forms: expm1 within 1/8 of z = 1,
+    # a log at z = 1, the difference of powers elsewhere.
+    @pytest.mark.parametrize("n0", [127, 128, 129, 130, 131, 132, 1001, 1002,
+                                    MAX_CHAIN_SITES])
+    @pytest.mark.parametrize("z", [0.5, 0.875, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.125, 2.5])
+    def test_chain_matches_the_direct_sum_at_the_seams(self, n0, z):
+        got = delta_lattice_oracle(LatticeSpec(d=1, z=z, N0=n0))
+        assert got == pytest.approx(direct_chain_sum(n0, z), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n0", [2, 129, 130, MAX_CHAIN_SITES])
+    @pytest.mark.parametrize("z", [1e3, 1e160, 1e300])
+    def test_chain_at_huge_z(self, n0, z):
+        # (z)_m overflows where x^(-z-m) underflows; every term but u = 1 is 0.
+        got = delta_lattice_oracle(LatticeSpec(d=1, z=z, N0=n0))
+        assert got == direct_chain_sum(n0, z) == (1.0 if n0 == 2 else 2.0)
+
+    def test_euler_maclaurin_remainder_bound(self):
+        # 2 zeta(12)/(2 pi)^12 (z)_11 M^(-z-11), zeta(12) = 691 pi^12/638512875,
+        # in logs so that no (z)_11 overflows.
+        m = crosstalk._EM_START
+        log_const = math.log(2.0 * 691.0 / (638512875.0 * 2.0 ** 12))
+        worst = 0.0
+        for z in [*np.linspace(1e-6, 60.0, 60001), 1e3, 1e160, 1e300]:
+            log_rising = math.fsum(math.log(z + i) for i in range(11))
+            worst = max(worst, math.exp(log_const + log_rising - (z + 11.0) * math.log(m)))
+        assert 6.0e-24 < worst < 6.1e-24  # the docstring's maximum, near z = 0.55
 
     def test_size_caps(self):
         with pytest.raises(ValueError, match="capped"):
@@ -154,9 +199,8 @@ class TestDelta0Asymptotic:
         spec = LatticeSpec(d=1, z=0.0, N0=10 ** 4)
         assert delta0_asymptotic(spec) == pytest.approx(10 ** 4, rel=1e-12)
         oracle = delta_lattice_oracle(spec)
-        assert abs(delta0_asymptotic(spec) - oracle) / oracle == pytest.approx(
-            1.0 / (10 ** 4 - 1), rel=1e-6
-        )
+        assert oracle == 10 ** 4 - 1
+        assert abs(delta0_asymptotic(spec) - oracle) / oracle == 1.0 / (10 ** 4 - 1)
 
     def test_square_coulomb_like(self):
         # 2^(z+1) N0^(1-z/2) C_z/(2-z) with C_1 = ln(1+sqrt(2))
