@@ -106,7 +106,9 @@ class FTScheme:
         M: clock cycles per concatenation level.
 
     The constants are opaque here: nothing in this package models the
-    internal structure of the rectangles.
+    internal structure of the rectangles.  A and A_prime feed no formula
+    (the photon law's per-level growth is D): they are validated, echoed in
+    a report's config and parsed from `A,A_prime,B,D,M`, nothing more.
     """
 
     A: int

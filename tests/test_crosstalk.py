@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -44,6 +45,32 @@ def direct_chain_sum(n0: int, z: float) -> float:
     c = (n0 - 1) // 2
     edge = (c + 1) ** -z if n0 % 2 == 0 else 0.0
     return 2.0 * math.fsum(u ** -z for u in range(1, c + 1)) + edge
+
+
+def exact_square_sum(side: int, z: float) -> float:
+    """The centre row sum of a side x side square, exactly rounded: the
+    math.fsum of every term, each folded offset pair (u, v) standing for its
+    w_u w_v mirror images (w = 2 for 1 <= u <= c, 1 otherwise)."""
+    c = (side - 1) // 2
+    squares = np.arange(side - c, dtype=float) ** 2
+    weights = np.full(side - c, 2.0)
+    weights[0] = 1.0
+    if side % 2 == 0:
+        weights[-1] = 1.0
+
+    def rows():
+        for u, (square, weight) in enumerate(zip(squares, weights)):
+            with np.errstate(divide="ignore"):
+                terms = (square + squares) ** (-z / 2.0)
+            if u == 0:
+                terms[0] = 0.0
+            yield (weight * weights * terms).tolist()
+
+    return math.fsum(itertools.chain.from_iterable(rows()))
+
+
+def square_oracle(side: int, z: float) -> float:
+    return delta_lattice_oracle(LatticeSpec(d=2, z=z, N0=side * side, aspect="square"))
 
 
 def literal_square_max(side: int, z: float) -> float:
@@ -163,6 +190,68 @@ class TestDeltaLatticeOracle:
             log_rising = math.fsum(math.log(z + i) for i in range(11))
             worst = max(worst, math.exp(log_const + log_rising - (z + 11.0) * math.log(m)))
         assert 6.0e-24 < worst < 6.1e-24  # the docstring's maximum, near z = 0.55
+
+    # Squares of side <= 128 (c < 64) keep the single tile; from side 129 on,
+    # a 64 x 64 box and one Euler-Maclaurin sum per row.
+    @settings(max_examples=100, deadline=None)
+    @given(side=st.integers(129, 2500), z=st.floats(0.0, 60.0))
+    def test_square_matches_the_exact_sum(self, side, z):
+        assert square_oracle(side, z) == pytest.approx(
+            exact_square_sum(side, z), rel=1e-15, abs=0.0)
+
+    # n = side - c = 64, 65, 65, 66, 66, 67: the last tile, an empty
+    # Euler-Maclaurin range (c = 64) and the first rows past the box.
+    @pytest.mark.parametrize("side", [127, 128, 129, 130, 131, 132])
+    @pytest.mark.parametrize("z", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 4.0])
+    def test_square_matches_the_exact_sum_at_the_seams(self, side, z):
+        assert square_oracle(side, z) == pytest.approx(
+            exact_square_sum(side, z), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("side", [130, 2000, 2001, MAX_SQUARE_SIDE])
+    def test_square_z_zero_counts_sites(self, side):
+        assert square_oracle(side, 0.0) == side * side - 1
+
+    @pytest.mark.parametrize("side", [3, 4, 128, 129, 130, 2001, MAX_SQUARE_SIDE])
+    @pytest.mark.parametrize("z", [1e3, 1e160, 1e300])
+    def test_square_at_huge_z(self, side, z):
+        # Four neighbours at distance 1; every other term is below half an
+        # ulp of 4, and no inf * 0 forms a NaN (a RuntimeWarning fails here).
+        assert square_oracle(side, z) == 4.0
+
+    # Floats of the single-tile sum, pinned: squares of side <= 128 keep
+    # them bit for bit.
+    @pytest.mark.parametrize("side, z, value", [
+        (24, 0.5, 205.85054383242473), (24, 3.0, 8.561536373458262),
+        (64, 0.5, 903.1212397164161), (64, 3.0, 8.856809031575736),
+        (127, 0.5, 2528.1248881921165), (127, 3.0, 8.944539665342553),
+        (128, 0.5, 2558.0193112989386), (128, 3.0, 8.945228840072746),
+    ])
+    def test_small_squares_keep_their_floats(self, side, z, value):
+        assert square_oracle(side, z) == value
+
+    def test_gegenbauer_bound(self):
+        # |C_m^(s)(x)| <= (2s)_m / m! on [-1, 1] for s > 0, which bounds each
+        # row's twelfth derivative by the chain's.
+        from scipy.special import eval_gegenbauer, poch
+
+        x = np.linspace(-1.0, 1.0, 2001)
+        for s in [*np.linspace(0.01, 30.0, 300), 1e3, 1e6]:
+            for m in range(13):
+                bound = poch(2.0 * s, m) / math.factorial(m)
+                assert np.max(np.abs(eval_gegenbauer(m, s, x))) <= bound * (1.0 + 1e-12), (s, m)
+
+    def test_row_integral_bernstein_bound(self):
+        # The 32-point rule on [asinh(64/u), asinh(c/u)] meets cosh's zero at
+        # y = i pi/2; its Bernstein parameter bounds the rule's error by
+        # O(rho^-64).  rho falls with c, so the cap's rows give the least.
+        c = (MAX_SQUARE_SIDE - 1) // 2
+        u = np.arange(1, MAX_SQUARE_SIDE - c, dtype=float)
+        lo, hi = np.arcsinh(crosstalk._EM_START / u), np.arcsinh(c / u)
+        t = (0.5j * math.pi - (lo + hi) / 2.0) / ((hi - lo) / 2.0)
+        root = np.sqrt(t * t - 1.0)
+        rho = np.maximum(np.abs(t + root), np.abs(t - root))
+        assert 2.879 <= rho.min() < 2.88
+        assert u[np.argmin(rho)] == 162
 
     def test_size_caps(self):
         with pytest.raises(ValueError, match="capped"):
