@@ -8,9 +8,11 @@ values (``_log10`` suffix); linear values appear only where representable.
 
 Each parameter is declared once, in PARAMS: its flag, the type that converts
 its flag text and its config value alike, its JSON type, and its status
-under every command that takes it.  The argparse subcommands, the
+under every command that takes it.  The argv parser (build_parser), the
 per-command config schemas (CONFIG_SCHEMA) and config resolution (flag, else
-config, else default) are all generated from that table.
+config, else default) are all generated from that table.  The parser takes
+the command first, then that command's flags by their exact names; a
+flag's value is the next token, or follows '=' in --flag=value.
 
 Each cmd_* handler resolves its settings and computes; main renders every
 report, JSON through _report and CSV through _csv_table.  A parameter given
@@ -24,7 +26,6 @@ stdout is closed before the report is written.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -33,6 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -463,7 +465,7 @@ def _load_config(path: str | None, command: str) -> tuple[dict, bool]:
     return data, report
 
 
-def _reject_unread(args: argparse.Namespace, config: dict, cfg: dict) -> None:
+def _reject_unread(args: SimpleNamespace, config: dict, cfg: dict) -> None:
     """A usage error for a parameter given by flag or config that the
     resolved cfg leaves out, i.e. that the handler does not read."""
     for key, param in _COMMAND_PARAMS[args.command].items():
@@ -473,7 +475,7 @@ def _reject_unread(args: argparse.Namespace, config: dict, cfg: dict) -> None:
                              "does not read it")
 
 
-def _settings(args: argparse.Namespace, config: dict,
+def _settings(args: SimpleNamespace, config: dict,
               keys: Sequence[str] | None = None, cfg: dict | None = None) -> dict:
     """Resolve keys (default: all of the command's parameters) into cfg:
     the flag, else the config value, else the default."""
@@ -502,7 +504,7 @@ def _settings(args: argparse.Namespace, config: dict,
 Report = tuple[dict, dict, Sequence[str] | None, Iterable[dict[str, Sequence]]]
 
 
-def cmd_optimize(args: argparse.Namespace, config: dict) -> Report:
+def cmd_optimize(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "model", "kcap"))
     _settings(args, config, scheme.MODEL_FIELDS[cfg["model"]], cfg)
     _reject_unread(args, config, cfg)
@@ -598,7 +600,7 @@ def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
         yield block
 
 
-def cmd_sweep(args: argparse.Namespace, config: dict) -> Report:
+def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "model", "kcap", "axes"))
     axes, model = cfg["axes"], cfg["model"]
     if not axes:
@@ -642,7 +644,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> Report:
     return cfg, {"rows": _TABLE}, names, _sweep_rows(axes, values, k_max, p_min, cfg["kcap"])
 
 
-def cmd_gatesim(args: argparse.Namespace, config: dict) -> Report:
+def cmd_gatesim(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config)
     spec = gatesim.GateSpec(
         theta=cfg["theta"], gamma=cfg["gamma"], n_g=cfg["ng"], omega0=cfg["omega0"]
@@ -665,7 +667,7 @@ def cmd_gatesim(args: argparse.Namespace, config: dict) -> Report:
     return cfg, result, None, ()
 
 
-def cmd_longrange(args: argparse.Namespace, config: dict) -> Report:
+def cmd_longrange(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config, ("lattice", "z", "N0", "compare"))
     if cfg["compare"]:
         _settings(args, config, ("kappa",), cfg)
@@ -691,7 +693,7 @@ def cmd_longrange(args: argparse.Namespace, config: dict) -> Report:
             _one_row(dict(result, N0=cfg["N0"])))
 
 
-def cmd_shor(args: argparse.Namespace, config: dict) -> Report:
+def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "nL", "R", "gamma", "omega0", "perr"))
     if cfg["perr"] is None:  # the target comes from P_target
         _settings(args, config, ("ptarget",), cfg)
@@ -745,7 +747,7 @@ def _read_samples(path: str) -> list[list[float]]:
     return [[float(a) for a in line.split(",")] for line in lines]
 
 
-def cmd_fit(args: argparse.Namespace, config: dict) -> Report:
+def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
     if args.samples is None and args.infile is not None:
         args.samples = _read_samples(args.infile)  # --in stands for --samples
     cfg = _settings(args, config, ("samples", "model"))
@@ -773,44 +775,146 @@ _HANDLERS = {
 }
 
 
+_HELP_FLAGS = ("-h", "--help")
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """How the parser reads one flag: the namespace key it sets, the
+    conversion of its value text (None for a flag that takes no value and
+    sets True), the values it may take (any, if empty), and whether each use
+    appends to a list rather than replacing the last value."""
+
+    key: str
+    convert: Callable[[str], Any] | None
+    choices: tuple[str, ...] = ()
+    append: bool = False
+
+
+# What a conversion that can fail accepts, for its error message.
+_ACCEPTS = {int: "an integer", float: "a number"}
+
+
+def _flag_of(key: str, param: Param) -> _Flag:
+    if param.action == "store_true":
+        return _Flag(key, None)
+    # Text-valued flags (angles, lists, axes, schemes) are converted during
+    # resolution, so a malformed one is a one-line usage error there.
+    convert = param.type if param.type in _ACCEPTS else str
+    return _Flag(key, convert, tuple(param.json.get("enum", ())), param.action == "append")
+
+
+def _command_flags(command: str) -> Iterator[tuple[str, _Flag, str]]:
+    """(flag, how it is read, help text) for each flag of command."""
+    default = "csv, or json for a report fed back" if command == "sweep" else "json"
+    yield "--format", _Flag("format", str, ("json", "csv")), f"report format (default: {default})"
+    yield "--out", _Flag("out", str), "output path (default: stdout)"
+    yield "--config", _Flag("config", str), "JSON config file (or a prior report)"
+    if command == "fit":
+        yield "--in", _Flag("infile", str), "CSV file with k,eta rows"
+    for key, param in _COMMAND_PARAMS[command].items():
+        yield param.flag, _flag_of(key, param), param.help or ""
+
+
+def _help_text(usage: str, about: str, rows: list[tuple[str, str]], footer: str) -> str:
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [f"usage: {usage}", "", about, ""]
+    lines += [f"  {name:<{width}}{text}".rstrip() for name, text in rows]
+    return "\n".join([*lines, "", footer, ""])
+
+
+@dataclass(frozen=True)
+class Parser:
+    """Reads argv: the command first, then that command's flags by their
+    exact names (no abbreviations).  A flag's value is the next token, or
+    follows '=' in --flag=value; the last value given wins, except for a
+    flag that appends (--axis).  Values are converted as they are read."""
+
+    flags: dict[str, dict[str, _Flag]]
+    defaults: dict[str, dict[str, Any]]
+    helps: dict[str | None, str]  # the top level's (None) and each command's
+
+    def parse(self, argv: Sequence[str]) -> SimpleNamespace | str:
+        """The namespace of argv (its command and one attribute per flag of
+        that command, None where not given), or the help text that -h or
+        --help asks for.  Anything else is a UsageError."""
+        if not argv:
+            raise UsageError(f"missing command; choose from {', '.join(COMMANDS)}")
+        command = argv[0]
+        if command in _HELP_FLAGS:
+            return self.helps[None]
+        if command not in self.flags:
+            raise UsageError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+        flags, values = self.flags[command], dict(self.defaults[command])
+        tokens = iter(argv[1:])
+        for token in tokens:
+            if token in _HELP_FLAGS:
+                return self.helps[command]
+            name, given, text = token.partition("=") if token.startswith("--") else (
+                token, "", "")
+            flag = flags.get(name)
+            if flag is None:
+                if not name.startswith("-"):
+                    raise UsageError(f"unexpected argument {token!r}: {command} takes flags only")
+                raise UsageError(f"{command} has no flag {name} (flags must match exactly; "
+                                 f"see qecopt {command} --help)")
+            if flag.convert is None:
+                if given:
+                    raise UsageError(f"{name} takes no value")
+                values[flag.key] = True
+                continue
+            if not given:
+                text = next(tokens, None)
+                if text is None:
+                    raise UsageError(f"{name} needs a value")
+            try:
+                value = flag.convert(text)
+            except ValueError:
+                raise UsageError(f"{name} needs {_ACCEPTS[flag.convert]}, got {text!r}") from None
+            if flag.choices and value not in flag.choices:
+                raise UsageError(f"{name} must be one of {', '.join(flag.choices)}, "
+                                 f"got {text!r}")
+            values[flag.key] = [*(values[flag.key] or ()), value] if flag.append else value
+        return SimpleNamespace(command=command, **values)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Parser:
     """The qecopt parser, built once per process from PARAMS.  Parsing
     leaves it unchanged, so every call to main shares it."""
-    parser = argparse.ArgumentParser(
-        prog="qecopt",
-        description="Optimal error correction under scale-dependent noise",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, handler) in _HANDLERS.items():
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("--format", choices=("json", "csv"),
-                       default=None if command == "sweep" else "json")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--config", help="JSON config file (or a prior report)")
-        if command == "fit":
-            p.add_argument("--in", dest="infile", help="CSV file with k,eta rows")
-        for key, param in _COMMAND_PARAMS[command].items():
-            kwargs: dict[str, Any] = {"dest": key, "default": None, "help": param.help}
-            if param.action:
-                kwargs["action"] = param.action
-            elif "enum" in param.json:
-                kwargs["choices"] = param.json["enum"]
-            elif param.type in (int, float):
-                # Text-valued flags (angles, lists, axes) are converted during
-                # resolution, so a malformed one is a one-line usage error.
-                kwargs["type"] = param.type
-            p.add_argument(param.flag, **kwargs)
-        p.set_defaults(func=handler)
-    return parser
+    flags, defaults = {}, {}
+    helps: dict[str | None, str] = {None: _help_text(
+        f"qecopt {{{','.join(COMMANDS)}}} [flags]",
+        "Optimal error correction under scale-dependent noise",
+        [(command, help_text) for command, (help_text, _) in _HANDLERS.items()],
+        "'qecopt COMMAND --help' lists the flags of a command.")}
+    for command, (help_text, _) in _HANDLERS.items():
+        table = list(_command_flags(command))
+        flags[command] = {name: flag for name, flag, _ in table}
+        defaults[command] = {flag.key: None for _, flag, _ in table}
+        defaults[command]["format"] = None if command == "sweep" else "json"
+        rows = [("-h, --help", "show this help and exit")]
+        for name, flag, text in table:
+            if flag.choices:
+                name += " {" + ",".join(flag.choices) + "}"
+            elif flag.convert is not None:
+                name += " " + flag.key.upper()
+            rows.append((name, text))
+        helps[command] = _help_text(
+            f"qecopt {command} [flags]", help_text, rows,
+            "Flags must match exactly; a value is the next token or follows "
+            "'=' (--flag=value).")
+    return Parser(flags, defaults, helps)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the help text -h or --help asked for
+            sys.stdout.write(args)
+            return 0
         config, from_report = _load_config(args.config, args.command)
-        cfg, result, csv_names, table = args.func(args, config)
+        cfg, result, csv_names, table = _HANDLERS[args.command][1](args, config)
         # Only sweep has no default format: CSV, or JSON for a report fed back.
         if (args.format or ("json" if from_report else "csv")) == "json":
             _emit(_report({"config": cfg, "result": result}, table), args.out)

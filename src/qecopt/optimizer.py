@@ -45,14 +45,22 @@ class OptResult:
     k_max is the smallest level attaining the minimum of the scanned curve;
     status is one of STATUS_OPTIMUM, STATUS_UNBOUNDED (the curve was still
     strictly decreasing at k_cap) and STATUS_NO_ENCODING (k_max = 0, bare
-    physical gates are best).  A curve value that overflows the float range
-    is None (reported as null); level 0 never overflows.
+    physical gates are best).  log10_curve holds the curve's log10 values,
+    level by level, as plain floats; a value that overflows the float range
+    is +inf.  Level 0 never overflows.
     """
 
     k_max: int
     log10_p_min: LogProb
     status: str
-    curve: tuple[tuple[int, LogProb | None], ...]
+    log10_curve: tuple[float, ...]
+
+    @property
+    def curve(self) -> tuple[tuple[int, LogProb | None], ...]:
+        """(k, log10 p(k)) at every level, None where the value overflowed
+        (reported as null); built on each read."""
+        return tuple((k, None if v == math.inf else LogProb(v))
+                     for k, v in enumerate(self.log10_curve))
 
     def to_dict(self) -> dict:
         """The scalar fields; the curve is a table (see curve_columns)."""
@@ -65,8 +73,8 @@ class OptResult:
     def curve_columns(self) -> dict:
         """The curve as columns: the levels "k" = 0, 1, ... (an array) and
         their "log10_p" (a list, None where the value overflowed)."""
-        return {"k": np.arange(len(self.curve)),
-                "log10_p": [None if v is None else v.log10_value for _, v in self.curve]}
+        return {"k": np.arange(len(self.log10_curve)),
+                "log10_p": [None if v == math.inf else v for v in self.log10_curve]}
 
 
 @dataclass(frozen=True)
@@ -180,12 +188,9 @@ def find_kmax(
     ks = levels(k_cap, model)
     values = log10_curve(scheme, model, ks)
     k_max = int(np.argmin(values))
-    curve = tuple(
-        (k, None if v == math.inf else LogProb(v))
-        for k, v in enumerate(values.tolist())
-    )
-    return OptResult(k_max=k_max, log10_p_min=curve[k_max][1],
-                     status=scan_status(k_max, len(ks) - 1), curve=curve)
+    curve = tuple(values.tolist())
+    return OptResult(k_max=k_max, log10_p_min=LogProb(curve[k_max]),
+                     status=scan_status(k_max, len(ks) - 1), log10_curve=curve)
 
 
 def affine_usefulness_threshold(B: float, eta0: float) -> float:

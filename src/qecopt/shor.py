@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gatesim import GateSpec, pulse_params
 from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax
 from .scheme import PI_SQ_OVER_16, FTScheme, LogProb, ShorPhotonNoise
@@ -170,11 +172,9 @@ def min_photon_budget(
     log_cap = math.log10(search_cap(n_L_cap))
     target = math.log10(error_target(problem, p_err))
     log_b = math.log10(scheme.B)
-    log_n = min(
-        log_b + math.log10(PI_SQ_OVER_16) + k * math.log10(scheme.D)
-        - (target + log_b) / 2.0 ** k
-        for k in range(DEFAULT_K_CAP + 1)
-    )
+    ks = np.arange(DEFAULT_K_CAP + 1)
+    log_n = float(np.min(log_b + math.log10(PI_SQ_OVER_16) + ks * math.log10(scheme.D)
+                         - (target + log_b) / np.ldexp(1.0, ks)))
     # n_L > n_L_cap, compared in log space so 10^log_n cannot overflow.
     if not log_n <= log_cap:
         return MinBudget(n_L=n_L_cap, k=0, feasible=False)

@@ -43,9 +43,9 @@ class TestOptimize:
         assert json.loads(out)["result"]["status"] == "unbounded-improvement"
 
     def test_parse_failure_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["optimize", "--model", "affine", "--eta0", "bogus"])
-        assert excinfo.value.code == 2
+        code, out, err = run(capsys, "optimize", "--model", "affine", "--eta0", "bogus")
+        assert code == 2 and out == ""
+        assert "--eta0" in err and err.count("\n") == 1
 
     def test_missing_parameter_exits_2(self, capsys):
         code, _, err = run(capsys, "optimize", "--model", "exp", "--eta0", "1e-9")
@@ -118,10 +118,9 @@ class TestOptimize:
 
     def test_old_photon_vocabulary_is_gone(self, tmp_path, capsys):
         for flags in (["--L", "1000000", "--ntot", "1e15"], ["--ntot", "1e15"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["optimize", "--model", "shor", *flags])
-            assert excinfo.value.code == 2
-        capsys.readouterr()  # argparse's usage text
+            code, out, err = run(capsys, "optimize", "--model", "shor", *flags)
+            assert code == 2 and out == ""
+            assert flags[0] in err and err.count("\n") == 1
         for key, value in (("L", 1000000), ("ntot", 1e15)):
             config = tmp_path / f"{key}.json"
             config.write_text(json.dumps({"model": "shor", "nL": 1e9, key: value}))
@@ -553,10 +552,10 @@ class TestGatesim:
         assert "rotating-wave" in caplog.text
 
     def test_step_count_is_gone(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "50",
-                  "--steps", "300"])
-        assert excinfo.value.code == 2
+        code, out, err = run(capsys, "gatesim", "--theta", "pi", "--gamma", "1", "--ng", "50",
+                             "--steps", "300")
+        assert code == 2 and out == ""
+        assert "--steps" in err and err.count("\n") == 1
         config = tmp_path / "old.json"
         config.write_text(json.dumps(
             {"command": "gatesim", "theta": 3.0, "gamma": 1.0, "ng": 50.0,
@@ -786,9 +785,9 @@ class TestFit:
     def test_old_fit_vocabulary_is_gone(self, tmp_path, capsys):
         for flags in (["--variant", "affine"], ["--model", "exponential"],
                       ["--model", "table"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["fit", "--samples", "0:1e-5,1:2e-5", *flags])
-            assert excinfo.value.code == 2
+            code, out, err = run(capsys, "fit", "--samples", "0:1e-5,1:2e-5", *flags)
+            assert code == 2 and out == ""
+            assert flags[0] in err and err.count("\n") == 1
         config = tmp_path / "old.json"
         config.write_text(json.dumps({"samples": [[0, 1e-5], [1, 2e-5]],
                                       "variant": "affine", "D": None}))
@@ -852,7 +851,8 @@ def _cli_env() -> dict:
 def test_import_leaves_scipy_submodules_unloaded(tmp_path):
     # The runtime is numpy-only: neither the gate channel nor the square
     # lattice's C_z loads SciPy, and --config is checked without jsonschema,
-    # which is blocked from import here.
+    # which is blocked from import here.  Nor does argv parsing, a parse
+    # error or --help load argparse.
     probe = (
         "import contextlib, io, sys\n"
         "sys.modules['jsonschema'] = None\n"
@@ -869,12 +869,16 @@ def test_import_leaves_scipy_submodules_unloaded(tmp_path):
         "with contextlib.redirect_stdout(again):\n"
         "    assert cli.main(['shor', '--config', report]) == 0\n"
         "assert again.getvalue() == open(report).read()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['shor', '--gam', '10']) == 2\n"
+        "    assert cli.main(['shor', '--help']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('argparse' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "shor.json")],
                           env=_cli_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:1] == ["[]"]
+    assert done.stdout.split("\n")[:2] == ["[]", "False"]
 
 
 def test_closed_pipe_exits_quietly():

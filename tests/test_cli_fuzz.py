@@ -199,15 +199,12 @@ def mutated_config(draw, config: dict) -> dict:
     return config
 
 
-def outcome(argv: list[str], workdir: Path) -> tuple[int, str, str, bool]:
-    """(exit code, stdout, stderr, whether argparse made the exit)."""
+def outcome(argv: list[str], workdir: Path) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr)."""
     argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return cli.main(argv), out.getvalue(), err.getvalue(), False
-        except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue(), True
+        return cli.main(argv), out.getvalue(), err.getvalue()
 
 
 def strict_json(text: str) -> dict:
@@ -220,13 +217,13 @@ def strict_json(text: str) -> dict:
 
 
 def check(argv: list[str], workdir: Path) -> None:
-    """Exit 0, 1 or 2 and no traceback; the program's own exit 1 or 2 comes
-    with exactly one stderr line (argparse also prints its usage).  A JSON
-    report on stdout is standard JSON."""
-    code, out, err, by_argparse = outcome(argv, workdir)
+    """Exit 0, 1 or 2 and no traceback; exit 1 or 2 comes with exactly one
+    stderr line, parse errors included.  A JSON report on stdout is standard
+    JSON."""
+    code, out, err = outcome(argv, workdir)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
-    if code != 0 and not by_argparse:
+    if code != 0:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     if code == 0 and out.startswith("{"):
         strict_json(out)

@@ -186,6 +186,7 @@ def test_find_kmax_curve_matches_the_scalar_reference(case):
     result = find_kmax(sch, law, k_cap=kcap)
     got = [(k, None if v is None else repr(v.log10_value)) for k, v in result.curve]
     assert got == [(k, None if v == math.inf else repr(v)) for k, v in enumerate(values)]
+    assert list(map(repr, result.log10_curve)) == list(map(repr, values))
     k, p, status = reference_scan(values)
     assert (result.k_max, repr(result.log10_p_min.log10_value), result.status) == (
         k, repr(p), status)
@@ -225,6 +226,16 @@ class TestOverflow:
         assert math.inf in values
         assert [pt["log10_p"] for pt in result["curve"]] == [
             None if v == math.inf else v for v in values]
+
+    def test_result_keeps_an_overflow_as_inf(self):
+        sch, law = get_scheme("aliferis2006"), ExponentialNoise(0.5, beta=10000.0)
+        result = find_kmax(sch, law, k_cap=1000)
+        assert result.log10_curve[-1] == math.inf and result.curve[-1] == (1000, None)
+        assert result.curve_columns()["log10_p"] == [
+            None if v == math.inf else v for v in result.log10_curve]
+        # Results compare by their floats: equal scans are equal, and == never raises.
+        assert result == find_kmax(sch, law, k_cap=1000)
+        assert result != find_kmax(sch, law, k_cap=999)
 
     def test_overflowed_levels_are_empty_csv_cells(self):
         code, out, _ = invoke(*self.ARGV, "--format", "csv")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qecopt.gatesim import GateSpec, pulse_params
+from qecopt.optimizer import DEFAULT_K_CAP
 from qecopt.scheme import PI_SQ_OVER_16, get_scheme, make_scheme
 from qecopt.shor import (
     HBAR,
@@ -199,6 +200,30 @@ class TestMinPhotonBudget:
         if budget.n_L > 1.0:
             below = optimize_photon_budget(problem, budget.n_L * (1 - 1e-9), scheme)
             assert below.log10_p_min.log10_value > target
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        log_p_err=st.floats(-300.0, 0.0),
+        B=st.integers(1, 10 ** 6),
+        D=st.integers(1, 10 ** 4),
+        log_cap=st.floats(0.0, 300.0),
+    )
+    def test_crossing_search_matches_the_scalar_minimum(self, log_p_err, B, D, log_cap):
+        # The crossings are one array expression over the levels; the
+        # level-by-level minimum it replaced, kept here as the reference,
+        # gives the same float, so the budget is the same bits.
+        p_err, cap = 10.0 ** log_p_err, 10.0 ** log_cap
+        target, log_b = math.log10(p_err), math.log10(B)
+        log_n = min(
+            log_b + math.log10(PI_SQ_OVER_16) + k * math.log10(D)
+            - (target + log_b) / 2.0 ** k
+            for k in range(DEFAULT_K_CAP + 1)
+        )
+        budget = min_photon_budget(ShorProblem(R=1000), make_scheme(575, 291, B, D, 3),
+                                   p_err=p_err, n_L_cap=cap)
+        assert budget.feasible == (log_n <= math.log10(cap))
+        if budget.feasible:
+            assert budget.n_L == max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
 
     def test_level_is_non_decreasing_in_key_length(self):
         ks = [
