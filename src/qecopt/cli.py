@@ -15,9 +15,12 @@ the command first, then that command's flags by their exact names; a
 flag's value is the next token, or follows '=' in --flag=value.
 
 Each cmd_* handler resolves its settings and computes; main renders every
-report, JSON through _report and CSV through _csv_table.  A parameter given
-by flag or config that the handler left out of its resolved config (it does
-not read it) is a usage error, raised before the handler computes.
+report, JSON through _report and CSV through _csv_table.  One writer,
+_json_parts, gives json.dumps(sort_keys=True, indent=2) text for every JSON
+value and splices a table in at its depth; table rows, JSON and CSV alike,
+are joined from per-column prefixes and cells.  A parameter given by flag
+or config that the handler left out of its resolved config (it does not
+read it) is a usage error, raised before the handler computes.
 
 Exit codes: 0 success, 1 computational infeasibility, 2 usage error, and
 141 (128 + SIGPIPE, as a shell reports a reader that left early) when
@@ -320,112 +323,100 @@ def _violation(value: Any, schema: dict) -> str | None:
     return None
 
 
-def _dump_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+_STRING = json.encoder.encode_basestring_ascii
+_TABLE = object()  # stands for a report's table in its payload (see _report)
 
 
-def _json_scalar(value: Any, strings: dict[str, str]) -> str:
-    """One scalar's JSON text as _dump_json writes it; a string is encoded
-    once and kept in strings."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, str):
-        strings[value] = json.dumps(value)
-        return strings[value]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    return _dump_json(value)[:-1]  # null, true, false; a non-finite float raises
+def _json_parts(value: Any, depth: int, parts: list, blocks: Iterable = ()) -> None:
+    """Append value's JSON text at depth `depth` to parts as json.dumps(value, sort_keys=True,
+    indent=2, allow_nan=False) writes it, or raise json's error; _TABLE is the table in blocks."""
+    if type(value) is float and math.isfinite(value):
+        parts.append(repr(value))
+    elif type(value) is str:
+        parts.append(_STRING(value))
+    elif type(value) is int:
+        parts.append(int.__repr__(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (dict, list, tuple)):
+        keyed, inner = isinstance(value, dict), "\n" + "  " * (depth + 1)
+        lead = ("{" if keyed else "[") + inner
+        for item in sorted(value.items()) if keyed else value:
+            if keyed:
+                key, item = item
+                if not isinstance(key, str):  # json's own key conversion, and its errors
+                    (key,) = json.loads(json.dumps({key: None}, indent=2, allow_nan=False))
+                lead += _STRING(key) + ": "
+            parts.append(lead)
+            lead = "," + inner
+            _json_parts(item, depth + 1, parts, blocks)
+        parts.append(inner[:-2] + ("}" if keyed else "]") if value else "{}" if keyed else "[]")
+    elif value is _TABLE:
+        parts.append(_json_table(blocks, depth))
+    else:  # subclasses of str, int and float, and what json raises for
+        parts.append(json.dumps(value, indent=2, allow_nan=False))
 
 
-def _array_cells(column: np.ndarray) -> list[str]:
-    """The text of every value of an int or float array, as json and the CSV
-    reports write it: int.__repr__, or float.__repr__ taken once per distinct
-    float (told apart by their bits, so -0.0 keeps its sign)."""
-    if column.dtype.kind != "f":
-        return list(map(int.__repr__, column.tolist()))
-    bits, index = np.unique(np.ascontiguousarray(column, float).view(np.int64),
-                            return_inverse=True)
-    texts = list(map(float.__repr__, bits.view(float).tolist()))
-    return list(map(texts.__getitem__, index.tolist()))
+def _json_cells(values: list) -> list[str]:
+    """The JSON text of each value of a list, or json's error for the first bad one."""
+    parts: list[str] = []
+    for value in values:
+        _json_parts(value, 0, parts)
+    return parts
 
 
-def _check_finite(column: np.ndarray) -> None:
-    """Raise json's own ValueError for the first non-finite float of an array."""
-    bad = ~np.isfinite(column)
-    if bad.any():
-        _dump_json(column[bad][0].item())
+def _csv_cells(values: list) -> list[str]:
+    """The CSV text of each value of a list: its str, and an empty cell for None."""
+    return ["" if value is None else str(value) for value in values]
 
 
-def _json_cells(column: Sequence, strings: dict[str, str]) -> list[str]:
-    """The JSON text of every value of a column."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            _check_finite(column)
-        return _array_cells(column)
-    return [strings[v] if v in strings else _json_scalar(v, strings) for v in column]
+def _rows(prefixes: Sequence[str], columns: Sequence, close: str, cells: Callable) -> str:
+    """The rows of columns: each cell after its column's prefix, then close.
+    Finite arrays are written by repr, as json does, and all else by cells; a
+    coded column, (values, index), gives each of its values' text once."""
+    streams: list[Iterable[str]] = []
+    for prefix, column in zip(prefixes, columns):
+        values, index = column if isinstance(column, tuple) else (column, None)
+        if isinstance(values, np.ndarray) and np.isfinite(values).all():
+            texts = list(map(repr, values.tolist()))
+        else:  # json raises for a non-finite float; CSV writes its str
+            texts = cells(values.tolist() if isinstance(values, np.ndarray) else values)
+        streams += (itertools.repeat(prefix),
+                    texts if index is None else map(texts.__getitem__, index.tolist()))
+    return "".join(itertools.chain.from_iterable(zip(*streams, itertools.repeat(close))))
 
 
-def _json_table(blocks: Iterable[dict[str, Sequence]], depth: int) -> Iterator[str]:
-    """A list of objects, text for text as _dump_json writes it at nesting
-    depth `depth`, one chunk per block.
-
-    Each block maps every key (at least one) to a column of scalars, one per
-    row.  One row template is built from the sorted keys and the depth, and
-    each row is that template filled with its cells.  A non-finite float
-    raises the ValueError that json raises for it.
-    """
+def _json_table(blocks: Iterable[dict[str, Any]], depth: int) -> Iterator[str]:
+    """The objects in blocks (columns by key, one or more) at depth `depth`, a chunk a block."""
     indent = "\n" + "  " * (depth + 1)
-    template = None
-    strings: dict[str, str] = {}
+    lead = "["  # in place of the first row's leading comma
     for block in blocks:
         keys = sorted(block)
-        cells = [_json_cells(block[key], strings) for key in keys]
-        if not cells[0]:
-            continue
-        if template is None:
-            template = "{" + ",".join(
-                f"{indent}  {json.dumps(key).replace('%', '%%')}: %s" for key in keys
-            ) + indent + "}"
-            yield "[" + indent
-        else:
-            yield "," + indent
-        yield ("," + indent).join(map(template.__mod__, zip(*cells)))
-    yield "[]" if template is None else "\n" + "  " * depth + "]"
+        prefixes = [f",{indent}{{{indent}  {_STRING(keys[0])}: ",
+                    *(f",{indent}  {_STRING(key)}: " for key in keys[1:])]
+        text = _rows(prefixes, [block[key] for key in keys], indent + "}", _json_cells)
+        if text:
+            yield lead + text[1:]
+            lead = ","
+    yield "[]" if lead == "[" else indent[:-2] + "]"
 
 
-# Stands for a report's table; no accepted config string holds a NUL.
-_TABLE = "\x00table"
+def _report(payload: dict, blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
+    """The chunks of payload's JSON text, with the table in blocks for _TABLE;
+    the rest is encoded before the first chunk, so a bad value writes nothing."""
+    parts: list = []
+    _json_parts(payload, 0, parts, blocks)
+    parts.append("\n")
+    return itertools.chain.from_iterable(  # text joined; a table streams its chunks
+        ("".join(run),) if kind is str else next(run)
+        for kind, run in itertools.groupby(parts, type))
 
 
-def _report(payload: dict, blocks: Iterable[dict[str, Sequence]]) -> Iterator[str]:
-    """The chunks of _dump_json(payload) with its _TABLE value, if it has
-    one, replaced by the table in blocks.  The rest of the report is encoded
-    before the first chunk is returned, so a bad value there writes nothing."""
-    text = _dump_json(payload)
-    head, marker, tail = text.partition(json.dumps(_TABLE))
-    if not marker:
-        return iter((text,))
-    line = head[head.rfind("\n") + 1:]
-    depth = (len(line) - len(line.lstrip(" "))) // 2
-    return itertools.chain((head,), _json_table(blocks, depth), (tail,))
-
-
-def _csv_cells(column: Sequence) -> Sequence:
-    """The CSV text of every value of a column: floats by float.__repr__,
-    ints by int.__repr__, strings as they are, None as an empty cell."""
-    if isinstance(column, np.ndarray):
-        return _array_cells(column)
-    return ["" if v is None else v for v in column]
-
-
-def _csv_table(names: Sequence[str], blocks: Iterable[dict[str, Sequence]]) -> Iterator[str]:
-    """A header of names and one line per row, one chunk per block (see
-    _csv_cells).  The only CSV writer: every CSV report goes through here."""
+def _csv_table(names: Sequence[str], blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
+    """A header of names and one line per row, one chunk per block: the one CSV writer."""
     yield ",".join(names) + "\n"
-    template = ",".join(["%s"] * len(names)) + "\n"
     for block in blocks:
-        cells = [_csv_cells(column) for column in map(block.get, names)]
-        yield "".join(map(template.__mod__, zip(*cells)))
+        yield _rows(["", *[","] * (len(names) - 1)], [block[n] for n in names], "\n", _csv_cells)
 
 
 def _one_row(row: dict) -> list[dict[str, list]]:
@@ -583,20 +574,24 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, grid: dict[str, np.ndarray]
 
 
 def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
-                p_min: np.ndarray, kcap: int) -> Iterator[dict[str, Sequence]]:
+                p_min: np.ndarray, kcap: int) -> Iterator[dict[str, Any]]:
     """The sweep's table, REPORT_ROWS rows at a time, as columns: each axis,
-    k_max, log10_p_min and status."""
+    k_max, log10_p_min and status.  The axes, k_max and status are coded
+    (see _rows): the block's distinct values, and each row's index."""
     status = [optimizer.scan_status(k, kcap) for k in range(kcap + 1)]
     strides = [math.prod(v.size for v in values[i + 1:]) for i in range(len(values))]
     for start in range(0, k_max.size, REPORT_ROWS):
         rows = np.arange(start, min(start + REPORT_ROWS, k_max.size))
-        block: dict[str, Sequence] = {
-            axis["param"]: vals[rows // stride % vals.size]
-            for axis, vals, stride in zip(axes, values, strides)
-        }
-        block["k_max"] = k_max[rows]
-        block["log10_p_min"] = p_min[rows]
-        block["status"] = list(map(status.__getitem__, block["k_max"].tolist()))
+        block: dict[str, Any] = {}
+        for axis, vals, stride in zip(axes, values, strides):
+            # Row r takes vals[r // stride % n]: from step `first` on, wrapping at n.
+            first, n = start // stride, vals.size
+            steps = np.arange(first, min(rows[-1] // stride + 1, first + n)) % n
+            block[axis["param"]] = (vals[steps], (rows // stride - first) % n)
+        ks = k_max[rows]
+        low, high = int(ks.min()), int(ks.max()) + 1
+        block.update(k_max=(np.arange(low, high), ks - low), log10_p_min=p_min[rows],
+                     status=(status[low:high], ks - low))
         yield block
 
 
@@ -639,7 +634,7 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
             for axis, vals in zip(axes, values)}
     k_max, p_min = _sweep_minima(sch, point, grid, cfg["kcap"])
     # Before the first byte; no legal law reaches it (see scheme.NoiseModel).
-    _check_finite(p_min)
+    _json_cells(p_min[~np.isfinite(p_min)].tolist())  # json's error for a non-finite minimum
     names = [axis["param"] for axis in axes] + ["k_max", "log10_p_min", "status"]
     return cfg, {"rows": _TABLE}, names, _sweep_rows(axes, values, k_max, p_min, cfg["kcap"])
 

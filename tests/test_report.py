@@ -1,16 +1,19 @@
-"""Report emission: tables rendered from columns, byte for byte as json.
+"""Report emission: one JSON writer and tables rendered from columns, byte
+for byte as json.
 
-`cli._json_table` writes a list of objects from blocks of columns with one
-row template; it must give exactly the text of
-``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``, raise the same
-ValueError for a non-finite float, and give the same bytes however the rows
-are split into blocks.  A sweep streams its table in blocks of
-`cli.REPORT_ROWS` rows, so its memory does not grow with the grid.
+`cli._json_parts` writes any JSON value and `cli._json_table` a list of
+objects from blocks of columns (arrays, lists, or coded columns: distinct
+values and each row's index); both must give exactly the text of
+``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)`` and raise the
+same error, and a table must give the same bytes however its rows are split
+into blocks.  A sweep streams its table in blocks of `cli.REPORT_ROWS` rows,
+so its memory does not grow with the grid.
 """
 
 from __future__ import annotations
 
 import contextlib
+import enum
 import io
 import json
 import math
@@ -34,35 +37,51 @@ ints = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
 scalars = st.one_of(floats, ints, st.none(), st.booleans(), st.sampled_from(STATUSES),
                     st.text(max_size=5))
 keys = st.lists(st.sampled_from(["B_eta0", "c", "k", "k_max", "log10_p", "n_L",
-                                 "status", "a%s", "é"]),
+                                 "status", "a%s", "é", "a%%s", 'q"t', "b\\s", "t\x01",
+                                 "ß"]),
                 min_size=1, max_size=5, unique=True)
+
+
+def decoded(column) -> list:
+    """A column's values as json's rows hold them."""
+    if isinstance(column, tuple):  # coded: distinct values, and each row's index
+        values, index = decoded(column[0]), column[1].tolist()
+        return [values[i] for i in index]
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 @st.composite
 def tables(draw) -> tuple[dict, list[dict]]:
     """Columns keyed by name, and the same table as json's rows.  Each column
-    is a float array, an int array, or a list of mixed scalars."""
+    is a float array, an int array, a list of mixed scalars, or coded: a float
+    array or a list of scalars, and an index into it for each row."""
     n = draw(st.integers(min_value=0, max_value=12))
     columns = {}
     for key in draw(keys):
-        kind = draw(st.sampled_from(["float", "int", "list"]))
+        kind = draw(st.sampled_from(["float", "int", "list", "coded"]))
         if kind == "float":
             columns[key] = np.array(draw(st.lists(floats, min_size=n, max_size=n)), float)
         elif kind == "int":
             values = draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n))
             columns[key] = np.array(values, dtype=np.int64)
-        else:
+        elif kind == "list":
             columns[key] = draw(st.lists(scalars, min_size=n, max_size=n))
-    values = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in columns.items()}
+        else:
+            values = draw(st.one_of(st.lists(floats, min_size=1, max_size=4).map(np.array),
+                                    st.lists(scalars, min_size=1, max_size=4)))
+            index = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+            columns[key] = (values, np.array(index, dtype=np.int64))
+    values = {k: decoded(c) for k, c in columns.items()}
     rows = [{k: values[k][i] for k in columns} for i in range(n)]
     return columns, rows
 
 
 def blocks_of(columns: dict, cuts: list[int]) -> list[dict]:
     """The table split into blocks at the given row numbers."""
-    n = len(next(iter(columns.values())))
+    n = len(decoded(next(iter(columns.values()))))
     edges = [0, *sorted(c % (n + 1) for c in cuts), n]
-    return [{k: c[lo:hi] for k, c in columns.items()} for lo, hi in zip(edges, edges[1:])]
+    return [{k: (c[0], c[1][lo:hi]) if isinstance(c, tuple) else c[lo:hi]
+             for k, c in columns.items()} for lo, hi in zip(edges, edges[1:])]
 
 
 def dump(payload) -> str:
@@ -93,14 +112,21 @@ def test_non_finite_floats_raise_as_json_does(table, bad, data):
     key = data.draw(st.sampled_from(sorted(columns)))
     row = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
     column = columns[key]
-    if isinstance(column, np.ndarray):
-        column = column.astype(float)
-        rows = [dict(r, **{key: v}) for r, v in zip(rows, column.tolist())]
+    if isinstance(column, tuple):  # the row's value is bad, in every row that shares it
+        values, index = column
+        values = values.copy() if isinstance(values, np.ndarray) else list(values)
+        values[index[row]] = bad
+        columns = dict(columns, **{key: (values, index)})
+        rows = [dict(r, **{key: v}) for r, v in zip(rows, decoded((values, index)))]
     else:
-        column = list(column)
-    column[row] = bad
-    columns = dict(columns, **{key: column})
-    rows[row][key] = bad
+        if isinstance(column, np.ndarray):
+            column = column.astype(float)
+            rows = [dict(r, **{key: v}) for r, v in zip(rows, column.tolist())]
+        else:
+            column = list(column)
+        column[row] = bad
+        columns = dict(columns, **{key: column})
+        rows[row][key] = bad
     with pytest.raises(ValueError) as expected:
         dump(rows)
     with pytest.raises(ValueError) as got:
@@ -111,6 +137,69 @@ def test_non_finite_floats_raise_as_json_does(table, bad, data):
 def test_empty_table_is_an_empty_list():
     assert "".join(cli._json_table([], 3)) == "[]"
     assert "".join(cli._json_table([{"k": np.arange(0)}], 0)) == dump([])
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+# Values json cannot write: non-finite floats (ValueError) and other types (TypeError).
+UNWRITABLE = (math.inf, -math.inf, math.nan, np.float64(-math.inf), 1j, {1}, b"x",
+              np.int64(3), np.bool_(True))
+leaves = st.one_of(floats, floats.map(np.float64), st.integers(-2 ** 80, 2 ** 80),
+                   st.booleans(), st.none(), st.text(), st.just(Level.ONE))
+scalar_keys = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False),
+                        st.booleans(), st.none())
+payloads = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(scalar_keys, children, max_size=3)),
+    max_leaves=12)
+
+
+def write(payload) -> str:
+    parts: list = []
+    cli._json_parts(payload, 0, parts)
+    return "".join(parts)
+
+
+def outcome(function, payload):
+    """function(payload), or the type and message of the error it raised."""
+    try:
+        return function(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payloads, st.data())
+def test_writer_text_is_json_text(payload, data):
+    assert outcome(write, payload) == outcome(dump, payload)
+    # One value json cannot write, alone or after or before the payload.
+    bad = data.draw(st.sampled_from(UNWRITABLE))
+    wrapped = data.draw(st.sampled_from([bad, [payload, bad], {"a": payload, "b": bad},
+                                         (bad, payload)]))
+    expected = outcome(dump, wrapped)
+    assert isinstance(expected, tuple)
+    assert outcome(write, wrapped) == expected
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-math.inf, "Out of range float values are not JSON compliant"),
+    (np.float64(math.nan), "Out of range float values are not JSON compliant"),
+    ({math.inf: 1}, "Out of range float values are not JSON compliant"),
+    (1j, "Object of type complex is not JSON serializable"),
+    ({(1, 2): 0}, "keys must be str, int, float, bool or None"),
+])
+def test_writer_raises_json_errors(bad, message):
+    error = ValueError if "range" in message else TypeError
+    with pytest.raises(error) as expected:
+        dump({"x": [bad]})
+    with pytest.raises(error) as got:
+        write({"x": [bad]})
+    assert message in str(got.value) and str(got.value) == str(expected.value)
 
 
 def invoke(*argv) -> tuple[int, str, str]:
@@ -144,12 +233,36 @@ def test_sweep_bytes_do_not_depend_on_the_row_block(monkeypatch, axes):
         argv += ["--axis", axis]
     code, report, _ = invoke(*argv, "--format", "json")
     assert code == 0
-    assert report == cli._dump_json(json.loads(report))
+    assert report == dump(json.loads(report)) + "\n"
     reports = {"json": report, "csv": csv_from_json(report, names)}
     for rows in (1, 7, cli.REPORT_ROWS):
         monkeypatch.setattr(cli, "REPORT_ROWS", rows)
         for fmt, text in reports.items():
             assert invoke(*argv, "--format", fmt) == (0, text, "")
+
+
+# One JSON report per subcommand, as README invokes them.
+README_REPORTS = [
+    ["optimize", "--scheme", "aliferis2006", "--model", "affine", "--eta0", "5e-6", "--c", "1"],
+    ["sweep", "--model", "shor", "--R", "1000", "--axis", "n_L:1e4:1e13:40:log",
+     "--format", "json"],
+    ["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1000"],
+    ["longrange", "--lattice", "square", "--z", "1.1", "--N0", "250000", "--compare"],
+    ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"],
+    ["fit", "--samples", "0:1e-5,1:2e-5,2:3e-5", "--model", "affine"],
+]
+
+
+@pytest.mark.parametrize("argv", README_REPORTS, ids=lambda argv: argv[0])
+def test_reports_do_not_use_the_pure_python_encoder(monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, report, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert report == dump(json.loads(report)) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
