@@ -31,10 +31,6 @@ B_AMPLIFICATION = 2.0 * math.exp(2.0 + 1.0 / math.e)  # ~21.349
 
 MAX_CHAIN_SITES = 10 ** 6
 MAX_SQUARE_SIDE = 10 ** 4
-# Floats in the square oracle's largest temporary: 64 KiB, under glibc's
-# default 128 KiB mmap threshold, so no temporary faults in fresh pages.  It
-# bounds the tile below side 129 (65^2 floats) and a block of row integrals.
-ORACLE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -146,59 +142,164 @@ def _chain_row_sum(side: int, z: float) -> float:
     return 2.0 * _harmonic(c, z) + ((c + 1) ** -z if side % 2 == 0 else 0.0)
 
 
-# Gauss-Legendre nodes of each row integral of a square; a block of
-# ORACLE_BLOCK // _ROW_NODES rows holds one float per row and node.
-_ROW_NODES = 32
+# Gauss-Legendre nodes of each integral along a rectangle's edge.
+_LINE_NODES = 32
 
 
-def _row_tails(u: np.ndarray, c: int, z: float) -> np.ndarray:
-    """sum_{v=M..c} f_u(v) for rows u >= 1, f_u(v) = (u^2 + v^2)^(-z/2),
-    by _harmonic's Euler-Maclaurin sum from M = _EM_START.
+@functools.cache
+def _em_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The product Euler-Maclaurin sum's constant tables, built on first use
+    and read-only: a 12 x 12 table E and the Hankel indices n1 + n2.
 
-    With r = sqrt(u^2 + v^2) and C_m the Gegenbauer polynomials of index
-    z/2, f_u^(m)(v) = m! r^(-z-m) C_m(-v/r).  Their three-term recurrence
-    carries D_m = f_u r^(-m) C_m, whose factors are finite: a huge z
-    underflows f_u to 0 and never forms inf * 0.  The integral from M to c
-    is u^(1-z) times that of cosh(y)^(1-z) from asinh(M/u) to asinh(c/u),
-    by a 32-point Gauss-Legendre rule; at z = 0 it is c - M exactly.
+    With f = (x^2 + t^2)^-s, x > 0 and p = x^2 / (x^2 + t^2), the explicit
+    sum of the Gegenbauer polynomial C_m^(s), whose generating function is
+    f's Taylor series in x, gives d^m f/dx^m = x^-m sum_n K[m, n] (s)_n p^n f
+    with K[m, n] = (-1)^n 2^(2n-m) m! / ((m-n)! (2n-m)!) for
+    m/2 <= n <= m.  Each K[m, n] is an integer, exact in a float, and
+    carries every sign, so no negative base is raised to a power.  Row
+    m = 2j - 1 of E is B_2j/(2j)! K[m] (even rows are 0), so an upper end's
+    Bernoulli terms sum_j B_2j/(2j)! d^(2j-1) f/dx^(2j-1) are
+    sum_n ((x^-m)_m @ E)_n (s)_n p^n f.
     """
-    ends = np.array([[float(_EM_START)], [float(c)]])
-    r2 = u * u + ends * ends  # one row per end of the sum
-    f = r2 ** (-z / 2.0)
-    q, p = -ends / r2, 1.0 / r2  # (-v/r)/r and 1/r^2
-    below, d = 0.0, f
-    corrections = 0.0
-    for m in range(1, 2 * len(_EM_COEFFS)):
-        below, d = d, (2 * m + z - 2) / m * (q * d) - (m + z - 2) / m * (p * below)
-        if m % 2:
-            corrections += _EM_COEFFS[m // 2] * math.factorial(m) * (d[1] - d[0])
-    if z == 0.0:
-        integral = float(c - _EM_START)
+    table = np.zeros((12, 12))
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
+        m = 2 * j - 1
+        for n in range(j, m + 1):
+            table[m, n] = coeff * ((-1) ** n * 2 ** (2 * n - m) * math.factorial(m) // (
+                math.factorial(m - n) * math.factorial(2 * n - m)))
+    orders = np.arange(12)
+    hankel = orders[:, None] + orders
+    table.flags.writeable = hankel.flags.writeable = False
+    return table, hankel
+
+
+def _powers(p: np.ndarray) -> np.ndarray:
+    """p^n for n = 0..11, stacked along a new first axis, by five products."""
+    out = np.empty((12,) + p.shape)
+    out[0] = 1.0
+    out[1] = p
+    np.multiply(p, p, out=out[2])
+    np.multiply(out[1:3], out[2], out=out[3:5])
+    np.multiply(out[1:5], out[4], out=out[5:9])
+    np.multiply(out[1:4], out[8], out=out[9:])
+    return out
+
+
+# Rows of (ua, ub, va, vb) that _rectangle_parts reads: each edge's fixed
+# coordinate, the ends of its range, and each corner's two coordinates.
+_EDGE, _EDGE_LO, _EDGE_HI = (0, 1, 2, 3), (2, 2, 0, 0), (3, 3, 1, 1)
+_CORNER_U, _CORNER_V = (0, 0, 1, 1), (2, 3, 2, 3)
+# Whether each end of a sum, edges then corners in u and in v, is its upper end.
+_UPPER = (False, True, False, True) + (False, False, True, True) + (False, True, False, True)
+
+
+def _rectangle_parts(rects: list[tuple[int, int, int, int]], z: float) -> np.ndarray:
+    """Parts that add up to sum_{u=ua..ub} sum_{v=va..vb} f(u, v) for each
+    integer rectangle (ua, ub, va, vb), f = (u^2 + v^2)^(-z/2), by the
+    product Euler-Maclaurin formula
+
+        I_2 + T_u[J_u] + T_v[J_v] + T_u T_v f,
+
+    where I_2 is f's integral over the rectangle, J_u(u) the integral of
+    f(u, .) over [va, vb] (J_v likewise) and T_u the end terms of
+    _harmonic's sum in u: 1/2 the value at each end and six Bernoulli
+    terms.  Rows of the result: I_2's parts and T's parts on the edges
+    u = ua, u = ub, v = va, v = vb, then T_u T_v f at the corners (ua, va),
+    (ua, vb), (ub, va), (ub, vb); one column per rectangle.  No rectangle
+    may hold the origin or put an edge on an axis, and f must not underflow
+    to 0 at every site.
+
+    By _em_tables, an end x of a sum in x has the end terms
+    sum_n g_n (s)_n p^n f, s = z/2, p = x^2/r^2, with g_0 = 1/2.  f is even
+    in x, so an end at x < 0 is the mirror end at -x, where the odd orders
+    change sign: a lower end becomes an upper one.  An edge u = x0 runs
+    over v = |x0| sinh(y), r = |x0| cosh(y), with _LINE_NODES Gauss-Legendre
+    nodes in y.  f's bivariate Taylor coefficients give
+    d^a/du^a d^b/dv^b f = u^-a v^-b sum K[a, n1] K[b, n2] (s)_(n1+n2)
+    p^n1 q^n2 f, q = v^2/r^2, so a corner's T_u T_v f is
+    sum g_n1 h_n2 (s)_(n1+n2) p^n1 q^n2 f.
+
+    f is homogeneous of degree -z, so div(x f) = (2 - z) f, and I_2 is the
+    sum over the edges of +-(integral of (r^(2-z) - M^(2-z))/(2-z) dtheta),
+    + where the outer normal points away from the origin.  The M^(2-z)
+    terms cancel, since each ray that enters a rectangle leaves it.
+    r^(2-z) is r^2 times f, as -z/2 is exact; within 1/8 of z = 2 the
+    difference is M^(2-z) expm1((2-z) ln(r/M)), and ln(r/M) at z = 2.
+    """
+    coords = np.asarray(rects, dtype=float).T
+    k = coords.shape[1]
+    s = z / 2.0
+    poch = [1.0]  # (s)_N for N <= 22
+    for i in range(22):
+        poch.append(poch[-1] * (s + i))
+    poch = np.array(poch)
+    table, hankel = _em_tables()
+
+    # The ends of the sums: the edges, then the corners' u and v.
+    ends = coords[list(_EDGE + _CORNER_U + _CORNER_V)].ravel()
+    edges, corner_u, corner_v = slice(0, 4 * k), slice(4 * k, 8 * k), slice(8 * k, None)
+    sign = np.where(np.repeat(_UPPER, k) ^ (ends < 0), 1.0, -1.0)
+    x0 = np.abs(ends)
+    lo, hi = coords[list(_EDGE_LO)].ravel(), coords[list(_EDGE_HI)].ravel()
+    x, w = _gauss_legendre(_LINE_NODES)
+    y_lo = np.arcsinh(lo / x0[edges])
+    half = (np.arcsinh(hi / x0[edges]) - y_lo) / 2.0
+    ch = np.cosh(np.multiply.outer(half, x) + (y_lo + half)[:, None])
+    r = x0[edges, None] * ch
+    r2 = r * r
+    f = r2 ** (-s)
+    corner_r2 = x0[corner_u] ** 2 + x0[corner_v] ** 2
+    # Every power at once: 1/x at each end, p at each edge node, and p and q
+    # at each corner.
+    powers = _powers(np.concatenate((
+        1.0 / x0, (1.0 / (ch * ch)).ravel(), x0[4 * k:] ** 2 / np.tile(corner_r2, 2))))
+    along = powers[:, 12 * k:12 * k + r.size].reshape((12,) + r.shape)
+    at_corners = powers[:, 12 * k + r.size:].T
+    g = powers[:, :12 * k].T @ table
+    g *= sign[:, None]
+    g[:, 0] += 0.5
+
+    edge_terms = half * np.einsum("ln,ln->l", np.einsum("nli,li->ln", along, f * r * w),
+                                  g[edges] * poch[:12])
+    m_pow = _EM_START * _EM_START * _EM_START ** -z  # M^(2-z)
+    if z == 2.0:
+        radial = np.log(r / _EM_START)
+    elif abs(2.0 - z) < 0.125:
+        radial = m_pow * np.expm1((2.0 - z) * np.log(r / _EM_START)) / (2.0 - z)
     else:
-        x, w = _gauss_legendre(_ROW_NODES)
-        lo, hi = np.arcsinh(_EM_START / u), np.arcsinh(c / u)
-        half = (hi - lo) / 2.0
-        y = np.multiply.outer(x, half)
-        y += lo + half
-        np.cosh(y, out=y)
-        np.power(y, 1.0 - z, out=y)
-        integral = u ** (1.0 - z) * half * (w @ y)
-    return integral + ((f[0] + f[1]) / 2.0 + corrections)
+        radial = (r2 * f - m_pow) / (2.0 - z)
+    edge_integrals = sign[edges] * half * ((radial / ch) @ w)
+
+    gu, gv = g[corner_u] * at_corners[:4 * k], g[corner_v] * at_corners[4 * k:]
+    corner_terms = corner_r2 ** (-s) * ((gu @ poch[hankel]) * gv).sum(axis=1)
+    return np.concatenate((edge_integrals, edge_terms, corner_terms)).reshape(12, k)
+
+
+def _far_rectangles(side: int) -> tuple[list[tuple[int, int, int, int]], list[float]]:
+    """The rectangles (ua, ub, va, vb) of offsets outside the box |u|, |v| < M
+    of a side x side square, c = (side-1)//2 >= M = _EM_START, and how many
+    copies of each the square holds: four strips |u| <= M-1, M <= v <= c,
+    four blocks M <= u, v <= c and, on an even side, two edge lines
+    |u| <= c, v = c+1 and the corner (c+1, c+1).  Every site in them lies at
+    distance >= M from the centre."""
+    c, m = (side - 1) // 2, _EM_START
+    rects, copies = [(1 - m, m - 1, m, c), (m, c, m, c)], [4.0, 4.0]
+    if side % 2 == 0:
+        rects += [(-c, c, c + 1, c + 1), (c + 1, c + 1, c + 1, c + 1)]
+        copies += [2.0, 1.0]
+    return rects, copies
 
 
 def _centre_row_sum(side: int, z: float) -> float:
-    """Row sum of the centre site c = (side-1)//2 of a side x side square,
-    with no temporary above ORACLE_BLOCK floats.
+    """Row sum of the centre site c = (side-1)//2 of a side x side square.
 
     Folding the offsets [-c, side-1-c] on each axis gives u, v in [0, n),
     n = side - c, with weight w = 2 for 1 <= u <= c and 1 otherwise.  Below
     c = M = _EM_START the quadrant is one tile, summed term by term; its
     self term is zeroed after the power, so z = 0 counts the other sites.
-    From c = M on, only the box u, v < M is; by u <-> v symmetry each row u
-    then adds R_u = sum_{v >= M} w_v f_u(v) with weight 2 w_u for u < M (the
-    two strips) and w_u otherwise.  R_0 comes from the chain's H_c(z) -
-    H_{M-1}(z), the other rows from _row_tails, ORACLE_BLOCK // _ROW_NODES
-    rows at a time.
+    From c = M on, only the box u, v < M is, and _rectangle_parts sums the
+    _far_rectangles around it.  At z = 0 they count their sites, and where
+    M^-z underflows every term in them is 0.
     """
     c = (side - 1) // 2
     n = side - c
@@ -215,19 +316,13 @@ def _centre_row_sum(side: int, z: float) -> float:
     near = float(weights @ terms.sum(axis=1))
     if c < _EM_START:
         return near
-    edge = float(c + 1) if side % 2 == 0 else None
-    row = 2.0 * (_harmonic(c, z) - _harmonic(_EM_START - 1, z))
-    sums = [near, 2.0 * (row + (edge ** -z if edge else 0.0))]
-    step = ORACLE_BLOCK // _ROW_NODES
-    for lo in range(1, n, step):
-        u = np.arange(lo, min(lo + step, n), dtype=float)
-        rows = 2.0 * _row_tails(u, c, z)
-        copies = np.where(u < _EM_START, 4.0, 2.0)
-        if edge:
-            rows += (u * u + edge * edge) ** (-z / 2.0)
-            copies[u == edge] = 1.0
-        sums.append(float(copies @ rows))
-    return math.fsum(sums)
+    if z == 0.0:
+        return near + float(side * side - (2 * _EM_START - 1) ** 2)
+    if _EM_START ** -z == 0.0:
+        return near
+    rects, copies = _far_rectangles(side)
+    parts = _rectangle_parts(rects, z) * np.array(copies)
+    return math.fsum([near, *parts.ravel().tolist()])
 
 
 def delta_lattice_oracle(spec: LatticeSpec) -> float:
@@ -242,15 +337,32 @@ def delta_lattice_oracle(spec: LatticeSpec) -> float:
     lowers the sum.  Rows past the centre mirror rows before it, and the same
     step along each axis takes any site to the centre.
 
-    A chain's row sum costs O(1) and a square's O(side): a box of 64^2 terms
-    and one Euler-Maclaurin sum per row.  Each Euler-Maclaurin remainder is
-    below 6.1e-24 (see _harmonic): on [-1, 1] the Gegenbauer polynomials
-    obey |C_m^(s)| <= (2s)_m/m!, so a row's twelfth derivative is no larger
-    than the chain's, |f_u^(12)(v)| <= (z)_12 v^(-z-12).  Each row's
-    integrand is analytic but at y = +-i pi/2; mapped onto the 32-point
-    rule's [-1, 1], that point lies on a Bernstein ellipse of parameter
-    rho >= 2.879 for every row up to the side cap (the least at c = 4999,
-    u = 162), so the rule errs by O(rho^-64) ~ 4e-30.
+    Both row sums cost O(1): a chain's is 2 H_c(z) (see _harmonic), and a
+    square's above side 128 is a box of 64^2 terms plus two product
+    Euler-Maclaurin rectangles, the strips and the blocks, and on an even
+    side the edge lines (see _far_rectangles and _rectangle_parts).
+
+    The square's remainder.  Write a sum over [a, b] as S = I + T + E, with
+    I the integral, T the end terms and E the rest, |E g| <= kappa
+    integral |g^(12)|, kappa = 2 zeta(12)/(2 pi)^12.  On a rectangle the
+    formula misses S_u S_v - (I_u + T_u)(I_v + T_v) = E_u S_v + S_u E_v -
+    E_u E_v.  Writing f = (w wbar)^(-z/2), w = u + iv, and d/du, d/dv in
+    d/dw, d/dwbar gives |d^a/du^a d^b/dv^b f| <= (z)_(a+b) r^(-z-a-b), which
+    for b = 0 is the Gegenbauer bound |C_m^(s)| <= (2s)_m/m!.  Every site
+    outside the box has r >= M = 64.  Summed over the lines of the strips
+    and blocks, the edge lines (r >= M+1) and the area r >= M, with
+    p = z + 12 and beta_p = integral (1+t^2)^(-p/2) dt:
+
+        |R| <= kappa (z)_12 [4 beta_p (M-1)^(2-p)/(p-2)
+                              + 4 (2M-1) M^(1-p)/(p-1) + 2 beta_p (M+1)^(1-p)]
+               + kappa^2 (z)_24 2 pi M^(-z-22)/(z+22),
+
+    at most 4.7e-21 for every z >= 0 (the maximum lies near z = 0.54), and
+    the sum is at least 4.  Each edge integrand is analytic but at
+    cosh(y) = 0, y = +-i pi/2; mapped onto the 32-point rule's [-1, 1],
+    that point lies on a Bernstein ellipse of parameter rho >= 3.076 for
+    every edge up to the side cap (the least on the blocks' near edge
+    u = M at c = 4999), so the rule errs by O(rho^-64) ~ 6e-32.
     """
     if spec.aspect == "chain" and spec.N0 > MAX_CHAIN_SITES:
         raise ValueError(f"chain N0 capped at {MAX_CHAIN_SITES}")

@@ -69,6 +69,45 @@ def exact_square_sum(side: int, z: float) -> float:
     return math.fsum(itertools.chain.from_iterable(rows()))
 
 
+def exactly_rounded_sum(blocks) -> float:
+    """The exactly rounded sum of the non-negative floats in ``blocks``.
+
+    Each float is a 53-bit integer times 2^(e-53).  The integers' 26-bit
+    halves are added per e as floats, which stays exact while a total is
+    below 2^53 (up to 2^26 floats), and the totals are joined as Python
+    integers, whose true division rounds correctly."""
+    totals = np.zeros((2, 2100))
+    for block in blocks:
+        mantissa, exponent = np.frexp(block)
+        digits = (mantissa * 2.0 ** 53).astype(np.int64)
+        for row, part in enumerate((digits >> 26, digits & (2 ** 26 - 1))):
+            totals[row] += np.bincount(exponent + 1074, weights=part, minlength=2100)
+    numerator = sum((int(high) * 2 ** 26 + int(low)) << j
+                    for j, (high, low) in enumerate(totals.T) if high or low)
+    return numerator / 2 ** 1127
+
+
+def exact_square_sum_by_symmetry(side: int, z: float) -> float:
+    """exact_square_sum with each term v > u standing for itself and its
+    mirror (v, u), summed by exactly_rounded_sum."""
+    c = (side - 1) // 2
+    squares = np.arange(side - c, dtype=float) ** 2
+    weights = np.full(side - c, 2.0)
+    weights[0] = 1.0
+    if side % 2 == 0:
+        weights[-1] = 1.0
+
+    def rows():
+        for u in range(side - c):
+            with np.errstate(divide="ignore"):
+                terms = (squares[u] + squares[u:]) ** (-z / 2.0)
+            terms *= 2.0 * weights[u] * weights[u:]  # 2, 4 or 8: exact
+            terms[0] = 0.0 if u == 0 else terms[0] / 2.0  # the diagonal has no mirror
+            yield terms
+
+    return exactly_rounded_sum(rows())
+
+
 def square_oracle(side: int, z: float) -> float:
     return delta_lattice_oracle(LatticeSpec(d=2, z=z, N0=side * side, aspect="square"))
 
@@ -192,20 +231,50 @@ class TestDeltaLatticeOracle:
         assert 6.0e-24 < worst < 6.1e-24  # the docstring's maximum, near z = 0.55
 
     # Squares of side <= 128 (c < 64) keep the single tile; from side 129 on,
-    # a 64 x 64 box and one Euler-Maclaurin sum per row.
+    # a 64 x 64 box and two product Euler-Maclaurin rectangles.
     @settings(max_examples=100, deadline=None)
     @given(side=st.integers(129, 2500), z=st.floats(0.0, 60.0))
     def test_square_matches_the_exact_sum(self, side, z):
         assert square_oracle(side, z) == pytest.approx(
             exact_square_sum(side, z), rel=1e-15, abs=0.0)
 
-    # n = side - c = 64, 65, 65, 66, 66, 67: the last tile, an empty
-    # Euler-Maclaurin range (c = 64) and the first rows past the box.
+    # n = side - c = 64, 65, 65, 66, 66, 67: the last tile, then c = 64 (strips
+    # one line wide, a one-site block) and the first lines past the box.
     @pytest.mark.parametrize("side", [127, 128, 129, 130, 131, 132])
     @pytest.mark.parametrize("z", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 4.0])
     def test_square_matches_the_exact_sum_at_the_seams(self, side, z):
         assert square_oracle(side, z) == pytest.approx(
             exact_square_sum(side, z), rel=1e-15, abs=0.0)
+
+    # The side cap and the odd side below it, at z = 2's seams and away from
+    # them; each reference sums about 1.25e7 powers exactly.  These hold to
+    # 6e-16 (2.4e-16 seen).  At z = 0.6, 2 - z rounds by half an ulp, and
+    # r^(2-z) taken as r2 ** ((2-z)/2) rather than r2 * r2 ** (-z/2) would
+    # carry that times ln(r) ~ 9 into the sum: 1.0e-15.
+    @pytest.mark.parametrize("side", [MAX_SQUARE_SIDE - 1, MAX_SQUARE_SIDE])
+    @pytest.mark.parametrize("z", [0.05, 0.6, 1.875, 2.0 - 1e-9, 2.0, 2.125, 7.5])
+    def test_square_matches_the_exact_sum_at_the_cap(self, side, z):
+        assert square_oracle(side, z) == pytest.approx(
+            exact_square_sum_by_symmetry(side, z), rel=6e-16, abs=0.0)
+
+    def test_reference_by_symmetry_is_the_exact_sum(self):
+        # Terms from 8 down to subnormals and zeros (z = 300).
+        for side, z in ((129, 0.5), (130, 2.0), (301, 7.5), (300, 0.05), (12, 1.0),
+                        (40, 300.0), (2, 1.0)):
+            assert exact_square_sum_by_symmetry(side, z) == exact_square_sum(side, z)
+
+    # Rectangles nearer the centre than any square's: a lower end at a
+    # negative offset, a range through an axis, one line and one site.
+    @pytest.mark.parametrize("rect", [(-30, 30, 20, 400), (25, 300, -40, 90),
+                                      (20, 20, -90, 90), (70, 70, 70, 70), (21, 350, 33, 34)])
+    @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 2.05, 3.5])
+    def test_rectangle_sum(self, rect, z):
+        ua, ub, va, vb = rect
+        u, v = np.meshgrid(np.arange(ua, ub + 1.0), np.arange(va, vb + 1.0))
+        exact = math.fsum(((u * u + v * v) ** (-z / 2.0)).ravel().tolist())
+        parts = crosstalk._rectangle_parts([rect], z)
+        assert parts.shape == (12, 1)
+        assert math.fsum(parts.ravel().tolist()) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("side", [130, 2000, 2001, MAX_SQUARE_SIDE])
     def test_square_z_zero_counts_sites(self, side):
@@ -230,8 +299,8 @@ class TestDeltaLatticeOracle:
         assert square_oracle(side, z) == value
 
     def test_gegenbauer_bound(self):
-        # |C_m^(s)(x)| <= (2s)_m / m! on [-1, 1] for s > 0, which bounds each
-        # row's twelfth derivative by the chain's.
+        # |C_m^(s)(x)| <= (2s)_m / m! on [-1, 1] for s > 0: the case b = 0 of
+        # the derivative bound the square's remainder rests on.
         from scipy.special import eval_gegenbauer, poch
 
         x = np.linspace(-1.0, 1.0, 2001)
@@ -240,18 +309,107 @@ class TestDeltaLatticeOracle:
                 bound = poch(2.0 * s, m) / math.factorial(m)
                 assert np.max(np.abs(eval_gegenbauer(m, s, x))) <= bound * (1.0 + 1e-12), (s, m)
 
-    def test_row_integral_bernstein_bound(self):
-        # The 32-point rule on [asinh(64/u), asinh(c/u)] meets cosh's zero at
-        # y = i pi/2; its Bernstein parameter bounds the rule's error by
-        # O(rho^-64).  rho falls with c, so the cap's rows give the least.
-        c = (MAX_SQUARE_SIDE - 1) // 2
-        u = np.arange(1, MAX_SQUARE_SIDE - c, dtype=float)
-        lo, hi = np.arcsinh(crosstalk._EM_START / u), np.arcsinh(c / u)
-        t = (0.5j * math.pi - (lo + hi) / 2.0) / ((hi - lo) / 2.0)
+    def test_derivative_table_is_the_gegenbauer_sum(self):
+        # d^m f/dx^m = m! r^(-z-m) C_m^(z/2)(-x/r) for f = (x^2 + t^2)^(-z/2);
+        # row m = 2j-1 of the table over B_2j/(2j)! gives it as
+        # x^-m sum_n K[m, n] (z/2)_n p^n f, p = x^2/r^2.
+        from scipy.special import eval_gegenbauer, poch
+
+        table, hankel = crosstalk._em_tables()
+        assert not table[::2].any() and not table.flags.writeable
+        assert (hankel == np.add.outer(np.arange(12), np.arange(12))).all()
+        n = np.arange(12)
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            x, t, z = rng.uniform(1.0, 100.0), rng.uniform(-100.0, 100.0), rng.uniform(0.01, 20.0)
+            r2 = x * x + t * t
+            for j, coeff in enumerate(crosstalk._EM_COEFFS, start=1):
+                m = 2 * j - 1
+                got = x ** -m * np.sum(table[m] / coeff * poch(z / 2.0, n) * (x * x / r2) ** n)
+                want = math.factorial(m) * r2 ** (-m / 2.0) * eval_gegenbauer(m, z / 2.0, -x / r2 ** 0.5)
+                scale = poch(z, m) * r2 ** (-m / 2.0)  # the bound on |want|
+                assert got == pytest.approx(want, rel=0.0, abs=1e-11 * scale), (x, t, z, m)
+
+    def test_mixed_derivative_bound(self):
+        # With w = u + iv, f = (w wbar)^(-s), d/du = d/dw + d/dwbar and
+        # d/dv = i (d/dw - d/dwbar), where d^p/dw^p d^q/dwbar^q f =
+        # (-1)^(p+q) (s)_p (s)_q w^(-s-p) wbar^(-s-q).  Then
+        # |d^a/du^a d^b/dv^b f| <= (z)_(a+b) r^(-z-a-b), which the square's
+        # remainder bound rests on, and the corners' Taylor formula
+        # u^-a v^-b sum K[a, n1] K[b, n2] (s)_(n1+n2) p^n1 q^n2 f agrees.
+        from scipy.special import comb, poch
+
+        def k_row(m):
+            return np.array([(-1) ** n * 2.0 ** (2 * n - m) * math.factorial(m)
+                             / (math.factorial(m - n) * math.factorial(2 * n - m))
+                             if m <= 2 * n <= 2 * m else 0.0 for n in range(12)])
+
+        rng = np.random.default_rng(9)
+        n1, n2 = np.meshgrid(np.arange(12), np.arange(12), indexing="ij")
+        for _ in range(8):
+            u, v, z = rng.uniform(1.0, 50.0), rng.uniform(1.0, 50.0), rng.uniform(0.01, 12.0)
+            s, w, r2 = z / 2.0, complex(u, v), u * u + v * v
+            for a, b in itertools.product((0, 1, 2, 3, 6, 11, 12), repeat=2):
+                wirtinger = sum(
+                    comb(a, i) * comb(b, j) * 1j ** b * (-1) ** (b - j + a + b)
+                    * poch(s, i + j) * poch(s, a + b - i - j)
+                    * w ** (-s - i - j) * w.conjugate() ** (-s - a - b + i + j)
+                    for i in range(a + 1) for j in range(b + 1))
+                bound = poch(z, a + b) * r2 ** (-(z + a + b) / 2.0)
+                assert abs(wirtinger.imag) <= 1e-9 * bound
+                assert abs(wirtinger.real) <= bound * (1.0 + 1e-9), (u, v, z, a, b)
+                if max(a, b) < 12:
+                    taylor = u ** -a * v ** -b * r2 ** -s * np.sum(
+                        np.outer(k_row(a), k_row(b)) * poch(s, n1 + n2)
+                        * (u * u / r2) ** n1 * (v * v / r2) ** n2)
+                    assert taylor == pytest.approx(wirtinger.real, rel=0.0, abs=1e-9 * bound)
+
+    def test_product_remainder_bound(self):
+        # delta_lattice_oracle's bound on the square's Euler-Maclaurin
+        # remainder, with kappa = 2 zeta(12)/(2 pi)^12 and zeta(12) =
+        # 691 pi^12/638512875, in logs so that no (z)_24 overflows.  At
+        # z = 1e300 lgamma's rounding is far below (z + 22) ln M.
+        m = crosstalk._EM_START
+        log_kappa = math.log(2.0 * 691.0 / (638512875.0 * 2.0 ** 12))
+
+        def bound(z):
+            p = z + 12.0
+            log_beta = 0.5 * math.log(math.pi) + math.lgamma((p - 1.0) / 2.0) - math.lgamma(p / 2.0)
+            lines = log_kappa + math.lgamma(z + 12.0) - math.lgamma(z)  # kappa (z)_12
+            area = 2.0 * log_kappa + math.lgamma(z + 24.0) - math.lgamma(z)
+            return math.fsum(math.exp(term) for term in (
+                lines + math.log(4.0) + log_beta + (2.0 - p) * math.log(m - 1) - math.log(p - 2.0),
+                lines + math.log(4.0 * (2 * m - 1)) + (1.0 - p) * math.log(m) - math.log(p - 1.0),
+                lines + math.log(2.0) + log_beta + (1.0 - p) * math.log(m + 1),
+                area + math.log(2.0 * math.pi) - (z + 22.0) * math.log(m) - math.log(z + 22.0)))
+
+        zs = [*np.linspace(1e-6, 60.0, 60001), 1e3, 1e160, 1e300]
+        values = [bound(z) for z in zs]
+        worst = max(values)
+        assert 4.6e-21 < worst < 4.7e-21  # the docstring's maximum
+        assert zs[values.index(worst)] == pytest.approx(0.54, abs=0.005)
+
+    def test_edge_integral_bernstein_bound(self):
+        # Each edge integral is a 32-point rule in y = asinh(t/x0), whose
+        # integrand meets cosh's zero at y = i pi/2; its Bernstein parameter
+        # bounds the rule's error by O(rho^-64).  Over the edges of every
+        # square from side 129 to the cap, the least lies on the blocks'
+        # near edge u = M at c = 4999.
+        edges = []
+        for side in range(129, MAX_SQUARE_SIDE + 1):
+            for rect in crosstalk._far_rectangles(side)[0]:
+                for fixed, lo, hi in zip(crosstalk._EDGE, crosstalk._EDGE_LO,
+                                         crosstalk._EDGE_HI):
+                    if rect[lo] < rect[hi]:
+                        edges.append((abs(rect[fixed]), rect[lo], rect[hi]))
+        x0, lo, hi = np.array(edges, dtype=float).T
+        y_lo, y_hi = np.arcsinh(lo / x0), np.arcsinh(hi / x0)
+        t = (0.5j * math.pi - (y_lo + y_hi) / 2.0) / ((y_hi - y_lo) / 2.0)
         root = np.sqrt(t * t - 1.0)
         rho = np.maximum(np.abs(t + root), np.abs(t - root))
-        assert 2.879 <= rho.min() < 2.88
-        assert u[np.argmin(rho)] == 162
+        assert 3.0759 < rho.min() < 3.0760
+        assert tuple(edges[np.argmin(rho)]) == (crosstalk._EM_START, crosstalk._EM_START,
+                                                (MAX_SQUARE_SIDE - 1) // 2)
 
     def test_size_caps(self):
         with pytest.raises(ValueError, match="capped"):
