@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`qecopt.scheme`: fault-tolerance scheme constants, scale-dependent
-  noise laws, log-domain probabilities, noise-law fitting;
+  noise laws, noise-law fitting;
 * :mod:`qecopt.optimizer`: logical-error curves, optimal concatenation
   depth, analytic usefulness conditions and bounds;
 * :mod:`qecopt.crosstalk`: long-range lattice crosstalk strength and its
@@ -38,7 +38,6 @@ from .optimizer import (
     exp_model_bounds,
     find_kmax,
     generic_kmax_bound,
-    logical_error_log10,
     one_level_condition,
 )
 from .crosstalk import (
@@ -90,7 +89,7 @@ __all__ = [
     "model_from_dict", "model_to_dict",
     "BoundsReport", "OptResult", "affine_usefulness_threshold",
     "exp_model_bounds", "find_kmax", "generic_kmax_bound",
-    "logical_error_log10", "one_level_condition",
+    "one_level_condition",
     "LatticeSpec", "crosstalk_usefulness_threshold", "delta0_asymptotic",
     "delta_lattice_oracle", "effective_local_error", "logical_crosstalk_log10",
     "GateSpec", "QubitChannel", "asymptotic_pauli_errors",

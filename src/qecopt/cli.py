@@ -124,12 +124,13 @@ def _samples(value: str | list) -> list[list[float]]:
 
 
 def _axes(value: list) -> list[dict]:
-    """Each --axis text 'param:min:max:count[:spacing]' as an axis object;
-    axis objects from a config pass through."""
+    """Each --axis text 'param:min:max:count[:spacing]' as an axis object,
+    checked against the config schema's axis; axis objects from a config
+    (checked with the config) pass through."""
     axes = []
     for axis in value:
         if isinstance(axis, str):
-            parts = axis.split(":")
+            text, parts = axis, axis.split(":")
             if len(parts) not in (4, 5):
                 raise UsageError("axis format is param:min:max:count[:spacing]")
             axis = {
@@ -139,6 +140,8 @@ def _axes(value: list) -> list[dict]:
                 "count": int(parts[3]),
                 "spacing": parts[4] if len(parts) == 5 else "linear",
             }
+            if (problem := _violation(axis, _AXIS_JSON)) is not None:
+                raise UsageError(f"--axis {text}: {problem}")
         axes.append(axis)
     return axes
 
@@ -615,8 +618,6 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
             raise UsageError(f"cannot sweep {param!r}: axis {swept[field]!r} already sets "
                              f"{field}; choose from {', '.join(choices)}, one per field")
         swept[field] = param
-        if not 1 <= int(axis["count"]) <= MAX_SWEEP_POINTS:
-            raise UsageError(f"axis count must lie in [1, {MAX_SWEEP_POINTS}]")
     if math.prod(int(axis["count"]) for axis in axes) > MAX_SWEEP_POINTS:
         raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
     if model == "shor":  # its one axis is n_L, and A is the scheme's D
@@ -711,7 +712,7 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
     else:
         n_L = cfg["nL"]
         opt = shor.optimize_photon_budget(problem, n_L, sch)
-        k, log10_p_min = opt.k_max, opt.log10_p_min
+        k, log10_p_min = opt.k_max, opt.log10_curve[opt.k_max]
     bill = shor.energy_bill(problem, n_L, k, cfg["gamma"], cfg["omega0"], sch)
     margin = shor.rwa_margin(n_L, k, cfg["gamma"], cfg["omega0"], sch)
 
@@ -721,8 +722,8 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
             "R": cfg["R"],
             "L": problem.L,
             "p_err_target": p_err,
-            "log10_p_min": log10_p_min.log10_value,
-            "meets_target": log10_p_min.log10_value <= math.log10(p_err),
+            "log10_p_min": log10_p_min,
+            "meets_target": log10_p_min <= math.log10(p_err),
             "rwa_margin": margin,
             "rwa_marginal": margin <= gatesim.RWA_MARGINAL_RATIO,
         }

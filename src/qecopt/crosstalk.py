@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizer import log10_logical_error, one_level_condition
-from .scheme import FTScheme, LogProb
+from .scheme import FTScheme
 
 # Local-noise equivalent of long-range strength: eta_eff = PREFACTOR*sqrt(2 t0 Delta).
 LOCAL_NOISE_PREFACTOR = math.exp(1.0 + 1.0 / (2.0 * math.e))  # ~3.2672
@@ -38,16 +38,14 @@ class LatticeSpec:
     """Geometry of the interacting qubit array.
 
     d: spatial dimension (1 = chain, 2 = square); z: power-law decay
-    exponent; delta, a: coupling prefactor and lattice spacing (folded into
-    the dimensionless group delta/a^z; the lattice sums below are returned in
-    those units); N0: number of physical qubits.
+    exponent; N0: number of physical qubits.  The coupling prefactor delta
+    and the lattice spacing a enter only as the unit delta/a^z of the
+    lattice sums below.
     """
 
     d: int
     z: float
     N0: int
-    delta: float = 1.0
-    a: float = 1.0
     aspect: str = "chain"
 
     def __post_init__(self) -> None:
@@ -61,8 +59,6 @@ class LatticeSpec:
             raise ValueError(f"N0 must be >= 2, got {self.N0!r}")
         if not 0 <= self.z < math.inf:  # also rejects NaN
             raise ValueError(f"z must be finite and >= 0, got {self.z!r}")
-        if self.delta <= 0 or self.a <= 0:
-            raise ValueError("delta and a must be positive")
         if self.aspect == "square":
             side = math.isqrt(self.N0)
             if side * side != self.N0:
@@ -73,8 +69,7 @@ class LatticeSpec:
         return self.N0 if self.aspect == "chain" else math.isqrt(self.N0)
 
     def to_dict(self) -> dict:
-        return {"d": self.d, "z": self.z, "N0": self.N0, "delta": self.delta,
-                "a": self.a, "aspect": self.aspect}
+        return {"d": self.d, "z": self.z, "N0": self.N0, "aspect": self.aspect}
 
 
 # H_n(z) is summed term by term below this many terms and by Euler-Maclaurin
@@ -450,7 +445,7 @@ def amplified_fault_pairs(B: float) -> float:
 
 def logical_crosstalk_log10(
     scheme: FTScheme, t0_delta0: float, beta: float, k: int
-) -> LogProb:
+) -> float:
     """log10 of the crosstalk bound between logical qubits at level k.
 
     t0 Delta_L(k) = (b' t0 Delta0)^(2^k) / b' * D^(beta 2^k k): the
@@ -462,8 +457,7 @@ def logical_crosstalk_log10(
     if beta < 0:
         raise ValueError("beta must be >= 0")
     log10_eta_k = math.log10(t0_delta0) + beta * k * math.log10(scheme.D)
-    return LogProb(log10_logical_error(
-        math.log10(amplified_fault_pairs(scheme.B)), log10_eta_k, k))
+    return log10_logical_error(math.log10(amplified_fault_pairs(scheme.B)), log10_eta_k, k)
 
 
 def crosstalk_usefulness_threshold(B: float, D: float, beta: float) -> float:

@@ -7,7 +7,7 @@ noise the curve p(k) generally turns around at some finite level; this module
 scans for that optimum and evaluates the analytic usefulness conditions and
 the closed-form bounds that sandwich the attainable minimum.
 
-Everything is computed in log10 space (see scheme.LogProb).  A scan
+Everything is computed in log10 space, as plain floats.  A scan
 evaluates its whole curve as one array over the levels; a sweep evaluates a
 law family (see scheme.NoiseModel) as one array of points x levels.
 """
@@ -20,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import (
-    FTScheme,
-    LogProb,
-    NoiseModel,
-    TabulatedNoise,
-    eta_at_level,
-)
+from .scheme import FTScheme, LogProb, NoiseModel, TabulatedNoise
+from .scheme import eta_at_level  # unread here: benchmarks/tracing.py patches this name
 
 STATUS_OPTIMUM = "optimum-found"
 STATUS_UNBOUNDED = "unbounded-improvement"
@@ -47,13 +42,17 @@ class OptResult:
     strictly decreasing at k_cap) and STATUS_NO_ENCODING (k_max = 0, bare
     physical gates are best).  log10_curve holds the curve's log10 values,
     level by level, as plain floats; a value that overflows the float range
-    is +inf.  Level 0 never overflows.
+    is +inf.  Level 0 never overflows, so log10_curve[k_max] is finite.
     """
 
     k_max: int
-    log10_p_min: LogProb
     status: str
     log10_curve: tuple[float, ...]
+
+    @property
+    def log10_p_min(self) -> LogProb:
+        """log10_curve[k_max] as a LogProb; built on each read."""
+        return LogProb(self.log10_curve[self.k_max])
 
     @property
     def curve(self) -> tuple[tuple[int, LogProb | None], ...]:
@@ -66,7 +65,7 @@ class OptResult:
         """The scalar fields; the curve is a table (see curve_columns)."""
         return {
             "k_max": self.k_max,
-            "log10_p_min": self.log10_p_min.log10_value,
+            "log10_p_min": self.log10_curve[self.k_max],
             "status": self.status,
         }
 
@@ -90,16 +89,16 @@ class BoundsReport:
 
     k_st: float
     k_tilde: float
-    log10_p_lower: LogProb
-    log10_p_upper: LogProb
+    log10_p_lower: float
+    log10_p_upper: float
     useful: bool
 
     def to_dict(self) -> dict:
         return {
             "k_st": self.k_st,
             "k_tilde": self.k_tilde,
-            "log10_p_lower": self.log10_p_lower.log10_value,
-            "log10_p_upper": self.log10_p_upper.log10_value,
+            "log10_p_lower": self.log10_p_lower,
+            "log10_p_upper": self.log10_p_upper,
             "useful": self.useful,
         }
 
@@ -171,12 +170,6 @@ def scan_status(k_max: int, k_cap: int) -> str:
     return STATUS_OPTIMUM
 
 
-def logical_error_log10(scheme: FTScheme, model: NoiseModel, k: int) -> LogProb:
-    """log10 of the logical error bound p(k) = (1/B)(B eta(k))^(2^k)."""
-    eta = eta_at_level(model, k, D=scheme.D)
-    return LogProb(log10_logical_error(math.log10(scheme.B), eta.log10_value, k))
-
-
 def find_kmax(
     scheme: FTScheme, model: NoiseModel, k_cap: int = DEFAULT_K_CAP
 ) -> OptResult:
@@ -188,9 +181,8 @@ def find_kmax(
     ks = levels(k_cap, model)
     values = log10_curve(scheme, model, ks)
     k_max = int(np.argmin(values))
-    curve = tuple(values.tolist())
-    return OptResult(k_max=k_max, log10_p_min=LogProb(curve[k_max]),
-                     status=scan_status(k_max, len(ks) - 1), log10_curve=curve)
+    return OptResult(k_max=k_max, status=scan_status(k_max, len(ks) - 1),
+                     log10_curve=tuple(values.tolist()))
 
 
 def affine_usefulness_threshold(B: float, eta0: float) -> float:
@@ -294,8 +286,8 @@ def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport
     return BoundsReport(
         k_st=k_st,
         k_tilde=k_tilde,
-        log10_p_lower=LogProb(ln_p_lower / math.log(10.0)),
-        log10_p_upper=LogProb(ln_p_upper / math.log(10.0)),
+        log10_p_lower=ln_p_lower / math.log(10.0),
+        log10_p_upper=ln_p_upper / math.log(10.0),
         useful=eta0 < one_level_condition(scheme.B, scheme.D, beta),
     )
 

@@ -1,10 +1,10 @@
 """Fault-tolerance scheme constants and scale-dependent physical noise laws.
 
-Physical and logical error probabilities are carried as base-10 logarithms
-(:class:`LogProb`): the logical error per gate shrinks doubly exponentially
-with the concatenation level and underflows any fixed-precision float long
-before the interesting regime is exhausted (log10 p can reach -10^4 and
-beyond).  Conversion to linear probabilities happens only at reporting edges.
+Physical and logical error probabilities are carried as plain base-10
+logarithms: the logical error per gate shrinks doubly exponentially with the
+concatenation level and underflows any fixed-precision float long before the
+interesting regime is exhausted (log10 p can reach -10^4 and beyond).  A
+log10 value of -inf is an exact zero and +inf an overflow.
 
 All types here are immutable values and all operations are pure functions;
 they are safe for unrestricted concurrent use.
@@ -45,12 +45,11 @@ def _values(field) -> list:
 
 @dataclass(frozen=True, order=True)
 class LogProb:
-    """Base-10 logarithm of a nonnegative quantity.
-
-    ``-inf`` encodes an exact zero.  Values >= 0 (quantities >= 1) are legal:
-    the error-bound formulas leave the meaningful-probability regime before
-    the optimizer stops caring about them; saturation to probability 1 is a
-    presentation concern (see :attr:`probability`).
+    """Base-10 logarithm of a nonnegative quantity, finite or -inf (an exact
+    zero).  Values >= 0 (quantities >= 1) are legal: the error-bound formulas
+    leave the meaningful-probability regime before the optimizer stops
+    caring about them.  Only OptResult's log10_p_min and curve views build
+    one; every other result is a plain log10 float.
     """
 
     log10_value: float
@@ -59,27 +58,6 @@ class LogProb:
         v = self.log10_value
         if math.isnan(v) or v == math.inf:
             raise ValueError(f"LogProb must be finite or -inf, got {v!r}")
-
-    @classmethod
-    def from_linear(cls, value: float) -> "LogProb":
-        if value < 0:
-            raise ValueError(f"cannot take log of negative value {value!r}")
-        return cls(-math.inf if value == 0 else math.log10(value))
-
-    @property
-    def linear(self) -> float:
-        """Plain float value; saturates to inf above the float range."""
-        if self.log10_value == -math.inf:
-            return 0.0
-        try:
-            return 10.0 ** self.log10_value
-        except OverflowError:
-            return math.inf
-
-    @property
-    def probability(self) -> float:
-        """Linear value clamped to [0, 1], for reporting only."""
-        return min(self.linear, 1.0)
 
 
 def _check_count(name: str, value: int) -> int:
@@ -142,15 +120,13 @@ SCHEME_PRESETS: dict[str, FTScheme] = {
 }
 
 
-def get_scheme(name_or_scheme: Union[str, FTScheme]) -> FTScheme:
-    """Resolve a preset name (or pass through an FTScheme)."""
-    if isinstance(name_or_scheme, FTScheme):
-        return name_or_scheme
+def get_scheme(name: str) -> FTScheme:
+    """The preset named name."""
     try:
-        return SCHEME_PRESETS[name_or_scheme]
+        return SCHEME_PRESETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown scheme preset {name_or_scheme!r}; "
+            f"unknown scheme preset {name!r}; "
             f"known: {sorted(SCHEME_PRESETS)}"
         ) from None
 
@@ -252,7 +228,7 @@ class ShorPhotonNoise:
     read photons_per_gate.
 
     eta(k) may exceed 1 for large k; such values mean "worse than useless"
-    and are kept un-saturated (see LogProb).
+    and are kept un-saturated: log10 eta(k) > 0.
     """
 
     n_L: float
@@ -293,7 +269,7 @@ class ShorPhotonNoise:
 NoiseModel = Union[AffineNoise, ExponentialNoise, TabulatedNoise, ShorPhotonNoise]
 
 
-def eta_at_level(model: NoiseModel, k: int, D: float | None = None) -> LogProb:
+def eta_at_level(model: NoiseModel, k: int, D: float | None = None) -> float:
     """log10 of the physical error probability in a level-k computer.
 
     Args:
@@ -304,7 +280,7 @@ def eta_at_level(model: NoiseModel, k: int, D: float | None = None) -> LogProb:
     """
     if k < 0:
         raise ValueError("concatenation level must be >= 0")
-    return LogProb(model.log10_eta(k, D))
+    return model.log10_eta(k, D)
 
 
 @dataclass(frozen=True)

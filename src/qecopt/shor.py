@@ -19,7 +19,7 @@ import numpy as np
 
 from .gatesim import GateSpec, pulse_params
 from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax
-from .scheme import PI_SQ_OVER_16, FTScheme, LogProb, ShorPhotonNoise
+from .scheme import PI_SQ_OVER_16, FTScheme, ShorPhotonNoise
 
 HBAR = 1.054571817e-34  # J*s
 
@@ -28,25 +28,24 @@ N_L_SEARCH_CAP = 1e30
 
 @dataclass(frozen=True)
 class ShorProblem:
-    """Problem size for Shor's algorithm: R-bit key, L logical gates
-    (defaults to the discrete-Fourier-transform count R^2), target overall
+    """Problem size for Shor's algorithm: R-bit key and target overall
     success probability P_target."""
 
     R: int
-    L: int | None = None
     P_target: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
         if self.R < 2:
             raise ValueError(f"R must be >= 2, got {self.R!r}")
-        if self.L is None:
-            object.__setattr__(self, "L", self.R * self.R)
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L!r}")
         if self.L > sys.float_info.max:
             raise ValueError("L = R^2 logical gates exceeds the float range")
         if not 0.5 < self.P_target < 1.0:
             raise ValueError(f"P_target must lie in (1/2, 1), got {self.P_target!r}")
+
+    @property
+    def L(self) -> int:
+        """Logical gates, the discrete-Fourier-transform count R^2."""
+        return self.R * self.R
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class MinBudget:
     n_L: float
     k: int
     feasible: bool
-    log10_p_min: LogProb | None = None
+    log10_p_min: float | None = None
 
 
 def target_logical_error(problem: ShorProblem) -> float:
@@ -140,11 +139,10 @@ def photon_noise_model(
     return ShorPhotonNoise(n_L=n_L, A=float(scheme.D))
 
 
-def optimize_photon_budget(
-    problem: ShorProblem, n_L: float, scheme: FTScheme, k_cap: int = DEFAULT_K_CAP
-) -> OptResult:
-    """Best concatenation level for a given photon budget per logical gate."""
-    return find_kmax(scheme, photon_noise_model(problem, n_L, scheme), k_cap=k_cap)
+def optimize_photon_budget(problem: ShorProblem, n_L: float, scheme: FTScheme) -> OptResult:
+    """Best concatenation level for a given photon budget per logical gate,
+    scanned over k = 0..DEFAULT_K_CAP."""
+    return find_kmax(scheme, photon_noise_model(problem, n_L, scheme))
 
 
 def min_photon_budget(
@@ -180,12 +178,12 @@ def min_photon_budget(
         return MinBudget(n_L=n_L_cap, k=0, feasible=False)
     n_L = max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
     result = optimize_photon_budget(problem, n_L, scheme)
-    if not result.log10_p_min.log10_value <= target:
+    log10_p_min = result.log10_curve[result.k_max]
+    if not log10_p_min <= target:
         raise RuntimeError(
             f"photon budget n_L={n_L!r} misses the target log10 p = {target!r}"
         )
-    return MinBudget(n_L=n_L, k=result.k_max, feasible=True,
-                     log10_p_min=result.log10_p_min)
+    return MinBudget(n_L=n_L, k=result.k_max, feasible=True, log10_p_min=log10_p_min)
 
 
 def _physical_pulse(n_L: float, k: int, gamma: float, omega0: float,

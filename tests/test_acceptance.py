@@ -27,7 +27,7 @@ from qecopt.optimizer import (
     affine_usefulness_threshold,
     exp_model_bounds,
     find_kmax,
-    logical_error_log10,
+    log10_logical_error,
     one_level_condition,
 )
 from qecopt.scheme import (
@@ -81,8 +81,8 @@ def test_criterion_3_exponential_bounds_sandwich():
         p_min = result.log10_p_min.log10_value
         tol = 1e-9 * max(1.0, abs(p_min))  # pure float-roundoff allowance
         sandwich = (
-            report.log10_p_lower.log10_value <= p_min + tol
-            and p_min <= report.log10_p_upper.log10_value + tol
+            report.log10_p_lower <= p_min + tol
+            and p_min <= report.log10_p_upper + tol
         )
         bracket = (
             report.k_tilde - 1.0 - 1e-9 <= result.k_max <= report.k_tilde + 1e-9
@@ -112,7 +112,7 @@ def test_criterion_4_crosstalk_constants_and_reduction():
         t0_delta = 10.0 ** rng.uniform(-18, -10)
         beta = float(rng.uniform(0.0, 2.0))
         k = int(rng.integers(0, 12))
-        lhs = logical_crosstalk_log10(scheme, t0_delta, beta, k).log10_value
+        lhs = logical_crosstalk_log10(scheme, t0_delta, beta, k)
         # (2^k - 1) log b' + 2^k (log t0 Delta0 + beta k log D), b' = 2e^(2+1/e) B^2
         log_bp = math.log10(B_AMPLIFICATION) + 2.0 * math.log10(B)
         rhs = (2 ** k - 1) * log_bp + 2 ** k * (
@@ -250,7 +250,7 @@ def test_criterion_9_error_recursion_properties():
     model = AffineNoise(5e-6, c=0.0)
     log_b = math.log10(ALIFERIS.B)
     values = [
-        logical_error_log10(ALIFERIS, model, k).log10_value for k in range(17)
+        log10_logical_error(log_b, model.log10_eta(k, ALIFERIS.D), k) for k in range(17)
     ]
     residuals = [
         abs(values[k + 1] - 2.0 * values[k] - log_b) for k in range(16)

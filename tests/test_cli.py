@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import qecopt
-from qecopt import crosstalk
-from qecopt.cli import CLOSED_PIPE_EXIT, COMMANDS, CONFIG_SCHEMA, main
+from qecopt import crosstalk, optimizer, scheme
+from qecopt.cli import CLOSED_PIPE_EXIT, COMMANDS, CONFIG_SCHEMA, MAX_SWEEP_POINTS, main
 from qecopt.scheme import PI_SQ_OVER_16
 
 
@@ -167,11 +167,15 @@ class TestDeterminismAndRoundTrip:
         assert main(["gatesim", "--config", str(first), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_sweep_json_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        ["--eta0", "5e-6", "--axis", "c:0:4:5"],
+        ["--eta0", "5e-6", "--axis", "c:0:4:5:linear"],
+        ["--axis", "c:0.5:4:5:log", "--axis", "B_eta0:0.1:0.9:3:linear"],
+    ])
+    def test_sweep_json_round_trip(self, tmp_path, flags):
         first = tmp_path / "s1.json"
         second = tmp_path / "s2.json"
-        argv = ["sweep", "--model", "affine", "--eta0", "5e-6", "--kcap", "8",
-                "--axis", "c:0:4:5", "--format", "json"]
+        argv = ["sweep", "--model", "affine", "--kcap", "8", *flags, "--format", "json"]
         assert main(argv + ["--out", str(first)]) == 0
         assert main(["sweep", "--config", str(first), "--format", "json",
                      "--out", str(second)]) == 0
@@ -455,6 +459,16 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", *argv)
         assert code == 2 and out == ""
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("axis", ["c:0:1:2:foo", "c:0:1:2:LOG", "c:0:1:2:", "c:0:1:0",
+                                      f"c:0:1:{MAX_SWEEP_POINTS + 1}"])
+    def test_flag_axis_meets_the_config_schema(self, capsys, axis):
+        # A spacing other than linear or log, or a count out of bounds, is
+        # rejected as the same axis in a config would be.
+        code, out, err = run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
+                             "--axis", axis, "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith(f"qecopt: --axis {axis}: ") and err.count("\n") == 1
 
     def test_log_axis_needs_positive_min(self, capsys):
         code, _, _ = run(
@@ -893,3 +907,61 @@ def test_closed_pipe_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == CLOSED_PIPE_EXIT == 141
     assert err == b""
+
+
+@pytest.fixture
+def log_probs_built(monkeypatch):
+    """The log10 value of every LogProb built while the test runs."""
+    built = []
+    check = scheme.LogProb.__post_init__
+
+    def counted(self):
+        built.append(self.log10_value)
+        check(self)
+
+    monkeypatch.setattr(scheme.LogProb, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--model", "exp", "--eta0", "1e-12", "--beta", "1"],
+    ["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1", "--format", "csv"],
+    ["sweep", "--model", "exp", "--eta0", "1e-9", "--axis", "beta:0.1:1:3", "--format", "json"],
+    ["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1000"],
+    ["longrange", "--lattice", "square", "--z", "1.1", "--N0", "250000", "--compare"],
+    ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"],
+    ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10", "--nL", "1e12"],
+    ["fit", "--samples", "0:1e-5,1:2e-5,2:3e-5", "--model", "affine"],
+])
+def test_no_command_builds_a_log_prob(capsys, log_probs_built, argv):
+    # Reports carry plain log10 floats: LogProb is built only by the
+    # OptResult views, which no command reads.
+    code, out, err = run(capsys, *argv)
+    assert (code, err, log_probs_built) == (0, "", [])
+
+
+def test_opt_result_views_give_the_floats(log_probs_built):
+    # Levels above ~30 overflow to +inf: the curve view gives None there.
+    result = optimizer.find_kmax(scheme.get_scheme("aliferis2006"),
+                                 scheme.ExponentialNoise(0.5, beta=10000.0), k_cap=1000)
+    assert log_probs_built == []
+    floats = result.log10_curve
+    p_min = result.to_dict()["log10_p_min"]
+    assert result.log10_p_min.log10_value == floats[result.k_max] == p_min
+    pairs = [(k, None if v is None else v.log10_value) for k, v in result.curve]
+    assert pairs == [(k, None if v == math.inf else v) for k, v in enumerate(floats)]
+    assert None in dict(pairs).values()
+    assert len(log_probs_built) == 1 + sum(v != math.inf for v in floats)
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    k_max, log10_p_min, status = lines[0].split()
+    assert (k_max, status) == ("17", "optimum-found")
+    assert float(log10_p_min) == pytest.approx(-6001.5, abs=0.1)
+    k_tilde, lower, upper = map(float, lines[1].split())  # plain floats, no LogProb reprs
+    assert lower <= upper
+    assert len(lines) == 3

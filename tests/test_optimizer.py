@@ -25,7 +25,7 @@ from qecopt.optimizer import (
     find_kmax,
     generic_kmax_bound,
     log10_curve,
-    logical_error_log10,
+    log10_logical_error,
     one_level_condition,
 )
 from qecopt.scheme import (
@@ -52,27 +52,31 @@ def log10_fraction(x: Fraction) -> float:
     return math.log10(x.numerator) - math.log10(x.denominator)
 
 
+def logical_error_log10(scheme, model, k: int) -> float:
+    """log10 p(k) at one level, through the package's recursion."""
+    return log10_logical_error(math.log10(scheme.B), model.log10_eta(k, scheme.D), k)
+
+
 class TestLogicalErrorLog10:
     def test_level_one_flat_noise(self):
         # (1/B)(B eta)^2 = 1e-4 * 0.05^2 = 2.5e-7.  Exact-arithmetic oracle:
         oracle = exact_affine_curve(10 ** 4, Fraction(5, 10 ** 6), Fraction(0), 1)[1]
         assert oracle == Fraction(25, 10 ** 8)
         got = logical_error_log10(ALIFERIS, AffineNoise(5e-6, c=0.0), 1)
-        assert got.log10_value == pytest.approx(log10_fraction(oracle), abs=1e-12)
+        assert got == pytest.approx(log10_fraction(oracle), abs=1e-12)
 
     def test_level_zero_is_physical_error_exactly(self):
         for model in (AffineNoise(5e-6, c=1.0), ExponentialNoise(1e-9, beta=1.0)):
             got = logical_error_log10(ALIFERIS, model, 0)
-            assert got.log10_value == math.log10(model.eta0)  # bitwise
+            assert got == math.log10(model.eta0)  # bitwise
 
     def test_deep_concatenation_stays_in_log_space(self):
         # At k = 17 with eta(17) = 5e-6 * 18, B eta = 0.9:
         # log10 p = -4 + 2^17 log10(0.9); the linear value underflows floats.
         expected = -4.0 + 2.0 ** 17 * math.log10(0.9)
         got = logical_error_log10(ALIFERIS, AffineNoise(5e-6, c=1.0), 17)
-        assert got.log10_value == pytest.approx(expected, rel=1e-12)
-        assert got.log10_value == pytest.approx(-6001.526, abs=1e-2)
-        assert got.linear == 0.0  # presentation-edge underflow, not an error
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(-6001.526, abs=1e-2)
 
     def test_matches_exact_rationals_through_level_six(self):
         cases = [
@@ -87,7 +91,7 @@ class TestLogicalErrorLog10:
             model = AffineNoise(float(eta0), c=float(c))
             oracle = exact_affine_curve(B, eta0, c, 6)
             for k in range(7):
-                got = logical_error_log10(scheme, model, k).log10_value
+                got = logical_error_log10(scheme, model, k)
                 assert got == pytest.approx(log10_fraction(oracle[k]), abs=1e-9)
 
 
@@ -153,7 +157,7 @@ class TestFindKmax:
         model = AffineNoise(5e-6, c=0.0)
         log_b = math.log10(ALIFERIS.B)
         values = [
-            logical_error_log10(ALIFERIS, model, k).log10_value for k in range(17)
+            logical_error_log10(ALIFERIS, model, k) for k in range(17)
         ]
         for k in range(16):
             assert values[k + 1] - 2.0 * values[k] - log_b == pytest.approx(
@@ -191,8 +195,8 @@ class TestAffineUsefulnessThreshold:
         if abs(c - c_star) / max(c_star, 1e-12) < 1e-9:
             return  # too close to the boundary to resolve in floats
         model = AffineNoise(eta0, c=c)
-        p0 = logical_error_log10(ALIFERIS, model, 0).log10_value
-        p1 = logical_error_log10(ALIFERIS, model, 1).log10_value
+        p0 = logical_error_log10(ALIFERIS, model, 0)
+        p1 = logical_error_log10(ALIFERIS, model, 1)
         assert (p1 < p0) is (c < c_star)
 
 
@@ -260,8 +264,8 @@ class TestExpModelBounds:
         assert report.k_st == pytest.approx(1.804, abs=1e-3)
         assert report.k_tilde == pytest.approx(-(ln_be + ln_d) / ln_d, rel=1e-12)
         assert report.k_tilde == pytest.approx(2.247, abs=1e-3)
-        assert report.log10_p_lower.log10_value == pytest.approx(-16.414, abs=1e-3)
-        assert report.log10_p_upper.log10_value == pytest.approx(-15.695, abs=1e-3)
+        assert report.log10_p_lower == pytest.approx(-16.414, abs=1e-3)
+        assert report.log10_p_upper == pytest.approx(-15.695, abs=1e-3)
         assert report.useful
 
         # Cross-check the sandwich against the integer scan.
@@ -269,9 +273,9 @@ class TestExpModelBounds:
         assert result.k_max == 2
         assert result.log10_p_min.log10_value == pytest.approx(-16.29, abs=1e-2)
         assert (
-            report.log10_p_lower.log10_value
+            report.log10_p_lower
             <= result.log10_p_min.log10_value
-            <= report.log10_p_upper.log10_value
+            <= report.log10_p_upper
         )
 
     def test_bound_values_match_continuous_curve(self):
@@ -282,8 +286,8 @@ class TestExpModelBounds:
             ALIFERIS, ExponentialNoise(1e-12, beta=1.0),
             np.array([report.k_st, report.k_tilde]),
         ).tolist()
-        assert report.log10_p_lower.log10_value == pytest.approx(direct_lower, rel=1e-9)
-        assert report.log10_p_upper.log10_value == pytest.approx(direct_upper, rel=1e-9)
+        assert report.log10_p_lower == pytest.approx(direct_lower, rel=1e-9)
+        assert report.log10_p_upper == pytest.approx(direct_upper, rel=1e-9)
 
     def test_usefulness_boundary(self):
         eta_star = one_level_condition(ALIFERIS.B, ALIFERIS.D, 1.0)
@@ -300,7 +304,7 @@ class TestExpModelBounds:
         # g1 * beta rounds to 0 while (B eta0)^(-g2/beta) overflows: the
         # upper bound is the limit p -> 0, not 0 * inf = nan.
         report = exp_model_bounds(make_scheme(1, 1, 1, 2, 1), 1e-9, 5e-324)
-        assert report.log10_p_upper.log10_value == -math.inf
+        assert report.log10_p_upper == -math.inf
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -324,8 +328,8 @@ class TestExpModelBounds:
             result = find_kmax(scheme, ExponentialNoise(eta0, beta=beta), k_cap=k_cap)
             p_min = result.log10_p_min.log10_value
             tol = 1e-9 * max(1.0, abs(p_min))
-            assert report.log10_p_lower.log10_value <= p_min + tol
-            assert p_min <= report.log10_p_upper.log10_value + tol
+            assert report.log10_p_lower <= p_min + tol
+            assert p_min <= report.log10_p_upper + tol
             assert report.k_tilde - 1.0 - 1e-9 <= result.k_max <= report.k_tilde + 1e-9
 
     def test_linear_probability_is_convex_in_continuous_level(self):

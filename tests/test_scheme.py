@@ -1,4 +1,4 @@
-"""Scheme constants, noise laws, log-domain carrier and fitting."""
+"""Scheme constants, noise laws, the LogProb view and fitting."""
 
 from __future__ import annotations
 
@@ -61,20 +61,11 @@ class TestLogProb:
             LogProb(math.inf)
 
     def test_zero_sentinel(self):
-        zero = LogProb.from_linear(0.0)
-        assert zero.log10_value == -math.inf
-        assert zero.linear == 0.0
-
-    def test_linear_round_trip(self):
-        assert LogProb.from_linear(2.5e-8).linear == pytest.approx(2.5e-8, rel=1e-15)
-
-    def test_probability_saturates(self):
-        assert LogProb(2.0).probability == 1.0
-        assert LogProb(-1.0).probability == pytest.approx(0.1)
+        assert LogProb(-math.inf).log10_value == -math.inf
 
     def test_deep_underflow_representable(self):
-        assert LogProb(-6001.5).linear == 0.0  # underflow, not an error
-        assert LogProb(-6001.5).probability == 0.0
+        assert LogProb(-6001.5).log10_value == -6001.5  # underflow, not an error
+        assert LogProb(2.0).log10_value == 2.0  # above 1, kept un-saturated
 
     def test_ordering(self):
         assert LogProb(-8.0) < LogProb(-7.0)
@@ -84,23 +75,23 @@ class TestEtaAtLevel:
     def test_affine_scale_independent(self):
         # c = 0 never grows: eta(7) = eta(0) = 5e-6
         got = eta_at_level(AffineNoise(5e-6, c=0.0), 7)
-        assert got.log10_value == pytest.approx(math.log10(5e-6), abs=1e-12)
+        assert got == pytest.approx(math.log10(5e-6), abs=1e-12)
 
     def test_affine_growth(self):
         # eta0 (1 + c k) = 5e-6 * 4 = 2e-5
         got = eta_at_level(AffineNoise(5e-6, c=1.0), 3)
-        assert got.log10_value == pytest.approx(math.log10(2e-5), abs=1e-12)
+        assert got == pytest.approx(math.log10(2e-5), abs=1e-12)
 
     def test_exponential_needs_growth_factor(self):
         model = ExponentialNoise(1e-6, beta=1.0)
         with pytest.raises(ValueError, match="needs the scheme's D"):
             eta_at_level(model, 2)
         got = eta_at_level(model, 2, D=291)
-        assert got.log10_value == pytest.approx(-6 + 2 * math.log10(291), abs=1e-12)
+        assert got == pytest.approx(-6 + 2 * math.log10(291), abs=1e-12)
 
     def test_tabulated_within_and_outside_table(self):
         model = TabulatedNoise(1e-5, (1.0, 2.0, 4.0))
-        assert eta_at_level(model, 2).linear == pytest.approx(4e-5, rel=1e-12)
+        assert 10.0 ** eta_at_level(model, 2) == pytest.approx(4e-5, rel=1e-12)
         with pytest.raises(ValueError, match="outside table"):
             eta_at_level(model, 3)
 
@@ -109,8 +100,8 @@ class TestEtaAtLevel:
         model = ShorPhotonNoise(n_L=1e6, A=575)
         expected = math.log10(math.pi ** 2 / 16 * 1e6 / 1e12)
         got = eta_at_level(model, 0)
-        assert got.log10_value == pytest.approx(expected, abs=1e-12)
-        assert got.log10_value == pytest.approx(-6.2098, abs=1e-4)
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert got == pytest.approx(-6.2098, abs=1e-4)
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
@@ -142,8 +133,8 @@ class TestEtaAtLevel:
     def test_flat_affine_equals_flat_exponential(self, eta0, k):
         flat_a = eta_at_level(AffineNoise(eta0, c=0.0), k)
         flat_e = eta_at_level(ExponentialNoise(eta0, beta=0.0), k, D=291)
-        assert flat_a.log10_value == pytest.approx(math.log10(eta0), abs=1e-12)
-        assert flat_e.log10_value == pytest.approx(math.log10(eta0), abs=1e-12)
+        assert flat_a == pytest.approx(math.log10(eta0), abs=1e-12)
+        assert flat_e == pytest.approx(math.log10(eta0), abs=1e-12)
 
     @given(
         eta0=st.floats(1e-8, 0.5),
@@ -154,7 +145,7 @@ class TestEtaAtLevel:
     def test_log_carrier_matches_linear_evaluation(self, eta0, c, k):
         # exp10 of the log-domain value vs the same product done in linear space
         linear = eta0 * (1.0 + c * k)
-        got = eta_at_level(AffineNoise(eta0, c=c), k).linear
+        got = 10.0 ** eta_at_level(AffineNoise(eta0, c=c), k)
         assert got == pytest.approx(linear, rel=1e-12)
 
 
@@ -234,7 +225,7 @@ class TestFitNoiseModel:
     @settings(deadline=None, max_examples=50)
     def test_affine_recovery_from_noise_free_data(self, eta0, c):
         model = AffineNoise(eta0, c=c)
-        samples = [(k, eta_at_level(model, k).linear) for k in range(6)]
+        samples = [(k, 10.0 ** eta_at_level(model, k)) for k in range(6)]
         fit = fit_noise_model(samples, "affine")
         assert fit.model.eta0 == pytest.approx(eta0, rel=1e-9)
         assert fit.model.c == pytest.approx(c, rel=1e-9, abs=1e-9)
@@ -247,7 +238,7 @@ class TestFitNoiseModel:
     def test_exponential_recovery_from_noise_free_data(self, eta0, beta):
         assume(eta0 * 291.0 ** (4 * beta) < 0.99)  # keep all samples in (0, 1)
         model = ExponentialNoise(eta0, beta=beta)
-        samples = [(k, eta_at_level(model, k, D=291).linear) for k in range(5)]
+        samples = [(k, 10.0 ** eta_at_level(model, k, D=291)) for k in range(5)]
         fit = fit_noise_model(samples, "exp", D=291)
         assert fit.model.eta0 == pytest.approx(eta0, rel=1e-9)
         assert fit.model.beta == pytest.approx(beta, rel=1e-9, abs=1e-9)

@@ -31,7 +31,6 @@ ALIFERIS = get_scheme("aliferis2006")
 class TestShorProblem:
     def test_gate_count_defaults_to_square(self):
         assert ShorProblem(R=2048).L == 2048 ** 2
-        assert ShorProblem(R=100, L=12345).L == 12345
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,8 +51,8 @@ class TestTargetLogicalError:
         )
         assert target_logical_error(problem) == pytest.approx(7.95e-8, rel=1e-2)
 
-    def test_single_gate(self):
-        assert target_logical_error(ShorProblem(R=2, L=1)) == pytest.approx(1.0 / 3.0)
+    def test_smallest_key(self):
+        assert target_logical_error(ShorProblem(R=2)) == pytest.approx(1.0 / 12.0)
 
     def test_thousand_bit_key(self):
         assert target_logical_error(ShorProblem(R=10 ** 3)) == pytest.approx(
@@ -196,7 +195,7 @@ class TestMinPhotonBudget:
         target = math.log10(p_err)
         at = optimize_photon_budget(problem, budget.n_L, scheme)
         assert at.log10_p_min.log10_value <= target
-        assert (budget.k, budget.log10_p_min) == (at.k_max, at.log10_p_min)
+        assert (budget.k, budget.log10_p_min) == (at.k_max, at.log10_curve[at.k_max])
         if budget.n_L > 1.0:
             below = optimize_photon_budget(problem, budget.n_L * (1 - 1e-9), scheme)
             assert below.log10_p_min.log10_value > target
