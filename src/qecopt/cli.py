@@ -133,13 +133,15 @@ def _axes(value: list) -> list[dict]:
             text, parts = axis, axis.split(":")
             if len(parts) not in (4, 5):
                 raise UsageError("axis format is param:min:max:count[:spacing]")
-            axis = {
-                "param": parts[0],
-                "min": float(parts[1]),
-                "max": float(parts[2]),
-                "count": int(parts[3]),
-                "spacing": parts[4] if len(parts) == 5 else "linear",
-            }
+            axis = {"param": parts[0]}
+            fields = (("min", float), ("max", float), ("count", int))
+            for (field, convert), part in zip(fields, parts[1:4]):
+                try:
+                    axis[field] = convert(part)
+                except ValueError:
+                    raise UsageError(f"--axis {text}: {field} needs {_ACCEPTS[convert]}, "
+                                     f"got {part!r}") from None
+            axis["spacing"] = parts[4] if len(parts) == 5 else "linear"
             if (problem := _violation(axis, _AXIS_JSON)) is not None:
                 raise UsageError(f"--axis {text}: {problem}")
         axes.append(axis)

@@ -47,10 +47,12 @@ _CHI_COEFF = np.array(
         [1.0, -1.0, -1.0, 1.0],
     ]
 )
-assert abs(np.linalg.det(_CHI_COEFF)) > 1.0  # fixed, invertible by construction
 
-# sigma_i (x) sigma_j^T, the Choi-matrix image of each transfer-matrix entry.
-_CHOI_BASIS = np.array([[np.kron(p, q.T) for q in PAULIS] for p in PAULIS])
+# choi.ravel() = _CHOI_MAP @ ptm.ravel(): column 4 i + j is
+# sigma_i (x) sigma_j^T / 4, the Choi-matrix image of transfer-matrix entry
+# (i, j).
+_CHOI_MAP = np.array([np.kron(p, q.T).ravel() / 4.0 for p in PAULIS for q in PAULIS]).T
+_CHOI_MAP.flags.writeable = False
 
 TP_TOL = 1e-9
 CP_TOL = -1e-8
@@ -111,13 +113,14 @@ class QubitChannel:
         object.__setattr__(self, "ptm", ptm)
         if ptm.shape != (4, 4):
             raise ValueError(f"ptm must be 4x4, got {ptm.shape}")
-        first_row_err = np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0])))
+        entries = ptm.ravel().tolist()
         # Written as "not ok" so that a NaN fails each check.
-        if not first_row_err <= TP_TOL:
+        if not _trace_preserving(entries):
+            first_row_err = np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0])))
             raise ValueError(f"channel is not trace preserving ({first_row_err:.2e})")
-        if not np.all(np.isfinite(ptm)):
+        if not all(map(math.isfinite, entries)):
             raise ValueError("channel transfer matrix is not finite")
-        eigmin = float(np.min(np.linalg.eigvalsh(choi_from_ptm(ptm))))
+        eigmin = float(np.linalg.eigvalsh(choi_from_ptm(ptm)).min())
         if not eigmin >= CP_TOL:
             raise ValueError(f"channel is not completely positive ({eigmin:.2e})")
         if not sum(self.chi_diag) <= 1.0 + 1e-9:
@@ -125,7 +128,7 @@ class QubitChannel:
 
     def to_dict(self) -> dict:
         return {
-            "ptm": [[float(v) for v in row] for row in self.ptm],
+            "ptm": self.ptm.tolist(),
             "chi_diag": [float(v) for v in self.chi_diag],
             "rwa_margin": None if math.isinf(self.rwa_margin) else self.rwa_margin,
         }
@@ -160,9 +163,23 @@ def ideal_rotation_ptm(theta: float) -> np.ndarray:
 
 
 def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
-    """Choi matrix (trace-1 normalization) of a channel given as a PTM."""
-    choi = np.tensordot(ptm, _CHOI_BASIS, axes=2) / 4.0
+    """Choi matrix (trace-1 normalization) of a channel given as a PTM:
+    the Hermitian part of sum_ij ptm[i, j] sigma_i (x) sigma_j^T / 4."""
+    choi = (_CHOI_MAP @ np.ravel(ptm)).reshape(4, 4)
     return 0.5 * (choi + choi.conj().T)
+
+
+def _trace_preserving(entries: list[float]) -> bool:
+    """Row 0 of a flattened transfer matrix is (1, 0, 0, 0) to TP_TOL.
+
+    Written as one chain of "ok" comparisons, so that a NaN or an infinity
+    anywhere in the row fails it (Python's max would drop a NaN)."""
+    return (
+        abs(entries[0] - 1.0) <= TP_TOL
+        and abs(entries[1]) <= TP_TOL
+        and abs(entries[2]) <= TP_TOL
+        and abs(entries[3]) <= TP_TOL
+    )
 
 
 def extract_chi_diag(
@@ -172,15 +189,19 @@ def extract_chi_diag(
 
     With theta == 0 the input is the noise map itself; otherwise it is a
     noisy rotation gate and the ideal rotation by theta is divided out first.
+    ValueError when row 0 is not (1, 0, 0, 0) to TP_TOL or an entry is not
+    finite.
     """
     ptm = np.asarray(ptm, dtype=float)
-    if not (abs(ptm[0, 0] - 1.0) <= TP_TOL and np.max(np.abs(ptm[0, 1:])) <= TP_TOL):
+    entries = ptm.ravel().tolist()
+    if not _trace_preserving(entries):
         raise ValueError("transfer matrix is not trace preserving")
+    if not all(map(math.isfinite, entries[4:])):
+        raise ValueError("transfer matrix is not finite")
     if theta != 0.0:
         ptm = ideal_rotation_ptm(-theta) @ ptm
-    s = np.diag(ptm)
-    chi = _CHI_COEFF @ s / 4.0  # the coefficient matrix inverts itself
-    return (float(chi[0]), float(chi[1]), float(chi[2]), float(chi[3]))
+    chi = _CHI_COEFF @ np.diag(ptm) / 4.0  # the coefficient matrix inverts itself
+    return tuple(chi.tolist())
 
 
 def _bloch_propagator(rotation: float, decay: float) -> np.ndarray:
@@ -242,7 +263,7 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
               f"omega0/gamma={spec.omega0 / spec.gamma:g}")
     decay = spec.theta ** 2 / (4.0 * spec.n_g)
     ptm = ideal_rotation_ptm(-spec.theta) @ _bloch_propagator(spec.theta, decay)
-    if not np.all(np.isfinite(ptm)):
+    if not all(map(math.isfinite, ptm.ravel().tolist())):
         raise ValueError(
             f"gate propagator is not finite at n_g={spec.n_g:g} "
             f"(gamma*tau = {decay:.3g})"

@@ -470,6 +470,17 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err.startswith(f"qecopt: --axis {axis}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("axis, message", [
+        ("c:0:x:3", "max needs a number, got 'x'"),
+        ("c:y:1:3", "min needs a number, got 'y'"),
+        ("c:0:1:1e3", "count needs an integer, got '1e3'"),
+    ])
+    def test_unreadable_axis_field_names_the_flag(self, capsys, axis, message):
+        code, out, err = run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
+                             "--axis", axis)
+        assert code == 2 and out == ""
+        assert err == f"qecopt: --axis {axis}: {message}\n"
+
     def test_log_axis_needs_positive_min(self, capsys):
         code, _, _ = run(
             capsys, "sweep", "--model", "affine", "--eta0", "5e-6",

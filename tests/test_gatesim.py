@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qecopt.gatesim import (
+    _CHI_COEFF,
     RWA_MARGINAL_RATIO,
     GateSpec,
     QubitChannel,
@@ -384,14 +385,37 @@ class TestQubitChannelInvariants:
         with pytest.raises(ValueError, match="chi"):
             QubitChannel(ptm=np.eye(4), chi_diag=(1.0, 0.1, 0.0, 0.0))
 
-    def test_rejects_nan(self):
-        nan_row = np.eye(4)
-        nan_row[0, 1] = math.nan
-        with pytest.raises(ValueError, match="trace"):
-            QubitChannel(ptm=nan_row, chi_diag=(1.0, 0.0, 0.0, 0.0))
-        nan_block = np.eye(4)
-        nan_block[2, 3] = math.nan
-        with pytest.raises(ValueError, match="not finite"):
-            QubitChannel(ptm=nan_block, chi_diag=(1.0, 0.0, 0.0, 0.0))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i,j", [(i, j) for i in range(4) for j in range(4)])
+    def test_rejects_nan(self, i, j, bad):
+        # Row 0 fails the trace check first; any other entry fails the
+        # finiteness check.  A max() over the row would skip a NaN.
+        ptm = np.eye(4)
+        ptm[i, j] = bad
+        message = "trace" if i == 0 else "not finite"
+        with pytest.raises(ValueError, match=message):
+            QubitChannel(ptm=ptm, chi_diag=(1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=message):
+            extract_chi_diag(ptm)
+
+    def test_rejects_nan_chi_weight(self):
         with pytest.raises(ValueError, match="chi"):
             QubitChannel(ptm=np.eye(4), chi_diag=(math.nan, 0.0, 0.0, 0.0))
+
+
+class TestChoiMatrix:
+    def test_matches_the_pauli_sum(self):
+        # The Hermitian part of sum_ij ptm[i, j] sigma_i (x) sigma_j^T / 4.
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            ptm = rng.uniform(-1.0, 1.0, size=(4, 4))
+            choi = sum(
+                ptm[i, j] * np.kron(_BASIS[i], _BASIS[j].T)
+                for i in range(4) for j in range(4)
+            ) / 4.0
+            expected = 0.5 * (choi + choi.conj().T)
+            assert np.max(np.abs(choi_from_ptm(ptm) - expected)) <= 1e-15
+
+    def test_chi_coefficients_invert_themselves(self):
+        # extract_chi_diag divides by 4 in place of an inverse.
+        assert np.array_equal(_CHI_COEFF @ _CHI_COEFF, 4.0 * np.eye(4))
