@@ -241,6 +241,21 @@ PARAMS = (
     Param("D", "--D", float, NUMBER, {"fit": None}),
 )
 
+# The flags that name the report's format and files, not a computation
+# parameter: the parser reads them, configs and resolution do not.  A
+# sweep's format is left to main (see there), so it has its own help.
+_IO_PARAMS = (
+    Param("format", "--format", str, {"enum": ["json", "csv"]},
+          dict.fromkeys(c for c in COMMANDS if c != "sweep"), "report format (default: json)"),
+    Param("format", "--format", str, {"enum": ["json", "csv"]}, {"sweep": None},
+          "report format (default: csv, or json for a report fed back)"),
+    Param("out", "--out", str, {"type": "string"}, dict.fromkeys(COMMANDS),
+          "output path (default: stdout)"),
+    Param("config", "--config", str, {"type": "string"}, dict.fromkeys(COMMANDS),
+          "JSON config file (or a prior report)"),
+    Param("infile", "--in", str, {"type": "string"}, {"fit": None}, "CSV file with k,eta rows"),
+)
+
 # Each command's parameters by config key, in table order.
 _COMMAND_PARAMS = {
     command: {p.key: p for p in PARAMS if command in p.status} for command in COMMANDS
@@ -776,42 +791,8 @@ _HANDLERS = {
 _HELP_FLAGS = ("-h", "--help")
 
 
-@dataclass(frozen=True)
-class _Flag:
-    """How the parser reads one flag: the namespace key it sets, the
-    conversion of its value text (None for a flag that takes no value and
-    sets True), the values it may take (any, if empty), and whether each use
-    appends to a list rather than replacing the last value."""
-
-    key: str
-    convert: Callable[[str], Any] | None
-    choices: tuple[str, ...] = ()
-    append: bool = False
-
-
 # What a conversion that can fail accepts, for its error message.
 _ACCEPTS = {int: "an integer", float: "a number"}
-
-
-def _flag_of(key: str, param: Param) -> _Flag:
-    if param.action == "store_true":
-        return _Flag(key, None)
-    # Text-valued flags (angles, lists, axes, schemes) are converted during
-    # resolution, so a malformed one is a one-line usage error there.
-    convert = param.type if param.type in _ACCEPTS else str
-    return _Flag(key, convert, tuple(param.json.get("enum", ())), param.action == "append")
-
-
-def _command_flags(command: str) -> Iterator[tuple[str, _Flag, str]]:
-    """(flag, how it is read, help text) for each flag of command."""
-    default = "csv, or json for a report fed back" if command == "sweep" else "json"
-    yield "--format", _Flag("format", str, ("json", "csv")), f"report format (default: {default})"
-    yield "--out", _Flag("out", str), "output path (default: stdout)"
-    yield "--config", _Flag("config", str), "JSON config file (or a prior report)"
-    if command == "fit":
-        yield "--in", _Flag("infile", str), "CSV file with k,eta rows"
-    for key, param in _COMMAND_PARAMS[command].items():
-        yield param.flag, _flag_of(key, param), param.help or ""
 
 
 def _help_text(usage: str, about: str, rows: list[tuple[str, str]], footer: str) -> str:
@@ -826,10 +807,11 @@ class Parser:
     """Reads argv: the command first, then that command's flags by their
     exact names (no abbreviations).  A flag's value is the next token, or
     follows '=' in --flag=value; the last value given wins, except for a
-    flag that appends (--axis).  Values are converted as they are read."""
+    flag that appends (--axis).  Integers and numbers are converted as they
+    are read; text-valued flags (angles, lists, axes, schemes) are converted
+    during resolution, so a malformed one is a one-line usage error there."""
 
-    flags: dict[str, dict[str, _Flag]]
-    defaults: dict[str, dict[str, Any]]
+    flags: dict[str, dict[str, Param]]
     helps: dict[str | None, str]  # the top level's (None) and each command's
 
     def parse(self, argv: Sequence[str]) -> SimpleNamespace | str:
@@ -843,66 +825,71 @@ class Parser:
             return self.helps[None]
         if command not in self.flags:
             raise UsageError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-        flags, values = self.flags[command], dict(self.defaults[command])
+        flags = self.flags[command]
+        values: dict[str, Any] = {param.key: None for param in flags.values()}
         tokens = iter(argv[1:])
         for token in tokens:
             if token in _HELP_FLAGS:
                 return self.helps[command]
             name, given, text = token.partition("=") if token.startswith("--") else (
                 token, "", "")
-            flag = flags.get(name)
-            if flag is None:
+            param = flags.get(name)
+            if param is None:
                 if not name.startswith("-"):
                     raise UsageError(f"unexpected argument {token!r}: {command} takes flags only")
                 raise UsageError(f"{command} has no flag {name} (flags must match exactly; "
                                  f"see qecopt {command} --help)")
-            if flag.convert is None:
+            if param.action == "store_true":
                 if given:
                     raise UsageError(f"{name} takes no value")
-                values[flag.key] = True
+                values[param.key] = True
                 continue
             if not given:
                 text = next(tokens, None)
                 if text is None:
                     raise UsageError(f"{name} needs a value")
-            try:
-                value = flag.convert(text)
-            except ValueError:
-                raise UsageError(f"{name} needs {_ACCEPTS[flag.convert]}, got {text!r}") from None
-            if flag.choices and value not in flag.choices:
-                raise UsageError(f"{name} must be one of {', '.join(flag.choices)}, "
-                                 f"got {text!r}")
-            values[flag.key] = [*(values[flag.key] or ()), value] if flag.append else value
+            value: Any = text
+            if param.type in _ACCEPTS:
+                try:
+                    value = param.type(text)
+                except ValueError:
+                    raise UsageError(f"{name} needs {_ACCEPTS[param.type]}, "
+                                     f"got {text!r}") from None
+            choices = param.json.get("enum")
+            if choices and value not in choices:
+                raise UsageError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
+            values[param.key] = ([*(values[param.key] or ()), value]
+                                 if param.action == "append" else value)
         return SimpleNamespace(command=command, **values)
 
 
 @functools.cache
 def build_parser() -> Parser:
-    """The qecopt parser, built once per process from PARAMS.  Parsing
-    leaves it unchanged, so every call to main shares it."""
-    flags, defaults = {}, {}
+    """The qecopt parser, built once per process from _IO_PARAMS and PARAMS.
+    Parsing leaves it unchanged, so every call to main shares it."""
+    flags = {}
     helps: dict[str | None, str] = {None: _help_text(
         f"qecopt {{{','.join(COMMANDS)}}} [flags]",
         "Optimal error correction under scale-dependent noise",
         [(command, help_text) for command, (help_text, _) in _HANDLERS.items()],
         "'qecopt COMMAND --help' lists the flags of a command.")}
     for command, (help_text, _) in _HANDLERS.items():
-        table = list(_command_flags(command))
-        flags[command] = {name: flag for name, flag, _ in table}
-        defaults[command] = {flag.key: None for _, flag, _ in table}
-        defaults[command]["format"] = None if command == "sweep" else "json"
+        params = [p for p in _IO_PARAMS if command in p.status]
+        params += _COMMAND_PARAMS[command].values()
+        flags[command] = {param.flag: param for param in params}
         rows = [("-h, --help", "show this help and exit")]
-        for name, flag, text in table:
-            if flag.choices:
-                name += " {" + ",".join(flag.choices) + "}"
-            elif flag.convert is not None:
-                name += " " + flag.key.upper()
-            rows.append((name, text))
+        for param in params:
+            name = param.flag
+            if "enum" in param.json:
+                name += " {" + ",".join(param.json["enum"]) + "}"
+            elif param.action != "store_true":
+                name += " " + param.key.upper()
+            rows.append((name, param.help or ""))
         helps[command] = _help_text(
             f"qecopt {command} [flags]", help_text, rows,
             "Flags must match exactly; a value is the next token or follows "
             "'=' (--flag=value).")
-    return Parser(flags, defaults, helps)
+    return Parser(flags, helps)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -913,8 +900,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         config, from_report = _load_config(args.config, args.command)
         cfg, result, csv_names, table = _HANDLERS[args.command][1](args, config)
-        # Only sweep has no default format: CSV, or JSON for a report fed back.
-        if (args.format or ("json" if from_report else "csv")) == "json":
+        # The one format default: JSON, but a sweep writes CSV unless its
+        # config was a report.
+        fmt = args.format or ("csv" if args.command == "sweep" and not from_report else "json")
+        if fmt == "json":
             _emit(_report({"config": cfg, "result": result}, table), args.out)
         elif csv_names is None:
             raise UsageError(f"{args.command} reports are JSON only")

@@ -29,8 +29,7 @@ def reference() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in cli.COMMANDS:
         p = sub.add_parser(command)
-        p.add_argument("--format", choices=("json", "csv"),
-                       default=None if command == "sweep" else "json")
+        p.add_argument("--format", choices=("json", "csv"))
         p.add_argument("--out")
         p.add_argument("--config")
         if command == "fit":
@@ -98,13 +97,13 @@ def argvs(draw) -> list[str]:
         kind = draw(st.sampled_from(["pair"] * 6 + ["equals"] * 3 + ["stray", "foreign"]))
         flag = draw(st.sampled_from(sorted(table)))
         spec = table[flag]
-        taken = list(spec.choices) or TAKEN.get(spec.convert)
+        taken = spec.json.get("enum") or TAKEN.get(spec.type, TAKEN[str])
         value = draw(st.sampled_from(taken if taken and draw(st.integers(0, 3)) else VALUES))
         if kind == "stray":
             argv.append(value)
         elif kind == "foreign":
             argv += [draw(st.sampled_from(foreign)), value]
-        elif spec.convert is None:
+        elif spec.action == "store_true":
             argv.append(flag if kind != "equals" else f"{flag}={value}")
         elif kind == "pair":
             argv += [flag, value]
