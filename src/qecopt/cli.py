@@ -10,8 +10,9 @@ Each parameter is declared once, in PARAMS: its flag, the type that converts
 its flag text and its config value alike, its JSON type, and its status
 under every command that takes it.  The argv parser (build_parser), the
 per-command config schemas (CONFIG_SCHEMA) and config resolution (flag, else
-config, else default) are all generated from that table.  The parser takes
-the command first, then that command's flags by their exact names; a
+config, else default) are all generated from that table; the I/O flags
+(--format, --out, --config, fit's --in) are Params of _IO_PARAMS.  The parser
+takes the command first, then that command's flags by their exact names; a
 flag's value is the next token, or follows '=' in --flag=value.
 
 Each cmd_* handler resolves its settings and computes; main renders every
@@ -498,7 +499,10 @@ def _settings(args: SimpleNamespace, config: dict,
         if value is None:
             value = config.get(key)
         if value is not None:
-            cfg[key] = param.type(value)
+            try:
+                cfg[key] = param.type(value)
+            except ValueError as exc:  # a UsageError names what it rejects already
+                raise exc if isinstance(exc, UsageError) else UsageError(f"{param.flag}: {exc}")
             continue
         status = param.status[args.command]
         if status is REQUIRED:
@@ -752,12 +756,22 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
 def _read_samples(path: str) -> list[list[float]]:
     """(k, eta) rows of a CSV file, with an optional 'k,...' header."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read samples {path}: {exc.strerror}") from exc
+    lines = text.strip().splitlines()
+    first = text[:len(text) - len(text.lstrip())].count("\n") + 1  # lines[0]'s line number
     if lines and lines[0].lower().startswith("k,"):
-        lines = lines[1:]
-    return [[float(a) for a in line.split(",")] for line in lines]
+        lines, first = lines[1:], first + 1
+    rows = []
+    for number, line in enumerate(lines, first):
+        try:
+            k, eta = line.split(",")
+            rows.append([float(k), float(eta)])
+        except ValueError:
+            raise UsageError(f"--in {path} line {number}: a row is two numbers k,eta, "
+                             f"got {line!r}") from None
+    return rows
 
 
 def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
@@ -848,13 +862,10 @@ class Parser:
                 text = next(tokens, None)
                 if text is None:
                     raise UsageError(f"{name} needs a value")
-            value: Any = text
-            if param.type in _ACCEPTS:
-                try:
-                    value = param.type(text)
-                except ValueError:
-                    raise UsageError(f"{name} needs {_ACCEPTS[param.type]}, "
-                                     f"got {text!r}") from None
+            try:
+                value = param.type(text) if param.type in _ACCEPTS else text
+            except ValueError:
+                raise UsageError(f"{name} needs {_ACCEPTS[param.type]}, got {text!r}") from None
             choices = param.json.get("enum")
             if choices and value not in choices:
                 raise UsageError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
@@ -874,8 +885,7 @@ def build_parser() -> Parser:
         [(command, help_text) for command, (help_text, _) in _HANDLERS.items()],
         "'qecopt COMMAND --help' lists the flags of a command.")}
     for command, (help_text, _) in _HANDLERS.items():
-        params = [p for p in _IO_PARAMS if command in p.status]
-        params += _COMMAND_PARAMS[command].values()
+        params = [p for p in (*_IO_PARAMS, *PARAMS) if command in p.status]
         flags[command] = {param.flag: param for param in params}
         rows = [("-h, --help", "show this help and exit")]
         for param in params:

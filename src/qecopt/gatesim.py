@@ -189,10 +189,12 @@ def extract_chi_diag(
 
     With theta == 0 the input is the noise map itself; otherwise it is a
     noisy rotation gate and the ideal rotation by theta is divided out first.
-    ValueError when row 0 is not (1, 0, 0, 0) to TP_TOL or an entry is not
-    finite.
+    ValueError when the matrix is not 4x4, row 0 is not (1, 0, 0, 0) to
+    TP_TOL or an entry is not finite.
     """
     ptm = np.asarray(ptm, dtype=float)
+    if ptm.shape != (4, 4):
+        raise ValueError(f"transfer matrix must be 4x4, got {ptm.shape}")
     entries = ptm.ravel().tolist()
     if not _trace_preserving(entries):
         raise ValueError("transfer matrix is not trace preserving")

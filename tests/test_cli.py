@@ -93,6 +93,32 @@ class TestOptimize:
         assert code == 0 and err == ""
         assert out.startswith("k,log10_p\n") and out.count("\n") == 6
 
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--model", "affine", "--eta0", "1e-5", "--scheme", "1,2,x,4,5"],
+         "--scheme: invalid literal for int() with base 10: 'x'"),
+        (["optimize", "--model", "table", "--eta0", "1e-5", "--f-values", "1,x"],
+         "--f-values: could not convert string to float: 'x'"),
+        (["fit", "--samples", "1:2:3,2:3", "--model", "affine"],
+         "--samples: could not convert string to float: '2:3'"),
+        (["gatesim", "--theta", "2xpi", "--gamma", "1", "--ng", "100"],
+         "--theta: could not convert string to float: '2x'"),
+        # A converter's own usage error keeps its text.
+        (["gatesim", "--theta", "tau", "--gamma", "1", "--ng", "100"],
+         "cannot parse angle 'tau'"),
+    ])
+    def test_unconvertible_value_names_its_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"qecopt: {message}\n"
+
+    def test_unconvertible_config_value_names_its_flag(self, tmp_path, capsys):
+        config = tmp_path / "scheme.json"
+        config.write_text(json.dumps({"scheme": "1,2,x,4,5"}))
+        code, out, err = run(capsys, "optimize", "--model", "affine", "--eta0", "1e-5",
+                             "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == "qecopt: --scheme: invalid literal for int() with base 10: 'x'\n"
+
     def test_tabulated_model(self, capsys):
         code, out, _ = run(
             capsys, "optimize", "--model", "table", "--eta0", "1e-9",
@@ -818,6 +844,20 @@ class TestFit:
                                       "variant": "affine", "D": None}))
         code, _, err = run(capsys, "fit", "--config", str(config))
         assert code == 2 and "'variant'" in err
+
+    @pytest.mark.parametrize("text, number, row", [
+        ("k,eta\n0,1e-6\n1,2e-4,3\n", 3, "1,2e-4,3"),
+        ("0,1e-6\n1\n", 2, "1"),
+        ("\n\nk,eta\n0,x\n", 4, "0,x"),
+        ("0,1e-6\n\n1,2e-4\n", 2, ""),
+    ])
+    def test_samples_file_rows_are_two_numbers(self, tmp_path, capsys, text, number, row):
+        data = tmp_path / "samples.csv"
+        data.write_text(text)
+        code, out, err = run(capsys, "fit", "--in", str(data), "--model", "affine")
+        assert code == 2 and out == ""
+        assert err == (f"qecopt: --in {data} line {number}: a row is two numbers k,eta, "
+                       f"got {row!r}\n")
 
     def test_missing_input_file_exits_2(self, capsys):
         code, out, err = run(

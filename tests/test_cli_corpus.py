@@ -84,8 +84,8 @@ def dump(corpus: dict) -> None:
 
 
 def test_corpus_replays_byte_for_byte():
-    corpus = load()
-    same_platform = corpus["fingerprint"] == fingerprint()
+    corpus, here = load(), fingerprint()
+    same_platform = corpus["fingerprint"] == here
     faults, moved = [], []
     for number, op in enumerate(corpus["ops"]):
         got = replay(op["argv"])
@@ -97,7 +97,7 @@ def test_corpus_replays_byte_for_byte():
             (faults if same_platform else moved).append(f"{line}\n  stdout differs")
     if moved:
         print(f"{len(moved)} of {len(corpus['ops'])} stdout digests differ; not failed, "
-              f"since this platform's float fingerprint {fingerprint()} differs from "
+              f"since this platform's float fingerprint {here} differs from "
               f"the recorded {corpus['fingerprint']}:\n" + "\n".join(moved))
     assert not faults, f"{len(faults)} ops differ from the corpus:\n" + "\n".join(faults)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,12 @@ class TestExtractChiDiag:
         bad = np.diag([0.9, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="trace"):
             extract_chi_diag(bad)
+
+    @pytest.mark.parametrize("ptm, shape", [(np.eye(3), (3, 3)), (np.eye(5), (5, 5)),
+                                            (np.eye(4).ravel(), (16,))])
+    def test_rejects_a_matrix_that_is_not_4x4(self, ptm, shape):
+        with pytest.raises(ValueError, match=re.escape(f"transfer matrix must be 4x4, got {shape}")):
+            extract_chi_diag(ptm)
 
 
 class TestEvolveNoisyGate:
