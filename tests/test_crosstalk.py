@@ -29,6 +29,9 @@ from qecopt.crosstalk import (
 from qecopt.scheme import get_scheme, make_scheme
 
 ALIFERIS = get_scheme("aliferis2006")
+# The square oracle's stated bound, relative to the exactly rounded row sum
+# of the same powers, for every side from 2 to the cap and every z >= 0.
+SQUARE_REL_BOUND = 1e-15
 
 
 def literal_chain_max(n: int, z: float) -> float:
@@ -230,21 +233,32 @@ class TestDeltaLatticeOracle:
             worst = max(worst, math.exp(log_const + log_rising - (z + 11.0) * math.log(m)))
         assert 6.0e-24 < worst < 6.1e-24  # the docstring's maximum, near z = 0.55
 
-    # Squares of side <= 128 (c < 64) keep the single tile; from side 129 on,
-    # a 64 x 64 box and two product Euler-Maclaurin rectangles.
+    # Every square holds one bound, SQUARE_REL_BOUND, against the exactly
+    # rounded sum.  Up to side 128 (c < 64) the square is the triangle u <= v
+    # of its box alone (2.2e-16 seen over ~7000 squares); from side 129 on,
+    # the 64^2 box's triangle and two product Euler-Maclaurin rectangles
+    # (3.8e-16 seen over ~2000 squares up to side 2500).
+    @settings(max_examples=150, deadline=None)
+    @given(side=st.integers(2, 128) | st.sampled_from([64, 65, 127, 128, 129, 130]),
+           z=st.floats(0.0, 60.0))
+    def test_small_square_matches_the_exact_sum(self, side, z):
+        assert square_oracle(side, z) == pytest.approx(
+            exact_square_sum(side, z), rel=SQUARE_REL_BOUND, abs=0.0)
+
     @settings(max_examples=100, deadline=None)
     @given(side=st.integers(129, 2500), z=st.floats(0.0, 60.0))
     def test_square_matches_the_exact_sum(self, side, z):
         assert square_oracle(side, z) == pytest.approx(
-            exact_square_sum(side, z), rel=1e-15, abs=0.0)
+            exact_square_sum(side, z), rel=SQUARE_REL_BOUND, abs=0.0)
 
-    # n = side - c = 64, 65, 65, 66, 66, 67: the last tile, then c = 64 (strips
-    # one line wide, a one-site block) and the first lines past the box.
+    # n = side - c = 64, 65, 65, 66, 66, 67: the last squares that are their
+    # box alone, then c = 64 (strips one line wide, a one-site block) and
+    # the first lines past the box.
     @pytest.mark.parametrize("side", [127, 128, 129, 130, 131, 132])
     @pytest.mark.parametrize("z", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 4.0])
     def test_square_matches_the_exact_sum_at_the_seams(self, side, z):
         assert square_oracle(side, z) == pytest.approx(
-            exact_square_sum(side, z), rel=1e-15, abs=0.0)
+            exact_square_sum(side, z), rel=SQUARE_REL_BOUND, abs=0.0)
 
     # The side cap and the odd side below it, at z = 2's seams and away from
     # them; each reference sums about 1.25e7 powers exactly.  These hold to
@@ -276,7 +290,9 @@ class TestDeltaLatticeOracle:
         assert parts.shape == (12, 1)
         assert math.fsum(parts.ravel().tolist()) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("side", [130, 2000, 2001, MAX_SQUARE_SIDE])
+    # Every side up to 128 (the box's weights alone, odd and even far edges),
+    # then the box with the rectangles.
+    @pytest.mark.parametrize("side", [*range(2, 129), 130, 2000, 2001, MAX_SQUARE_SIDE])
     def test_square_z_zero_counts_sites(self, side):
         assert square_oracle(side, 0.0) == side * side - 1
 
@@ -287,13 +303,13 @@ class TestDeltaLatticeOracle:
         # ulp of 4, and no inf * 0 forms a NaN (a RuntimeWarning fails here).
         assert square_oracle(side, z) == 4.0
 
-    # Floats of the single-tile sum, pinned: squares of side <= 128 keep
-    # them bit for bit.
+    # Floats of the box's triangle, pinned: squares of side <= 128 keep them
+    # bit for bit.  Each is the exactly rounded sum.
     @pytest.mark.parametrize("side, z, value", [
-        (24, 0.5, 205.85054383242473), (24, 3.0, 8.561536373458262),
-        (64, 0.5, 903.1212397164161), (64, 3.0, 8.856809031575736),
-        (127, 0.5, 2528.1248881921165), (127, 3.0, 8.944539665342553),
-        (128, 0.5, 2558.0193112989386), (128, 3.0, 8.945228840072746),
+        (24, 0.5, 205.85054383242476), (24, 3.0, 8.56153637345826),
+        (64, 0.5, 903.1212397164162), (64, 3.0, 8.856809031575738),
+        (127, 0.5, 2528.1248881921165), (127, 3.0, 8.944539665342552),
+        (128, 0.5, 2558.019311298939), (128, 3.0, 8.945228840072742),
     ])
     def test_small_squares_keep_their_floats(self, side, z, value):
         assert square_oracle(side, z) == value
