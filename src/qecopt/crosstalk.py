@@ -180,7 +180,7 @@ def _powers(p: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows of (ua, ub, va, vb) that _rectangle_parts reads: each edge's fixed
+# Rows of (ua, ub, va, vb) that _rectangle_geometry reads: each edge's fixed
 # coordinate, the ends of its range, and each corner's two coordinates.
 _EDGE, _EDGE_LO, _EDGE_HI = (0, 1, 2, 3), (2, 2, 0, 0), (3, 3, 1, 1)
 _CORNER_U, _CORNER_V = (0, 0, 1, 1), (2, 3, 2, 3)
@@ -190,7 +190,7 @@ _UPPER = (False, True, False, True) + (False, False, True, True) + (False, True,
 
 @functools.cache
 def _layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where _rectangle_parts reads k rectangles, built once per k and
+    """Where _rectangle_geometry reads k rectangles, built once per k and
     read-only: in the flat (ua, ub, va, vb, ua, ...) list, the indices of
     the ends of the sums (the edges, then the corners' u and v) and, as two
     rows, of the edges' lower and upper ends; and whether each end of a sum
@@ -203,10 +203,55 @@ def _layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ends, ranges, upper
 
 
-def _rectangle_parts(rects: list[tuple[int, int, int, int]], z: float) -> np.ndarray:
+def _rectangle_geometry(rects: list[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
+    """What _rectangle_parts reads of the integer rectangles (ua, ub, va, vb)
+    that does not depend on z, every array read-only: along each edge, half
+    its range in y, its nodes' cosh(y), r, r^2 and the powers p^n there; its
+    end weights g_n and its half range times its integral's sign; and the
+    corners' g_n p^n and h_n q^n and their r^2.  Each is a fresh array, so
+    none keeps the block of every power alive."""
+    flat = np.asarray(rects, dtype=float).ravel()
+    k = len(rects)
+    # The ends of the sums: the edges, then the corners' u and v.
+    ends_at, ranges_at, upper = _layout(k)
+    ends = flat[ends_at]
+    edges, corner_u, corner_v = slice(0, 4 * k), slice(4 * k, 8 * k), slice(8 * k, None)
+    sign = np.where(upper ^ (ends < 0), 1.0, -1.0)
+    x0 = np.abs(ends)
+    x, _ = _gauss_legendre(_LINE_NODES)
+    y_lo, y_hi = np.arcsinh(flat[ranges_at] / x0[edges])
+    half = (y_hi - y_lo) / 2.0
+    ch = np.cosh(np.multiply.outer(half, x) + (y_lo + half)[:, None])
+    r = x0[edges, None] * ch
+    # Every power at once: 1/x at each end, p at each edge node, and p and q
+    # at each corner, written into one array.
+    nodes = slice(12 * k, 12 * k + r.size)
+    bases = np.empty(nodes.stop + 8 * k)
+    np.divide(1.0, x0, out=bases[:12 * k])
+    p_nodes = bases[nodes].reshape(r.shape)
+    np.multiply(ch, ch, out=p_nodes)
+    np.divide(1.0, p_nodes, out=p_nodes)
+    np.multiply(x0[4 * k:], x0[4 * k:], out=bases[nodes.stop:])
+    pq_corners = bases[nodes.stop:].reshape(2, 4 * k)
+    corner_r2 = pq_corners[0] + pq_corners[1]
+    pq_corners /= corner_r2
+    powers = _powers(bases)
+    along = powers[:, nodes].reshape((12,) + r.shape).copy()
+    at_corners = powers[:, nodes.stop:].T
+    g = powers[:, :12 * k].T @ _em_tables()[0]
+    g *= sign[:, None]
+    g[:, 0] += 0.5
+    geometry = (half, ch, r, r * r, along, g[edges].copy(), sign[edges] * half,
+                g[corner_u] * at_corners[:4 * k], g[corner_v] * at_corners[4 * k:], corner_r2)
+    for array in geometry:
+        array.flags.writeable = False
+    return geometry
+
+
+def _rectangle_parts(geometry: tuple[np.ndarray, ...], z: float) -> np.ndarray:
     """Parts that add up to sum_{u=ua..ub} sum_{v=va..vb} f(u, v) for each
-    integer rectangle (ua, ub, va, vb), f = (u^2 + v^2)^(-z/2), by the
-    product Euler-Maclaurin formula
+    integer rectangle (ua, ub, va, vb) whose _rectangle_geometry is
+    geometry, f = (u^2 + v^2)^(-z/2), by the product Euler-Maclaurin formula
 
         I_2 + T_u[J_u] + T_v[J_v] + T_u T_v f,
 
@@ -227,7 +272,9 @@ def _rectangle_parts(rects: list[tuple[int, int, int, int]], z: float) -> np.nda
     nodes in y.  f's bivariate Taylor coefficients give
     d^a/du^a d^b/dv^b f = u^-a v^-b sum K[a, n1] K[b, n2] (s)_(n1+n2)
     p^n1 q^n2 f, q = v^2/r^2, so a corner's T_u T_v f is
-    sum g_n1 h_n2 (s)_(n1+n2) p^n1 q^n2 f.
+    sum g_n1 h_n2 (s)_(n1+n2) p^n1 q^n2 f.  The nodes, p^n, q^n, g and h
+    do not depend on z and come from geometry; only the Pochhammer
+    symbols, f, the radial integrals below and the sums are taken here.
 
     f is homogeneous of degree -z, so div(x f) = (2 - z) f, and I_2 is the
     sum over the edges of +-(integral of (r^(2-z) - M^(2-z))/(2-z) dtheta),
@@ -236,49 +283,17 @@ def _rectangle_parts(rects: list[tuple[int, int, int, int]], z: float) -> np.nda
     r^(2-z) is r^2 times f, as -z/2 is exact; within 1/8 of z = 2 the
     difference is M^(2-z) expm1((2-z) ln(r/M)), and ln(r/M) at z = 2.
     """
-    flat = np.asarray(rects, dtype=float).ravel()
-    k = len(rects)
+    half, ch, r, r2, along, g_edges, signed_half, gu, gv, corner_r2 = geometry
     s = z / 2.0
     poch = [1.0]  # (s)_N for N <= 22
     for i in range(22):
         poch.append(poch[-1] * (s + i))
     poch = np.array(poch)
-    table, hankel = _em_tables()
+    w = _gauss_legendre(_LINE_NODES)[1]
 
-    # The ends of the sums: the edges, then the corners' u and v.
-    ends_at, ranges_at, upper = _layout(k)
-    ends = flat[ends_at]
-    edges, corner_u, corner_v = slice(0, 4 * k), slice(4 * k, 8 * k), slice(8 * k, None)
-    sign = np.where(upper ^ (ends < 0), 1.0, -1.0)
-    x0 = np.abs(ends)
-    x, w = _gauss_legendre(_LINE_NODES)
-    y_lo, y_hi = np.arcsinh(flat[ranges_at] / x0[edges])
-    half = (y_hi - y_lo) / 2.0
-    ch = np.cosh(np.multiply.outer(half, x) + (y_lo + half)[:, None])
-    r = x0[edges, None] * ch
-    r2 = r * r
     f = r2 ** (-s)
-    # Every power at once: 1/x at each end, p at each edge node, and p and q
-    # at each corner, written into one array.
-    nodes = slice(12 * k, 12 * k + r.size)
-    bases = np.empty(nodes.stop + 8 * k)
-    np.divide(1.0, x0, out=bases[:12 * k])
-    p_nodes = bases[nodes].reshape(r.shape)
-    np.multiply(ch, ch, out=p_nodes)
-    np.divide(1.0, p_nodes, out=p_nodes)
-    np.multiply(x0[4 * k:], x0[4 * k:], out=bases[nodes.stop:])
-    pq_corners = bases[nodes.stop:].reshape(2, 4 * k)
-    corner_r2 = pq_corners[0] + pq_corners[1]
-    pq_corners /= corner_r2
-    powers = _powers(bases)
-    along = powers[:, nodes].reshape((12,) + r.shape)
-    at_corners = powers[:, nodes.stop:].T
-    g = powers[:, :12 * k].T @ table
-    g *= sign[:, None]
-    g[:, 0] += 0.5
-
     edge_terms = half * np.einsum("ln,ln->l", np.einsum("nli,li->ln", along, f * r * w),
-                                  g[edges] * poch[:12])
+                                  g_edges * poch[:12])
     m_pow = _EM_START * _EM_START * _EM_START ** -z  # M^(2-z)
     if z == 2.0:
         radial = np.log(r / _EM_START)
@@ -286,11 +301,10 @@ def _rectangle_parts(rects: list[tuple[int, int, int, int]], z: float) -> np.nda
         radial = m_pow * np.expm1((2.0 - z) * np.log(r / _EM_START)) / (2.0 - z)
     else:
         radial = (r2 * f - m_pow) / (2.0 - z)
-    edge_integrals = sign[edges] * half * ((radial / ch) @ w)
+    edge_integrals = signed_half * ((radial / ch) @ w)
 
-    gu, gv = g[corner_u] * at_corners[:4 * k], g[corner_v] * at_corners[4 * k:]
-    corner_terms = corner_r2 ** (-s) * ((gu @ poch[hankel]) * gv).sum(axis=1)
-    return np.concatenate((edge_integrals, edge_terms, corner_terms)).reshape(12, k)
+    corner_terms = corner_r2 ** (-s) * ((gu @ poch[_em_tables()[1]]) * gv).sum(axis=1)
+    return np.concatenate((edge_integrals, edge_terms, corner_terms)).reshape(12, -1)
 
 
 def _far_rectangles(side: int) -> tuple[list[tuple[int, int, int, int]], list[float]]:
@@ -306,6 +320,22 @@ def _far_rectangles(side: int) -> tuple[list[tuple[int, int, int, int]], list[fl
         rects += [(-c, c, c + 1, c + 1), (c + 1, c + 1, c + 1, c + 1)]
         copies += [2.0, 1.0]
     return rects, copies
+
+
+# The sides whose far rectangles' geometry is kept: ~68 KB each on an even
+# side and ~35 KB on an odd one, so the cache holds at most ~0.8 MB.
+_GEOMETRY_SIDES = 12
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_SIDES)
+def _far_geometry(side: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The _rectangle_geometry of a square's _far_rectangles and how many
+    copies of each it holds, read-only, built once per side and kept for the
+    last _GEOMETRY_SIDES sides: a sweep over z at one side builds it once."""
+    rects, copies = _far_rectangles(side)
+    copies = np.array(copies)
+    copies.flags.writeable = False
+    return _rectangle_geometry(rects), copies
 
 
 def _box_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,11 +372,12 @@ def _centre_row_sum(side: int, z: float) -> float:
     exact powers of two; an even side's far edge v = n - 1 has w_v = 1,
     which halves that row, and its corner (n-1, n-1) once more.  From c = M
     on, the rows v < M stand for the offsets |u|, |v| < M, and
-    _rectangle_parts sums the _far_rectangles around them.  Each row is
-    summed by np.add.reduceat, and the row sums with the rectangles' parts
-    by one math.fsum.  The box leaves out the centre, so no power of 0 is
-    taken.  At z = 0 every part counts its sites exactly, and where M^-z
-    underflows every term past the box is 0.
+    _rectangle_parts sums the _far_rectangles around them, whose geometry
+    _far_geometry keeps per side.  Each row is summed by np.add.reduceat,
+    and the row sums with the rectangles' parts by one math.fsum.  The box
+    leaves out the centre, so no power of 0 is taken.  At z = 0 every part
+    counts its sites exactly, and where M^-z underflows every term past the
+    box is 0.
     """
     c = (side - 1) // 2
     n = side - c if c < _EM_START else _EM_START
@@ -362,8 +393,8 @@ def _centre_row_sum(side: int, z: float) -> float:
         return math.fsum(rows) + float(side * side - (2 * _EM_START - 1) ** 2)
     if _EM_START ** -z == 0.0:
         return math.fsum(rows)
-    rects, copies = _far_rectangles(side)
-    parts = _rectangle_parts(rects, z) * np.array(copies)
+    geometry, copies = _far_geometry(side)
+    parts = _rectangle_parts(geometry, z) * copies
     return math.fsum(rows + parts.ravel().tolist())
 
 
@@ -384,7 +415,9 @@ def delta_lattice_oracle(spec: LatticeSpec) -> float:
     offsets, 2144 powers at most, and above side 128 that of the 64^2 box
     (2079 powers) plus two product Euler-Maclaurin rectangles, the strips
     and the blocks, and on an even side the edge lines (see _centre_row_sum,
-    _far_rectangles and _rectangle_parts).
+    _far_rectangles and _rectangle_parts).  A square's rectangles' geometry
+    does not depend on z and is kept for the last _GEOMETRY_SIDES sides, so
+    a sweep over z at one side builds it once (see _far_geometry).
 
     The square's one bound: for every side from 2 to the cap and every
     z >= 0, the result lies within 1e-15 relative of the exactly rounded
@@ -434,6 +467,20 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# _c_z_integral's nodes on [-1, 1] map to theta = _C_Z_HALF * (x + 1).
+_C_Z_HALF = math.pi / 8.0
+
+
+@functools.cache
+def _c_z_cosines() -> np.ndarray:
+    """cos(theta) at the nodes of _c_z_integral's 32-point rule and then of
+    its 16-point check, computed once a process and shared, so read-only."""
+    (x, _), (x_check, _) = _gauss_legendre(32), _gauss_legendre(16)
+    cosines = np.cos(_C_Z_HALF * (np.concatenate((x, x_check)) + 1.0))
+    cosines.flags.writeable = False
+    return cosines
+
+
 def _c_z_integral(z: float) -> float:
     """C_z = integral_0^{pi/4} cos(theta)^(z-2) dtheta, by 32-point
     Gauss-Legendre quadrature.
@@ -442,14 +489,13 @@ def _c_z_integral(z: float) -> float:
     vanishes) lies at 3, so it is analytic inside the Bernstein ellipse
     rho = 3 + 2 sqrt(2) and the n-point rule errs by O(rho^(-2n)):
     rho^(-64) ~ 1e-49 here.  The gap to the 16-point rule (O(rho^-32) ~ 3e-25)
-    checks that at run time; both rules take one cos and one power over
-    their joined nodes.
+    checks that at run time; both rules take one power of their joined
+    nodes' cosines (see _c_z_cosines).
     """
-    (x, w), (x_check, w_check) = _gauss_legendre(32), _gauss_legendre(16)
-    half = math.pi / 8.0  # theta = half * (x + 1)
-    f = np.cos(half * (np.concatenate((x, x_check)) + 1.0)) ** (z - 2.0)
-    value = half * float(w @ f[:32])
-    err = abs(value - half * float(w_check @ f[32:]))
+    (_, w), (_, w_check) = _gauss_legendre(32), _gauss_legendre(16)
+    f = _c_z_cosines() ** (z - 2.0)
+    value = _C_Z_HALF * float(w @ f[:32])
+    err = abs(value - _C_Z_HALF * float(w_check @ f[32:]))
     if err > 1e-10:
         raise RuntimeError(f"C_z quadrature error {err:.2e} above 1e-10")
     return value

@@ -286,7 +286,7 @@ class TestDeltaLatticeOracle:
         ua, ub, va, vb = rect
         u, v = np.meshgrid(np.arange(ua, ub + 1.0), np.arange(va, vb + 1.0))
         exact = math.fsum(((u * u + v * v) ** (-z / 2.0)).ravel().tolist())
-        parts = crosstalk._rectangle_parts([rect], z)
+        parts = crosstalk._rectangle_parts(crosstalk._rectangle_geometry([rect]), z)
         assert parts.shape == (12, 1)
         assert math.fsum(parts.ravel().tolist()) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
@@ -313,6 +313,70 @@ class TestDeltaLatticeOracle:
     ])
     def test_small_squares_keep_their_floats(self, side, z, value):
         assert square_oracle(side, z) == value
+
+    # Floats of the box with the rectangles, pinned: splitting the rectangle
+    # kernel into a geometry kept per side and its z part moves no bit.
+    @pytest.mark.parametrize("side, values", [
+        (129, (2588.1239585095745, 32.538371035061914, 29.456324263009282, 8.94592071220124)),
+        (130, (2618.252660454622, 32.59810126591751, 29.50453750759645, 8.946588865100974)),
+        (1000, (55899.15550548576, 49.318376466255124, 42.3238224296369, 9.022307965173885)),
+        (1001, (55983.04473768419, 49.32699955589437, 42.33010761361075, 9.022319281707983)),
+        (MAX_SQUARE_SIDE, (1767745.7015915532, 70.35513099443467, 56.79139464791681,
+                           9.032490312241624)),
+    ])
+    def test_large_squares_keep_their_floats(self, side, values):
+        assert tuple(square_oracle(side, z) for z in (0.5, 1.95, 2.0, 3.0)) == values
+
+    # A square's rectangles' geometry is kept per side (_far_geometry): a
+    # warm call, a call after the cache is cleared and calls in shuffled z
+    # order give the same floats, on both parities, at z = 0 and z = 2 and
+    # within 1/8 of it, where the radial integral changes form.
+    @settings(max_examples=40, deadline=None)
+    @given(side=st.integers(129, MAX_SQUARE_SIDE) | st.sampled_from([129, 130, MAX_SQUARE_SIDE]),
+           zs=st.lists(st.floats(0.0, 60.0) | st.floats(1.875, 2.125)
+                       | st.sampled_from([0.0, 2.0, 2.0 - 1e-9, 2.0 + 1e-9]),
+                       min_size=2, max_size=6),
+           shuffle=st.randoms(use_true_random=False))
+    def test_cached_geometry_keeps_the_floats(self, side, zs, shuffle):
+        def parts_and_oracle(z):
+            parts = crosstalk._rectangle_parts(crosstalk._far_geometry(side)[0], z)
+            return parts.tobytes(), square_oracle(side, z)
+
+        cold = []
+        for z in zs:
+            crosstalk._far_geometry.cache_clear()
+            cold.append(parts_and_oracle(z))
+        warm = [parts_and_oracle(z) for z in zs]
+        order = list(range(len(zs)))
+        shuffle.shuffle(order)
+        shuffled = {i: parts_and_oracle(zs[i]) for i in order}
+        assert warm == cold == [shuffled[i] for i in range(len(zs))]
+
+    @pytest.mark.parametrize("side", [129, 130])
+    def test_cached_geometry_is_read_only(self, side):
+        # Each cached array is its own: none is a view that keeps a larger
+        # block, such as every power at once, alive.
+        geometry, copies = crosstalk._far_geometry(side)
+        for array in (*geometry, copies):
+            assert array.base is None
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_geometry_cache_is_bounded(self):
+        # Full of even sides, the largest entries, the cache holds under 1 MB.
+        maxsize = crosstalk._far_geometry.cache_info().maxsize
+        crosstalk._far_geometry.cache_clear()
+        square_oracle(MAX_SQUARE_SIDE, 1.5)  # the module's other caches
+        crosstalk._far_geometry.cache_clear()
+        tracemalloc.start()
+        try:
+            for side in range(130, 130 + 2 * (maxsize + 5), 2):
+                square_oracle(side, 1.5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert crosstalk._far_geometry.cache_info().currsize == maxsize
+        assert held < 2 ** 20, held
 
     def test_gegenbauer_bound(self):
         # |C_m^(s)(x)| <= (2s)_m / m! on [-1, 1] for s > 0: the case b = 0 of
