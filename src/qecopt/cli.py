@@ -582,10 +582,10 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, grid: dict[str, np.ndarray]
     point is an array along its own axis, so the law family takes each
     logarithm once per distinct value.
     """
-    ks = optimizer.levels(kcap)
+    table = optimizer.levels(kcap)
     shape = [v.size for v in grid.values()]
-    inner = min(shape[-1], max(1, SWEEP_BLOCK // ks.size))
-    chunks = [max(1, SWEEP_BLOCK // (inner * ks.size))] * (len(shape) - 1) + [inner]
+    inner = min(shape[-1], max(1, SWEEP_BLOCK // table.ks.size))
+    chunks = [max(1, SWEEP_BLOCK // (inner * table.ks.size))] * (len(shape) - 1) + [inner]
     k_max, p_min = np.empty(shape, dtype=int), np.empty(shape)
     for starts in itertools.product(*(range(0, n, c) for n, c in zip(shape, chunks))):
         block = tuple(slice(s, s + c) for s, c in zip(starts, chunks))
@@ -593,7 +593,7 @@ def _sweep_minima(sch: scheme.FTScheme, point: dict, grid: dict[str, np.ndarray]
             point[field] = vals[block[i]].reshape(
                 [-1 if d == i else 1 for d in range(len(shape))] + [1])
         k_max[block], p_min[block] = optimizer.first_minima(
-            optimizer.log10_curve(sch, scheme.model_from_dict(point), ks))
+            optimizer.log10_curve(sch, scheme.model_from_dict(point), table))
     return k_max.ravel(), p_min.ravel()
 
 
@@ -735,7 +735,7 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
         opt = shor.optimize_photon_budget(problem, n_L, sch)
         k, log10_p_min = opt.k_max, opt.log10_curve[opt.k_max]
     bill = shor.energy_bill(problem, n_L, k, cfg["gamma"], cfg["omega0"], sch)
-    margin = shor.rwa_margin(n_L, k, cfg["gamma"], cfg["omega0"], sch)
+    margin = shor.rwa_margin(bill.pulse)
 
     result = bill.to_dict()
     result.update(

@@ -15,8 +15,10 @@ law family (see scheme.NoiseModel) as one array of points x levels.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,24 @@ DEFAULT_K_CAP = 64
 # 2.0**k must stay inside float range.  A level-k curve value may not: it
 # overflows to +inf, which ranks worse than every finite level.
 MAX_K_CAP = 1000
+
+# A curve holding a NaN is rejected with this message.  argmin takes a
+# curve's first NaN as its minimum, so the scans look only at the minima.
+_UNDEFINED_CURVE = ("the noise law gives an undefined curve (NaN): a parameter "
+                   "leaves the float range")
+
+# The level tables kept (see levels): ~17 KB each at MAX_K_CAP, so at most
+# ~0.3 MB in all.
+_LEVEL_TABLES = 16
+
+
+class Levels(NamedTuple):
+    """The levels a scan covers and what the recursion reads of them: the
+    levels ks, their exact powers two_k = 2^k and the level-0 mask level0."""
+
+    ks: np.ndarray
+    two_k: np.ndarray
+    level0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,9 +90,10 @@ class OptResult:
         }
 
     def curve_columns(self) -> dict:
-        """The curve as columns: the levels "k" = 0, 1, ... (an array) and
-        their "log10_p" (a list, None where the value overflowed)."""
-        return {"k": np.arange(len(self.log10_curve)),
+        """The curve as columns: the levels "k" = 0, 1, ... (the read-only
+        array of the level table) and their "log10_p" (a list, None where the
+        value overflowed)."""
+        return {"k": _level_table(len(self.log10_curve)).ks,
                 "log10_p": [None if v == math.inf else v for v in self.log10_curve]}
 
 
@@ -109,8 +130,9 @@ def log10_logical_error(log10_b: float, log10_eta_k, k):
     The concatenation recursion in log space, for a fault-pair count b (any
     real b >= 1: the crosstalk mapping passes an amplified one) and the
     physical error eta_k of a level-k computer.  Every logical-error curve in
-    the package goes through here.  k may be real, and k and log10_eta_k may
-    be arrays that broadcast against each other.
+    the package goes through its body, _recursion: the scans pass it a level
+    table, already checked.  k may be real, and k and log10_eta_k may be
+    arrays that broadcast against each other.
     """
     lowest, highest = (k.min(), k.max()) if isinstance(k, np.ndarray) else (k, k)
     if lowest < 0:
@@ -118,45 +140,67 @@ def log10_logical_error(log10_b: float, log10_eta_k, k):
     if highest > MAX_K_CAP:
         raise ValueError(f"level {highest} exceeds the supported cap {MAX_K_CAP}")
     if not isinstance(k, np.ndarray):
-        return log10_eta_k if k == 0 else -log10_b + 2.0 ** k * (log10_b + log10_eta_k)
-    two_k = np.ldexp(1.0, k) if k.dtype.kind in "iu" else np.exp2(k)  # exact 2^k
+        return _recursion(log10_b, log10_eta_k, 2.0 ** k, k == 0)
+    return _recursion(log10_b, log10_eta_k, _powers(k), k == 0)
+
+
+def _powers(k: np.ndarray) -> np.ndarray:
+    """2^k at each level of k, exact for integer levels."""
+    return np.ldexp(1.0, k) if k.dtype.kind in "iu" else np.exp2(k)
+
+
+def _recursion(log10_b: float, log10_eta_k, two_k, level0):
+    """log10_logical_error at levels given by their powers two_k = 2^k and
+    level-0 mask level0 (scalars, or arrays that broadcast)."""
     values = two_k * (log10_b + log10_eta_k)
-    values += -log10_b  # the same sum as -log10_b + values, in place
-    np.copyto(values, log10_eta_k, where=k == 0)
-    return values
+    values += -log10_b  # the same sum as -log10_b + values, in place on an array
+    if isinstance(values, np.ndarray):
+        np.copyto(values, log10_eta_k, where=level0)
+        return values
+    return log10_eta_k if level0 else values
 
 
-def log10_curve(scheme: FTScheme, model: NoiseModel, ks) -> np.ndarray:
-    """log10 p(k) at every level of the array ks, on the last axis.
-
-    A law family's axes lead.  A value that overflows the float range is
-    +inf, which ranks worse than every finite level; a curve the law leaves
-    undefined (NaN) is a ValueError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = log10_logical_error(
-            math.log10(scheme.B), model.log10_eta(ks, scheme.D), ks
-        )
-    if np.isnan(values).any():
-        raise ValueError("the noise law gives an undefined curve (NaN): a parameter "
-                         "leaves the float range")
-    return values
+@functools.lru_cache(maxsize=_LEVEL_TABLES)
+def _level_table(count: int) -> Levels:
+    """The levels 0..count-1, read-only, built once per level count and kept
+    for the last _LEVEL_TABLES counts."""
+    ks = np.arange(count)
+    table = Levels(ks, _powers(ks), ks == 0)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
-def levels(k_cap: int, model: NoiseModel | None = None) -> np.ndarray:
-    """The levels 0..k_cap a scan covers; a table's length caps them too."""
+def levels(k_cap: int, model: NoiseModel | None = None) -> Levels:
+    """The level table of a scan over 0..k_cap (read-only and shared); a
+    table law's length caps the levels too."""
     if not 1 <= k_cap <= MAX_K_CAP:
         raise ValueError(f"k_cap must be in [1, {MAX_K_CAP}], got {k_cap}")
     if isinstance(model, TabulatedNoise):
         k_cap = min(k_cap, len(model.f_values) - 1)
-    return np.arange(k_cap + 1)
+    return _level_table(k_cap + 1)
+
+
+def log10_curve(scheme: FTScheme, model: NoiseModel, table: Levels) -> np.ndarray:
+    """log10 p(k) at every level of the level table, on the last axis.
+
+    A law family's axes lead.  A value that overflows the float range is
+    +inf, which ranks worse than every finite level; a value the law leaves
+    undefined is NaN, which first_minima and find_kmax reject.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _recursion(math.log10(scheme.B), model.log10_eta(table.ks, scheme.D),
+                          table.two_k, table.level0)
 
 
 def first_minima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each curve's smallest level attaining its minimum (the last axis),
-    and that minimum."""
+    and that minimum; a ValueError if a curve holds a NaN."""
     k_max = np.argmin(values, axis=-1)
-    return k_max, np.take_along_axis(values, k_max[..., None], axis=-1)[..., 0]
+    p_min = np.take_along_axis(values, k_max[..., None], axis=-1)[..., 0]
+    if np.isnan(p_min).any():
+        raise ValueError(_UNDEFINED_CURVE)
+    return k_max, p_min
 
 
 def scan_status(k_max: int, k_cap: int) -> str:
@@ -178,11 +222,13 @@ def find_kmax(
     The scan is global (curves can have several local minima); ties break
     toward the smaller, cheaper level.
     """
-    ks = levels(k_cap, model)
-    values = log10_curve(scheme, model, ks)
+    values = log10_curve(scheme, model, levels(k_cap, model))
     k_max = int(np.argmin(values))
-    return OptResult(k_max=k_max, status=scan_status(k_max, len(ks) - 1),
-                     log10_curve=tuple(values.tolist()))
+    curve = tuple(values.tolist())
+    if math.isnan(curve[k_max]):
+        raise ValueError(_UNDEFINED_CURVE)
+    return OptResult(k_max=k_max, status=scan_status(k_max, len(curve) - 1),
+                     log10_curve=curve)
 
 
 def affine_usefulness_threshold(B: float, eta0: float) -> float:

@@ -11,6 +11,7 @@ there the energy, power and timing of the whole computation.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -18,12 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gatesim import GateSpec, pulse_params
-from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax
+from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax, levels
 from .scheme import PI_SQ_OVER_16, FTScheme, ShorPhotonNoise
 
 HBAR = 1.054571817e-34  # J*s
 
 N_L_SEARCH_CAP = 1e30
+
+# The schemes (B, D) whose crossing base is kept (see min_photon_budget):
+# 520 bytes of floats each, so ~17 KB in all.
+_CROSSING_SCHEMES = 32
 
 
 @dataclass(frozen=True)
@@ -53,22 +58,29 @@ class EnergyBill:
     """Photon, energy, power and timing figures for one full run.
 
     Sequential execution of the logical gates is assumed for the power
-    figure.  n_g is the photons per physical gate of the noise law the
+    figure.  pulse is the pi-pulse of one physical gate that the bill
+    prices; its n_g is the photons per physical gate of the noise law the
     optimizer scans (ShorPhotonNoise.photons_per_gate).  Invariants
     (eta(k) = (pi^2/16)/n_g, tau_L = M^k tau_g, T_tot = L tau_L,
     E_tot = P_avg T_tot) hold to relative 1e-12 by construction.
     """
 
     n_L: float
-    n_g: float
     k: int
     E_tot: float
     P_avg: float
     tau_g: float
     tau_L: float
     T_tot: float
+    pulse: GateSpec
+
+    @property
+    def n_g(self) -> float:
+        """Photons per physical gate, the pulse's n_g."""
+        return self.pulse.n_g
 
     def to_dict(self) -> dict:
+        """The figures; the pulse gives only its n_g."""
         return {
             "n_L": self.n_L,
             "n_g": self.n_g,
@@ -145,6 +157,18 @@ def optimize_photon_budget(problem: ShorProblem, n_L: float, scheme: FTScheme) -
     return find_kmax(scheme, photon_noise_model(problem, n_L, scheme))
 
 
+@functools.lru_cache(maxsize=_CROSSING_SCHEMES)
+def _crossing_base(B: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """log B + log(pi^2/16) + k log D and 2^k over k = 0..DEFAULT_K_CAP, the
+    part of min_photon_budget's crossings that the target does not change:
+    read-only, built once per (B, D) and kept for the last
+    _CROSSING_SCHEMES of them."""
+    table = levels(DEFAULT_K_CAP)
+    base = math.log10(B) + math.log10(PI_SQ_OVER_16) + table.ks * math.log10(D)
+    base.flags.writeable = False
+    return base, table.two_k
+
+
 def min_photon_budget(
     problem: ShorProblem,
     scheme: FTScheme,
@@ -169,10 +193,8 @@ def min_photon_budget(
     """
     log_cap = math.log10(search_cap(n_L_cap))
     target = math.log10(error_target(problem, p_err))
-    log_b = math.log10(scheme.B)
-    ks = np.arange(DEFAULT_K_CAP + 1)
-    log_n = float(np.min(log_b + math.log10(PI_SQ_OVER_16) + ks * math.log10(scheme.D)
-                         - (target + log_b) / np.ldexp(1.0, ks)))
+    base, two_k = _crossing_base(scheme.B, scheme.D)
+    log_n = float((base - (target + math.log10(scheme.B)) / two_k).min())
     # n_L > n_L_cap, compared in log space so 10^log_n cannot overflow.
     if not log_n <= log_cap:
         return MinBudget(n_L=n_L_cap, k=0, feasible=False)
@@ -186,17 +208,6 @@ def min_photon_budget(
     return MinBudget(n_L=n_L, k=result.k_max, feasible=True, log10_p_min=log10_p_min)
 
 
-def _physical_pulse(n_L: float, k: int, gamma: float, omega0: float,
-                    scheme: FTScheme) -> GateSpec:
-    """The pi-pulse of one physical gate at level k, with the n_g of the law
-    the optimizer scans; the law and GateSpec check n_L, gamma, omega0 and
-    n_g."""
-    if k < 0:
-        raise ValueError("concatenation level must be >= 0")
-    n_g = photon_noise_model(None, n_L, scheme).photons_per_gate(k)
-    return GateSpec(theta=math.pi, gamma=gamma, n_g=n_g, omega0=omega0)
-
-
 def energy_bill(
     problem: ShorProblem,
     n_L: float,
@@ -207,12 +218,16 @@ def energy_bill(
 ) -> EnergyBill:
     """Energy, power and timing of a full run at a given budget and level.
 
-    Each physical gate gets the n_g photons of the noise law
-    (photon_noise_model); the clock interval is the pi-pulse duration
+    Each physical gate is a pi-pulse with the n_g photons of the noise law
+    (photon_noise_model); the clock interval is its duration
     pi^2/(4 gamma n_g) (gatesim.pulse_params); a level-k logical gate takes
-    M^k clock cycles.  ValueError when a figure leaves the float range.
+    M^k clock cycles.  The law and GateSpec check n_L, gamma, omega0 and
+    n_g; ValueError when a figure leaves the float range.
     """
-    pulse = _physical_pulse(n_L, k, gamma, omega0, scheme)
+    if k < 0:
+        raise ValueError("concatenation level must be >= 0")
+    n_g = photon_noise_model(problem, n_L, scheme).photons_per_gate(k)
+    pulse = GateSpec(theta=math.pi, gamma=gamma, n_g=n_g, omega0=omega0)
     _, tau_g = pulse_params(pulse)
     tau_L = scheme.M ** k * tau_g
     t_tot = problem.L * tau_L
@@ -225,26 +240,25 @@ def energy_bill(
         )
     return EnergyBill(
         n_L=n_L,
-        n_g=pulse.n_g,
         k=k,
         E_tot=e_tot,
         P_avg=p_avg,
         tau_g=tau_g,
         tau_L=tau_L,
         T_tot=t_tot,
+        pulse=pulse,
     )
 
 
-def rwa_margin(
-    n_L: float, k: int, gamma: float, omega0: float, scheme: FTScheme
-) -> float:
-    """(omega0/gamma) / n_g (GateSpec.rwa_margin), with n_g the photons per
+def rwa_margin(pulse: GateSpec) -> float:
+    """(omega0/gamma) / n_g (GateSpec.rwa_margin) of a physical gate's pulse,
+    such as the pulse an EnergyBill priced, whose n_g is the photons per
     physical gate of the noise law (photon_noise_model).
 
     Ratios <= gatesim.RWA_MARGINAL_RATIO mean the rotating-wave design of
     the gates is marginal at this operating point.
     """
-    margin = _physical_pulse(n_L, k, gamma, omega0, scheme).rwa_margin
+    margin = pulse.rwa_margin
     if not 0.0 < margin < math.inf:
         raise ValueError(f"rotating-wave margin is outside float range: {margin:g}")
     return margin

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qecopt import cli
-from qecopt.optimizer import find_kmax, log10_curve
+from qecopt import cli, optimizer
+from qecopt.optimizer import find_kmax, first_minima, levels, log10_logical_error
 from qecopt.scheme import (
     AffineNoise,
     ExponentialNoise,
@@ -192,6 +192,98 @@ def test_find_kmax_curve_matches_the_scalar_reference(case):
         k, repr(p), status)
 
 
+class NanAtLevel:
+    """A law with log10 eta = -6 at every level but one, where it is NaN:
+    under B = 10^4 its curve falls at every level, so its minimum is the top."""
+
+    def __init__(self, level: int):
+        self.level = level
+
+    def log10_eta(self, ks, D=None):
+        values = np.full(ks.shape, -6.0)
+        values[ks == self.level] = math.nan
+        return values
+
+
+UNDEFINED = (r"^the noise law gives an undefined curve \(NaN\): "
+             r"a parameter leaves the float range$")
+
+
+class TestUndefinedCurve:
+    # The scans read only each curve's argmin value: argmin takes a curve's
+    # first NaN as its minimum, so a NaN anywhere is found, not only one at
+    # the level the curve would otherwise take as its minimum.
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_a_nan_at_any_level_is_rejected(self, level):
+        with pytest.raises(ValueError, match=UNDEFINED):
+            find_kmax(get_scheme("aliferis2006"), NanAtLevel(level), k_cap=8)
+
+    def test_a_nan_above_the_minimum_is_rejected(self):
+        # D = 1: beta * k overflows from k = 2 on, and inf * log10 D is NaN;
+        # levels 0 and 1 read -1 and -2.
+        law = ExponentialNoise(0.1, beta=1e308)
+        with pytest.raises(ValueError, match=UNDEFINED):
+            find_kmax(make_scheme(1, 1, 1, 1, 1), law, k_cap=2)
+
+    def test_one_undefined_curve_among_many_is_rejected(self):
+        values = np.tile(np.linspace(0.0, -8.0, 9), (5, 1))
+        k_max, p_min = first_minima(values)
+        assert k_max.tolist() == [8] * 5 and p_min.tolist() == [-8.0] * 5
+        values[3, 6] = math.nan
+        with pytest.raises(ValueError, match=UNDEFINED):
+            first_minima(values)
+
+
+class TestLevelTable:
+    # One read-only table of levels, 2^k and the level-0 mask per level
+    # count, kept in a bounded cache: the scans and the sweep read it.
+
+    @pytest.mark.parametrize("kcap", [1, 64, 1000])
+    def test_table_is_read_only(self, kcap):
+        table = levels(kcap)
+        assert table.ks.tolist() == list(range(kcap + 1))
+        assert table.two_k.tolist() == [2.0 ** k for k in range(kcap + 1)]
+        assert table.level0.tolist() == [True] + [False] * kcap
+        for array in table:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_report_levels_are_the_table(self):
+        result = find_kmax(get_scheme("aliferis2006"), AffineNoise(5e-6, c=1.0), k_cap=30)
+        ks = result.curve_columns()["k"]
+        assert ks is levels(30).ks and not ks.flags.writeable
+
+    def test_table_cache_is_bounded(self):
+        optimizer._level_table.cache_clear()
+        maxsize = optimizer._level_table.cache_info().maxsize
+        short = TabulatedNoise(1e-6, (1.0, 2.0, 4.0))
+        for kcap in range(1, 1001):
+            levels(kcap)
+            levels(kcap, short)
+            assert optimizer._level_table.cache_info().currsize <= maxsize
+        assert optimizer._level_table.cache_info().currsize == maxsize
+
+    @settings(max_examples=30, deadline=None)
+    @given(cases=st.lists(laws(), min_size=2, max_size=6),
+           shuffle=st.randoms(use_true_random=False))
+    def test_warm_cold_and_reordered_scans_agree(self, cases, shuffle):
+        def scan(case):
+            law, sch, kcap, _ = case
+            result = find_kmax(sch, law, k_cap=kcap)
+            return result.k_max, result.status, list(map(repr, result.log10_curve))
+
+        cold = []
+        for case in cases:
+            optimizer._level_table.cache_clear()
+            cold.append(scan(case))
+        warm = [scan(case) for case in cases]
+        order = list(range(len(cases)))
+        shuffle.shuffle(order)
+        shuffled = {i: scan(cases[i]) for i in order}
+        assert warm == cold == [shuffled[i] for i in range(len(cases))]
+
+
 def test_ties_break_toward_the_smaller_level():
     # B eta0 = 1 and c = 0: every level's value is exactly -log10 B.
     code, out, _ = invoke("sweep", "--model", "affine", "--eta0", "1e-4",
@@ -203,10 +295,11 @@ def test_ties_break_toward_the_smaller_level():
     assert (result.k_max, result.status) == (0, "no-encoding-best")
 
 
-def test_kernel_takes_real_levels():
+def test_recursion_takes_real_levels():
     sch = get_scheme("aliferis2006")
     ks = np.array([0.0, 0.5, 1.75, 2.0])
-    got = log10_curve(sch, ExponentialNoise(1e-12, beta=1.0), ks)
+    got = log10_logical_error(math.log10(sch.B),
+                              ExponentialNoise(1e-12, beta=1.0).log10_eta(ks, sch.D), ks)
     want = reference_curve(sch.B, exp_log_eta(1e-12, 1.0, sch.D), 2)
     assert got[0] == want[0] and got[3] == want[2]
     lb, le = math.log10(sch.B), math.log10(1e-12) + 1.75 * math.log10(sch.D)

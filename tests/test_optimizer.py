@@ -24,7 +24,6 @@ from qecopt.optimizer import (
     exp_model_bounds,
     find_kmax,
     generic_kmax_bound,
-    log10_curve,
     log10_logical_error,
     one_level_condition,
 )
@@ -52,8 +51,9 @@ def log10_fraction(x: Fraction) -> float:
     return math.log10(x.numerator) - math.log10(x.denominator)
 
 
-def logical_error_log10(scheme, model, k: int) -> float:
-    """log10 p(k) at one level, through the package's recursion."""
+def logical_error_log10(scheme, model, k):
+    """log10 p(k) at one level, or at an array of levels, through the
+    package's recursion."""
     return log10_logical_error(math.log10(scheme.B), model.log10_eta(k, scheme.D), k)
 
 
@@ -279,10 +279,10 @@ class TestExpModelBounds:
         )
 
     def test_bound_values_match_continuous_curve(self):
-        # log10 p at k_st and k_tilde evaluated through the curve kernel at
+        # log10 p at k_st and k_tilde evaluated through the recursion at
         # real levels must equal the closed forms.
         report = exp_model_bounds(ALIFERIS, 1e-12, 1.0)
-        direct_lower, direct_upper = log10_curve(
+        direct_lower, direct_upper = logical_error_log10(
             ALIFERIS, ExponentialNoise(1e-12, beta=1.0),
             np.array([report.k_st, report.k_tilde]),
         ).tolist()
@@ -338,7 +338,7 @@ class TestExpModelBounds:
         for eta0, beta in ((1e-12, 1.0), (1e-7, 0.3), (1e-10, 2.0)):
             report = exp_model_bounds(ALIFERIS, eta0, beta)
             ks = np.linspace(0.0, report.k_tilde + 2.0, 200)
-            logs = log10_curve(ALIFERIS, ExponentialNoise(eta0, beta=beta), ks)
+            logs = logical_error_log10(ALIFERIS, ExponentialNoise(eta0, beta=beta), ks)
             p = 10.0 ** np.clip(logs, -300, 300)
             second = np.diff(p, 2)
             assert np.all(second >= -1e-12 * np.max(p))

@@ -266,15 +266,23 @@ def test_reports_do_not_use_the_pure_python_encoder(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_undefined_curve_writes_no_file(tmp_path, fmt):
+@pytest.mark.parametrize("law", [
+    # D = 1 and beta = 1e308: beta * k overflows to inf, and inf * log10 D is
+    # NaN on every row from level 2 on.
+    ("--beta", "1e308", "--axis", "eta0:1e-5:1e-4:3"),
+    # Only the last row (beta = 1e308) has a NaN, above its levels 0 and 1.
+    ("--eta0", "0.1", "--axis", "beta:1:1e308:3", "--kcap", "2"),
+])
+def test_undefined_curve_writes_no_file(tmp_path, fmt, law):
     out = tmp_path / "sweep.out"
-    # D = 1 and beta = 1e308: beta * k overflows to inf, and inf * log10 D is NaN.
-    code, stdout, err = invoke("sweep", "--scheme", "1,1,1,1,1", "--model", "exp",
-                               "--beta", "1e308", "--axis", "eta0:1e-5:1e-4:3",
+    code, stdout, err = invoke("sweep", "--scheme", "1,1,1,1,1", "--model", "exp", *law,
                                "--format", fmt, "--out", out)
     assert code == 2 and stdout == ""
     assert "NaN" in err and err.count("\n") == 1
     assert not out.exists()
+    code, stdout, err = invoke("sweep", "--scheme", "1,1,1,1,1", "--model", "exp", *law,
+                               "--format", fmt)
+    assert code == 2 and stdout == "" and "NaN" in err and err.count("\n") == 1
 
 
 def test_non_finite_minimum_writes_no_file(tmp_path, monkeypatch):

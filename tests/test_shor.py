@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecopt import optimizer, shor
 from qecopt.gatesim import GateSpec, pulse_params
 from qecopt.optimizer import DEFAULT_K_CAP
 from qecopt.scheme import PI_SQ_OVER_16, get_scheme, make_scheme
@@ -224,6 +225,46 @@ class TestMinPhotonBudget:
         if budget.feasible:
             assert budget.n_L == max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
 
+    def test_crossing_base_is_read_only(self):
+        base, two_k = shor._crossing_base(ALIFERIS.B, ALIFERIS.D)
+        assert two_k.tolist() == [2.0 ** k for k in range(DEFAULT_K_CAP + 1)]
+        for array in (base, two_k):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_crossing_cache_is_bounded(self):
+        # More schemes (B, D) than the cache keeps, D = 1 and B = 1 among them.
+        shor._crossing_base.cache_clear()
+        maxsize = shor._crossing_base.cache_info().maxsize
+        for B in (1, 2, 10, 10 ** 4, 10 ** 9, 10 ** 30):
+            for D in (1, 2, 3, 7, 291, 10 ** 4, 10 ** 12):
+                min_photon_budget(ShorProblem(R=1000), make_scheme(1, 1, B, D, 1))
+                assert shor._crossing_base.cache_info().currsize <= maxsize
+        assert shor._crossing_base.cache_info().currsize == maxsize
+
+    @settings(max_examples=40, deadline=None)
+    @given(queries=st.lists(st.tuples(st.integers(2, 10 ** 7), st.integers(1, 10 ** 6),
+                                      st.integers(1, 10 ** 4),
+                                      st.none() | st.floats(1e-30, 1.0)),
+                            min_size=2, max_size=8),
+           shuffle=st.randoms(use_true_random=False))
+    def test_warm_cold_and_reordered_budgets_agree(self, queries, shuffle):
+        def budget(query):
+            R, B, D, p_err = query
+            got = min_photon_budget(ShorProblem(R=R), make_scheme(1, 1, B, D, 1), p_err=p_err)
+            return repr(got)
+
+        cold = []
+        for query in queries:
+            for cached in (optimizer._level_table, shor._crossing_base):
+                cached.cache_clear()
+            cold.append(budget(query))
+        warm = [budget(query) for query in queries]
+        order = list(range(len(queries)))
+        shuffle.shuffle(order)
+        shuffled = {i: budget(queries[i]) for i in order}
+        assert warm == cold == [shuffled[i] for i in range(len(queries))]
+
     def test_level_is_non_decreasing_in_key_length(self):
         ks = [
             min_photon_budget(ShorProblem(R=R), ALIFERIS).k
@@ -277,28 +318,37 @@ class TestEnergyBill:
         (1e300, 1e300, 1e10), (1e300, 10.0, 1e300), (1e-300, 1e-300, 1e10),
     ])
     def test_figures_stay_finite(self, n_L, gamma, omega0):
-        # Each case used to divide by zero or report an infinite figure.
+        # Each case used to divide by zero or report an infinite figure; the
+        # first three build no pulse, so no margin either.
         with pytest.raises(ValueError):
             energy_bill(ShorProblem(R=10 ** 3), n_L, 0, gamma, omega0, ALIFERIS)
-        if math.isnan(omega0) or math.isinf(n_L) or math.isinf(gamma):
-            with pytest.raises(ValueError):
-                rwa_margin(n_L, 0, gamma, omega0, ALIFERIS)
+
+
+def gate_pulse(n_L, k, gamma, omega0, scheme=ALIFERIS):
+    """The physical pulse that a bill at (n_L, k) prices."""
+    return energy_bill(ShorProblem(R=10 ** 3), n_L, k, gamma, omega0, scheme).pulse
 
 
 class TestRwaMargin:
     def test_thousand_bit_operating_point(self):
-        assert rwa_margin(1e6, 0, gamma=10.0, omega0=1e10, scheme=ALIFERIS) == (
+        assert rwa_margin(gate_pulse(1e6, 0, gamma=10.0, omega0=1e10)) == (
             pytest.approx(1e3)
         )
 
     def test_boundary_value(self):
         # n_g = omega0/gamma sits exactly at the approximation boundary
-        assert rwa_margin(1e9, 0, gamma=1.0, omega0=1e9, scheme=ALIFERIS) == (
+        assert rwa_margin(gate_pulse(1e9, 0, gamma=1.0, omega0=1e9)) == (
             pytest.approx(1.0)
         )
 
+    @pytest.mark.parametrize("gamma,omega0", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_margin_stays_finite(self, gamma, omega0):
+        # omega0/gamma leaves the float range (inf, or 0) for a legal pulse.
+        with pytest.raises(ValueError, match="rotating-wave margin"):
+            rwa_margin(GateSpec(theta=math.pi, gamma=gamma, n_g=1.0, omega0=omega0))
+
     def test_concatenated_operating_point(self):
-        got = rwa_margin(1e11, 2, gamma=10.0, omega0=1e10, scheme=ALIFERIS)
+        got = rwa_margin(gate_pulse(1e11, 2, gamma=10.0, omega0=1e10))
         n_g = 1e11 / 291.0 ** 2
         assert n_g == pytest.approx(1.18e6, rel=1e-2)
         assert got == pytest.approx(1e9 / n_g, rel=1e-12)
@@ -311,8 +361,7 @@ def _assert_bill_prices_the_law(problem, n_L, k, scheme):
     law = photon_noise_model(problem, n_L, scheme)
     bill = energy_bill(problem, n_L, k, gamma=10.0, omega0=1e10, scheme=scheme)
     assert bill.n_g == pytest.approx(PI_SQ_OVER_16 / 10.0 ** law.log10_eta(k), rel=1e-12)
-    assert rwa_margin(n_L, k, 10.0, 1e10, scheme) == pytest.approx(
-        (1e10 / 10.0) / bill.n_g, rel=1e-12)
+    assert rwa_margin(bill.pulse) == pytest.approx((1e10 / 10.0) / bill.n_g, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_L,k", [(1e6, 0), (1e9, 1), (1e11, 2), (3e12, 3)])
@@ -320,8 +369,9 @@ def test_bill_and_margin_are_the_gate_pulse(n_L, k):
     # One pulse formula and one margin, gatesim's, to the bit.
     bill = energy_bill(ShorProblem(R=10 ** 4), n_L, k, 10.0, 1e10, ALIFERIS)
     pulse = GateSpec(theta=math.pi, gamma=10.0, n_g=bill.n_g, omega0=1e10)
+    assert bill.pulse == pulse
     assert bill.tau_g == pulse_params(pulse)[1] == math.pi ** 2 / (4.0 * 10.0 * bill.n_g)
-    assert rwa_margin(n_L, k, 10.0, 1e10, ALIFERIS) == pulse.rwa_margin
+    assert rwa_margin(bill.pulse) == pulse.rwa_margin
 
 
 class TestOnePhotonLaw:
