@@ -39,6 +39,7 @@ from .optimizer import (
     find_kmax,
     generic_kmax_bound,
     one_level_condition,
+    sweep_minima,
 )
 from .crosstalk import (
     LatticeSpec,
@@ -89,7 +90,7 @@ __all__ = [
     "model_from_dict", "model_to_dict",
     "BoundsReport", "OptResult", "affine_usefulness_threshold",
     "exp_model_bounds", "find_kmax", "generic_kmax_bound",
-    "one_level_condition",
+    "one_level_condition", "sweep_minima",
     "LatticeSpec", "crosstalk_usefulness_threshold", "delta0_asymptotic",
     "delta_lattice_oracle", "effective_local_error", "logical_crosstalk_log10",
     "GateSpec", "QubitChannel", "asymptotic_pauli_errors",

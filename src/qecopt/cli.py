@@ -49,8 +49,6 @@ COMMANDS = ("optimize", "sweep", "gatesim", "longrange", "shor", "fit")
 
 # Most grid points one sweep may take, per axis and in total.
 MAX_SWEEP_POINTS = 10 ** 6
-# Curve values a sweep evaluates at once (points x levels): 1 MB of floats.
-SWEEP_BLOCK = 1 << 17
 # Table rows a report renders and writes at once.
 REPORT_ROWS = 1 << 12
 
@@ -571,32 +569,6 @@ def _axis_values(axis: dict) -> np.ndarray:
     return values
 
 
-def _sweep_minima(sch: scheme.FTScheme, point: dict, grid: dict[str, np.ndarray],
-                  kcap: int) -> tuple[np.ndarray, np.ndarray]:
-    """k_max and log10 p_min at every grid point, outer axis slowest: two
-    flat arrays, 16 bytes a point.
-
-    point holds the law's fixed fields and grid each swept field's values,
-    one axis per field in axis order.  The grid is evaluated in blocks of at
-    most SWEEP_BLOCK curve values, and in each block every swept field of
-    point is an array along its own axis, so the law family takes each
-    logarithm once per distinct value.
-    """
-    table = optimizer.levels(kcap)
-    shape = [v.size for v in grid.values()]
-    inner = min(shape[-1], max(1, SWEEP_BLOCK // table.ks.size))
-    chunks = [max(1, SWEEP_BLOCK // (inner * table.ks.size))] * (len(shape) - 1) + [inner]
-    k_max, p_min = np.empty(shape, dtype=int), np.empty(shape)
-    for starts in itertools.product(*(range(0, n, c) for n, c in zip(shape, chunks))):
-        block = tuple(slice(s, s + c) for s, c in zip(starts, chunks))
-        for i, (field, vals) in enumerate(grid.items()):
-            point[field] = vals[block[i]].reshape(
-                [-1 if d == i else 1 for d in range(len(shape))] + [1])
-        k_max[block], p_min[block] = optimizer.first_minima(
-            optimizer.log10_curve(sch, scheme.model_from_dict(point), table))
-    return k_max.ravel(), p_min.ravel()
-
-
 def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
                 p_min: np.ndarray, kcap: int) -> Iterator[dict[str, Any]]:
     """The sweep's table, REPORT_ROWS rows at a time, as columns: each axis,
@@ -654,7 +626,7 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
     values = [_axis_values(axis) for axis in axes]
     grid = {_AXIS_FIELDS[axis["param"]]: vals / sch.B if axis["param"] == "B_eta0" else vals
             for axis, vals in zip(axes, values)}
-    k_max, p_min = _sweep_minima(sch, point, grid, cfg["kcap"])
+    k_max, p_min = optimizer.sweep_minima(sch, point, grid, cfg["kcap"])
     # Before the first byte; no legal law reaches it (see scheme.NoiseModel).
     _json_cells(p_min[~np.isfinite(p_min)].tolist())  # json's error for a non-finite minimum
     names = [axis["param"] for axis in axes] + ["k_max", "log10_p_min", "status"]

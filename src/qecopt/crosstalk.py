@@ -180,69 +180,41 @@ def _powers(p: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows of (ua, ub, va, vb) that _rectangle_geometry reads: each edge's fixed
-# coordinate, the ends of its range, and each corner's two coordinates.
-_EDGE, _EDGE_LO, _EDGE_HI = (0, 1, 2, 3), (2, 2, 0, 0), (3, 3, 1, 1)
-_CORNER_U, _CORNER_V = (0, 0, 1, 1), (2, 3, 2, 3)
 # Whether each end of a sum, edges then corners in u and in v, is its upper end.
 _UPPER = (False, True, False, True) + (False, False, True, True) + (False, True, False, True)
 
 
-@functools.cache
-def _layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where _rectangle_geometry reads k rectangles, built once per k and
-    read-only: in the flat (ua, ub, va, vb, ua, ...) list, the indices of
-    the ends of the sums (the edges, then the corners' u and v) and, as two
-    rows, of the edges' lower and upper ends; and whether each end of a sum
-    is its upper end."""
-    column = 4 * np.arange(k)
-    ends = (np.array(_EDGE + _CORNER_U + _CORNER_V)[:, None] + column).ravel()
-    ranges = (np.array(_EDGE_LO + _EDGE_HI)[:, None] + column).reshape(2, 4 * k)
-    upper = np.repeat(_UPPER, k)
-    ends.flags.writeable = ranges.flags.writeable = upper.flags.writeable = False
-    return ends, ranges, upper
-
-
 def _rectangle_geometry(rects: list[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
     """What _rectangle_parts reads of the integer rectangles (ua, ub, va, vb)
-    that does not depend on z, every array read-only: along each edge, half
-    its range in y, its nodes' cosh(y), r, r^2 and the powers p^n there; its
-    end weights g_n and its half range times its integral's sign; and the
-    corners' g_n p^n and h_n q^n and their r^2.  Each is a fresh array, so
-    none keeps the block of every power alive."""
-    flat = np.asarray(rects, dtype=float).ravel()
+    that does not depend on z, every array fresh and read-only: along each
+    edge, half its range in y, its nodes' cosh(y), r, r^2 and the powers p^n
+    there; its end weights g_n and its half range times its integral's sign;
+    and the corners' g_n p^n and h_n q^n and their r^2."""
+    ua, ub, va, vb = np.asarray(rects, dtype=float).T
     k = len(rects)
-    # The ends of the sums: the edges, then the corners' u and v.
-    ends_at, ranges_at, upper = _layout(k)
-    ends = flat[ends_at]
-    edges, corner_u, corner_v = slice(0, 4 * k), slice(4 * k, 8 * k), slice(8 * k, None)
-    sign = np.where(upper ^ (ends < 0), 1.0, -1.0)
+    # The ends of the sums: the edges u = ua, u = ub, v = va, v = vb, then
+    # the corners (ua, va), (ua, vb), (ub, va), (ub, vb), their u and their v.
+    ends = np.concatenate((ua, ub, va, vb, ua, ua, ub, ub, va, vb, va, vb))
+    edges = slice(0, 4 * k)
+    sign = np.where(np.repeat(_UPPER, k) ^ (ends < 0), 1.0, -1.0)
     x0 = np.abs(ends)
     x, _ = _gauss_legendre(_LINE_NODES)
-    y_lo, y_hi = np.arcsinh(flat[ranges_at] / x0[edges])
+    # Each edge's range in the other coordinate: lower ends, then upper ends.
+    ranges = np.concatenate((va, va, ua, ua, vb, vb, ub, ub)).reshape(2, 4 * k)
+    y_lo, y_hi = np.arcsinh(ranges / x0[edges])
     half = (y_hi - y_lo) / 2.0
     ch = np.cosh(np.multiply.outer(half, x) + (y_lo + half)[:, None])
     r = x0[edges, None] * ch
-    # Every power at once: 1/x at each end, p at each edge node, and p and q
-    # at each corner, written into one array.
-    nodes = slice(12 * k, 12 * k + r.size)
-    bases = np.empty(nodes.stop + 8 * k)
-    np.divide(1.0, x0, out=bases[:12 * k])
-    p_nodes = bases[nodes].reshape(r.shape)
-    np.multiply(ch, ch, out=p_nodes)
-    np.divide(1.0, p_nodes, out=p_nodes)
-    np.multiply(x0[4 * k:], x0[4 * k:], out=bases[nodes.stop:])
-    pq_corners = bases[nodes.stop:].reshape(2, 4 * k)
+    along = _powers(1.0 / (ch * ch))
+    pq_corners = (x0[4 * k:] * x0[4 * k:]).reshape(2, 4 * k)
     corner_r2 = pq_corners[0] + pq_corners[1]
     pq_corners /= corner_r2
-    powers = _powers(bases)
-    along = powers[:, nodes].reshape((12,) + r.shape).copy()
-    at_corners = powers[:, nodes.stop:].T
-    g = powers[:, :12 * k].T @ _em_tables()[0]
+    p_corners, q_corners = _powers(pq_corners).transpose(1, 2, 0)
+    g = _powers(1.0 / x0).T @ _em_tables()[0]
     g *= sign[:, None]
     g[:, 0] += 0.5
     geometry = (half, ch, r, r * r, along, g[edges].copy(), sign[edges] * half,
-                g[corner_u] * at_corners[:4 * k], g[corner_v] * at_corners[4 * k:], corner_r2)
+                g[4 * k:8 * k] * p_corners, g[8 * k:] * q_corners, corner_r2)
     for array in geometry:
         array.flags.writeable = False
     return geometry

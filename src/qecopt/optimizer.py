@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import FTScheme, LogProb, NoiseModel, TabulatedNoise
+from .scheme import FTScheme, LogProb, NoiseModel, TabulatedNoise, model_from_dict
 from .scheme import eta_at_level  # unread here: benchmarks/tracing.py patches this name
 
 STATUS_OPTIMUM = "optimum-found"
@@ -38,6 +39,9 @@ MAX_K_CAP = 1000
 # curve's first NaN as its minimum, so the scans look only at the minima.
 _UNDEFINED_CURVE = ("the noise law gives an undefined curve (NaN): a parameter "
                    "leaves the float range")
+
+# Curve values a sweep evaluates at once (points x levels): 1 MB of floats.
+SWEEP_BLOCK = 1 << 17
 
 # The level tables kept (see levels): ~17 KB each at MAX_K_CAP, so at most
 # ~0.3 MB in all.
@@ -115,13 +119,12 @@ class BoundsReport:
     useful: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k_st": self.k_st,
-            "k_tilde": self.k_tilde,
-            "log10_p_lower": self.log10_p_lower,
-            "log10_p_upper": self.log10_p_upper,
-            "useful": self.useful,
-        }
+        """The fields, each float that left the float range as None
+        (reported as null, as an overflowed curve level is)."""
+        bounds = {"k_st": self.k_st, "k_tilde": self.k_tilde,
+                  "log10_p_lower": self.log10_p_lower, "log10_p_upper": self.log10_p_upper}
+        return dict({name: v if math.isfinite(v) else None for name, v in bounds.items()},
+                    useful=self.useful)
 
 
 def log10_logical_error(log10_b: float, log10_eta_k, k):
@@ -231,6 +234,34 @@ def find_kmax(
                      log10_curve=curve)
 
 
+def sweep_minima(scheme: FTScheme, law: dict, grid: dict[str, np.ndarray],
+                 k_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """k_max and log10 p_min at every point of a grid of noise laws, outer
+    axis slowest: two flat arrays, 16 bytes a point.
+
+    law is a model_from_dict dict of the law's fixed fields, and grid maps
+    each swept field to its values, one axis per field in order; law itself
+    is left as it is.  The grid is evaluated in blocks of at most
+    SWEEP_BLOCK curve values, and in each block every swept field is an
+    array along its own axis, so the law family takes each logarithm once
+    per distinct value.  A curve holding a NaN is a ValueError.
+    """
+    table = levels(k_cap)
+    point = dict(law)
+    shape = [v.size for v in grid.values()]
+    inner = min(shape[-1], max(1, SWEEP_BLOCK // table.ks.size))
+    chunks = [max(1, SWEEP_BLOCK // (inner * table.ks.size))] * (len(shape) - 1) + [inner]
+    k_max, p_min = np.empty(shape, dtype=int), np.empty(shape)
+    for starts in itertools.product(*(range(0, n, c) for n, c in zip(shape, chunks))):
+        block = tuple(slice(s, s + c) for s, c in zip(starts, chunks))
+        for i, (field, vals) in enumerate(grid.items()):
+            point[field] = vals[block[i]].reshape(
+                [-1 if d == i else 1 for d in range(len(shape))] + [1])
+        k_max[block], p_min[block] = first_minima(
+            log10_curve(scheme, model_from_dict(point), table))
+    return k_max.ravel(), p_min.ravel()
+
+
 def affine_usefulness_threshold(B: float, eta0: float) -> float:
     """Critical slope c* = 1/sqrt(B*eta0) - 1 of the affine noise law.
 
@@ -314,8 +345,12 @@ def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport
     k_st = -1.0 / math.log(2.0) - ln_b_eta0 / (beta * ln_d)
     k_tilde = -ln_b_eta0 / (beta * ln_d) - 1.0
 
-    # Inner exponentials can overflow for extreme parameters; that limit is
-    # p -> 0, i.e. log10 p -> -inf.
+    # The inner exponentials overflow whenever (B eta0)^(-g2/beta) leaves the
+    # float range (for the preset scheme at eta0 = 1e-8, every beta below
+    # ~1.6e-3); that limit is p -> 0, i.e. log10 p -> -inf.  A subnormal
+    # beta also sends k_st and k_tilde to inf, and at a huge beta the
+    # products with beta overflow, so both bounds are -inf there too.
+    # BoundsReport.to_dict reports each such float as null.
     try:
         inner_lower = math.exp(-1.0 - g2 * ln_b_eta0 / beta)
     except OverflowError:

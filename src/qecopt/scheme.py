@@ -21,8 +21,6 @@ import numpy as np
 # pi^2/16 is the error probability per pi-pulse for a single driving photon.
 PI_SQ_OVER_16 = math.pi ** 2 / 16.0
 
-LOG10 = math.log(10.0)
-
 
 def _log10(x):
     """math.log10 of a scalar, or of each element of an array.

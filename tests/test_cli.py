@@ -93,6 +93,20 @@ class TestOptimize:
         assert code == 0 and err == ""
         assert out.startswith("k,log10_p\n") and out.count("\n") == 6
 
+    @pytest.mark.parametrize("eta0, beta, k_st, useful", [
+        ("1e-8", "1e-4", 16233.028598480367, True),  # (B eta0)^(-g2/beta) overflows
+        ("1e-6", "5e-324", None, True),  # so do k_st and k_tilde
+        ("1e-6", "1e308", -1.4426950408889634, False),  # the products with beta overflow
+    ])
+    def test_exp_bounds_out_of_float_range_are_null(self, capsys, eta0, beta, k_st, useful):
+        code, out, err = run(capsys, "optimize", "--model", "exp", "--eta0", eta0,
+                             "--beta", beta)
+        assert code == 0 and err == ""
+        bounds = json.loads(out)["result"]["bounds"]
+        assert bounds["log10_p_lower"] is None and bounds["log10_p_upper"] is None
+        assert bounds["k_st"] == k_st and bounds["useful"] is useful
+        assert (bounds["k_tilde"] is None) == (k_st is None)
+
     @pytest.mark.parametrize("argv, message", [
         (["optimize", "--model", "affine", "--eta0", "1e-5", "--scheme", "1,2,x,4,5"],
          "--scheme: invalid literal for int() with base 10: 'x'"),
@@ -313,7 +327,7 @@ class TestDeterminismAndRoundTrip:
             self, monkeypatch, capsys):
         def no_grid(*args):
             raise AssertionError("the grid was computed")
-        monkeypatch.setattr(qecopt.cli, "_sweep_minima", no_grid)
+        monkeypatch.setattr(qecopt.optimizer, "sweep_minima", no_grid)
         code, out, err = run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
                              "--axis", "c:0:1:3", "--R", "5")
         assert code == 2 and out == ""
@@ -1015,4 +1029,5 @@ def test_readme_quick_start_runs_as_written(capsys):
     assert float(log10_p_min) == pytest.approx(-6001.5, abs=0.1)
     k_tilde, lower, upper = map(float, lines[1].split())  # plain floats, no LogProb reprs
     assert lower <= upper
-    assert len(lines) == 3
+    assert lines[3] == "[17, 8, 3]"  # the sweep's k_max: c = 1 agrees with find_kmax
+    assert len(lines) == 4

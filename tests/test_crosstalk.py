@@ -355,7 +355,7 @@ class TestDeltaLatticeOracle:
     @pytest.mark.parametrize("side", [129, 130])
     def test_cached_geometry_is_read_only(self, side):
         # Each cached array is its own: none is a view that keeps a larger
-        # block, such as every power at once, alive.
+        # array, such as the end weights of every end, alive.
         geometry, copies = crosstalk._far_geometry(side)
         for array in (*geometry, copies):
             assert array.base is None
@@ -477,11 +477,11 @@ class TestDeltaLatticeOracle:
         # near edge u = M at c = 4999.
         edges = []
         for side in range(129, MAX_SQUARE_SIDE + 1):
-            for rect in crosstalk._far_rectangles(side)[0]:
-                for fixed, lo, hi in zip(crosstalk._EDGE, crosstalk._EDGE_LO,
-                                         crosstalk._EDGE_HI):
-                    if rect[lo] < rect[hi]:
-                        edges.append((abs(rect[fixed]), rect[lo], rect[hi]))
+            for ua, ub, va, vb in crosstalk._far_rectangles(side)[0]:
+                # The edges u = ua, u = ub, v = va, v = vb and their ranges.
+                for fixed, lo, hi in ((ua, va, vb), (ub, va, vb), (va, ua, ub), (vb, ua, ub)):
+                    if lo < hi:
+                        edges.append((abs(fixed), lo, hi))
         x0, lo, hi = np.array(edges, dtype=float).T
         y_lo, y_hi = np.arcsinh(lo / x0), np.arcsinh(hi / x0)
         t = (0.5j * math.pi - (y_lo + y_hi) / 2.0) / ((y_hi - y_lo) / 2.0)

@@ -409,7 +409,7 @@ class TestSweepSize:
         whole = invoke("sweep", *argv, "--kcap", "16", "--format", fmt)
         assert whole[0] == 0
         for block in (1, 40, 100):  # one point, parts of rows, whole rows
-            monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+            monkeypatch.setattr(optimizer, "SWEEP_BLOCK", block)
             assert invoke("sweep", *argv, "--kcap", "16", "--format", fmt) == whole
 
     @pytest.mark.parametrize("axes", [

@@ -7,6 +7,7 @@ defining formulas for everything else.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecopt import optimizer
 from qecopt.cli import main
 from qecopt.optimizer import (
     STATUS_NO_ENCODING,
@@ -26,6 +28,7 @@ from qecopt.optimizer import (
     generic_kmax_bound,
     log10_logical_error,
     one_level_condition,
+    sweep_minima,
 )
 from qecopt.scheme import (
     AffineNoise,
@@ -33,6 +36,7 @@ from qecopt.scheme import (
     TabulatedNoise,
     get_scheme,
     make_scheme,
+    model_from_dict,
 )
 
 ALIFERIS = get_scheme("aliferis2006")
@@ -342,6 +346,31 @@ class TestExpModelBounds:
             p = 10.0 ** np.clip(logs, -300, 300)
             second = np.diff(p, 2)
             assert np.all(second >= -1e-12 * np.max(p))
+
+
+class TestSweepMinima:
+    @pytest.mark.parametrize("law, grid", [
+        ({"model": "affine", "eta0": 2e-6}, {"c": np.linspace(0.0, 6.0, 5)}),
+        ({"model": "affine"}, {"c": np.linspace(0.0, 3.0, 3),
+                               "eta0": np.geomspace(1e-9, 5e-5, 4)}),
+        ({"model": "exp", "eta0": 1e-10}, {"beta": np.linspace(0.05, 2.5, 6)}),
+        ({"model": "exp"}, {"beta": np.linspace(0.1, 1.5, 4),
+                            "eta0": np.geomspace(1e-12, 1e-6, 3)}),
+    ], ids=["affine-c", "affine-c-eta0", "exp-beta", "exp-beta-eta0"])
+    @pytest.mark.parametrize("block", [optimizer.SWEEP_BLOCK, 7])
+    def test_each_point_is_its_own_scan(self, monkeypatch, law, grid, block):
+        # One block holds the whole grid, or 7 curve values split every curve
+        # over blocks of a single point.
+        monkeypatch.setattr(optimizer, "SWEEP_BLOCK", block)
+        fixed = dict(law)
+        k_max, p_min = sweep_minima(ALIFERIS, law, grid, 16)
+        assert law == fixed
+        points = list(itertools.product(*grid.values()))
+        assert k_max.shape == p_min.shape == (len(points),)
+        for i, values in enumerate(points):
+            result = find_kmax(ALIFERIS, model_from_dict(dict(law, **dict(zip(grid, values)))), 16)
+            assert k_max[i] == result.k_max
+            assert p_min[i] == result.log10_curve[result.k_max]
 
 
 class TestCurveCsv:
