@@ -141,10 +141,9 @@ def _chain_row_sum(side: int, z: float) -> float:
 _LINE_NODES = 32
 
 
-@functools.cache
 def _em_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The product Euler-Maclaurin sum's constant tables, built on first use
-    and read-only: a 12 x 12 table E and the Hankel indices n1 + n2.
+    """The product Euler-Maclaurin sum's constant tables, built once at
+    import and read-only: a 12 x 12 table E and the Hankel indices n1 + n2.
 
     With f = (x^2 + t^2)^-s, x > 0 and p = x^2 / (x^2 + t^2), the explicit
     sum of the Gegenbauer polynomial C_m^(s), whose generating function is
@@ -154,7 +153,8 @@ def _em_tables() -> tuple[np.ndarray, np.ndarray]:
     carries every sign, so no negative base is raised to a power.  Row
     m = 2j - 1 of E is B_2j/(2j)! K[m] (even rows are 0), so an upper end's
     Bernoulli terms sum_j B_2j/(2j)! d^(2j-1) f/dx^(2j-1) are
-    sum_n ((x^-m)_m @ E)_n (s)_n p^n f.
+    sum_n ((x^-m)_m @ E)_n (s)_n p^n f.  Like _box_table, it runs none of
+    numpy's integer kernels.
     """
     table = np.zeros((12, 12))
     for j, coeff in enumerate(_EM_COEFFS, start=1):
@@ -162,10 +162,12 @@ def _em_tables() -> tuple[np.ndarray, np.ndarray]:
         for n in range(j, m + 1):
             table[m, n] = coeff * ((-1) ** n * 2 ** (2 * n - m) * math.factorial(m) // (
                 math.factorial(m - n) * math.factorial(2 * n - m)))
-    orders = np.arange(12)
-    hankel = orders[:, None] + orders
+    hankel = np.array([[n1 + n2 for n2 in range(12)] for n1 in range(12)])
     table.flags.writeable = hankel.flags.writeable = False
     return table, hankel
+
+
+_EM_TABLE, _EM_HANKEL = _em_tables()
 
 
 def _powers(p: np.ndarray) -> np.ndarray:
@@ -210,7 +212,7 @@ def _rectangle_geometry(rects: list[tuple[int, int, int, int]]) -> tuple[np.ndar
     corner_r2 = pq_corners[0] + pq_corners[1]
     pq_corners /= corner_r2
     p_corners, q_corners = _powers(pq_corners).transpose(1, 2, 0)
-    g = _powers(1.0 / x0).T @ _em_tables()[0]
+    g = _powers(1.0 / x0).T @ _EM_TABLE
     g *= sign[:, None]
     g[:, 0] += 0.5
     geometry = (half, ch, r, r * r, along, g[edges].copy(), sign[edges] * half,
@@ -236,7 +238,7 @@ def _rectangle_parts(geometry: tuple[np.ndarray, ...], z: float) -> np.ndarray:
     may hold the origin or put an edge on an axis, and f must not underflow
     to 0 at every site.
 
-    By _em_tables, an end x of a sum in x has the end terms
+    By _EM_TABLE, an end x of a sum in x has the end terms
     sum_n g_n (s)_n p^n f, s = z/2, p = x^2/r^2, with g_0 = 1/2.  f is even
     in x, so an end at x < 0 is the mirror end at -x, where the odd orders
     change sign: a lower end becomes an upper one.  An edge u = x0 runs
@@ -275,7 +277,7 @@ def _rectangle_parts(geometry: tuple[np.ndarray, ...], z: float) -> np.ndarray:
         radial = (r2 * f - m_pow) / (2.0 - z)
     edge_integrals = signed_half * ((radial / ch) @ w)
 
-    corner_terms = corner_r2 ** (-s) * ((gu @ poch[_em_tables()[1]]) * gv).sum(axis=1)
+    corner_terms = corner_r2 ** (-s) * ((gu @ poch[_EM_HANKEL]) * gv).sum(axis=1)
     return np.concatenate((edge_integrals, edge_terms, corner_terms)).reshape(12, -1)
 
 
@@ -430,7 +432,8 @@ def delta_lattice_oracle(spec: LatticeSpec) -> float:
     return _centre_row_sum(spec.side, spec.z)
 
 
-@functools.cache
+# _gauss_legendre's keys: _LINE_NODES, and _c_z_integral's 32 and 16.
+@functools.lru_cache(maxsize=2)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once a process
     and shared, so read-only."""
@@ -443,16 +446,6 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _C_Z_HALF = math.pi / 8.0
 
 
-@functools.cache
-def _c_z_cosines() -> np.ndarray:
-    """cos(theta) at the nodes of _c_z_integral's 32-point rule and then of
-    its 16-point check, computed once a process and shared, so read-only."""
-    (x, _), (x_check, _) = _gauss_legendre(32), _gauss_legendre(16)
-    cosines = np.cos(_C_Z_HALF * (np.concatenate((x, x_check)) + 1.0))
-    cosines.flags.writeable = False
-    return cosines
-
-
 def _c_z_integral(z: float) -> float:
     """C_z = integral_0^{pi/4} cos(theta)^(z-2) dtheta, by 32-point
     Gauss-Legendre quadrature.
@@ -462,10 +455,10 @@ def _c_z_integral(z: float) -> float:
     rho = 3 + 2 sqrt(2) and the n-point rule errs by O(rho^(-2n)):
     rho^(-64) ~ 1e-49 here.  The gap to the 16-point rule (O(rho^-32) ~ 3e-25)
     checks that at run time; both rules take one power of their joined
-    nodes' cosines (see _c_z_cosines).
+    nodes' cosines.
     """
-    (_, w), (_, w_check) = _gauss_legendre(32), _gauss_legendre(16)
-    f = _c_z_cosines() ** (z - 2.0)
+    (x, w), (x_check, w_check) = _gauss_legendre(32), _gauss_legendre(16)
+    f = np.cos(_C_Z_HALF * (np.concatenate((x, x_check)) + 1.0)) ** (z - 2.0)
     value = _C_Z_HALF * float(w @ f[:32])
     err = abs(value - _C_Z_HALF * float(w_check @ f[32:]))
     if err > 1e-10:

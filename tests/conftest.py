@@ -20,3 +20,11 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # without libcst the plugin skips its patch file too
         pass
+
+
+def clear_caches() -> None:
+    """Empty every cache that tests/test_caches.py registers."""
+    from test_caches import CACHES, cached
+
+    for module, name in CACHES:
+        cached(module, name).cache_clear()

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qecopt import optimizer, shor
 from qecopt.gatesim import GateSpec, pulse_params
 from qecopt.optimizer import DEFAULT_K_CAP
 from qecopt.scheme import PI_SQ_OVER_16, get_scheme, make_scheme
@@ -25,6 +24,8 @@ from qecopt.shor import (
     rwa_margin,
     target_logical_error,
 )
+
+from conftest import clear_caches
 
 ALIFERIS = get_scheme("aliferis2006")
 
@@ -225,23 +226,6 @@ class TestMinPhotonBudget:
         if budget.feasible:
             assert budget.n_L == max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
 
-    def test_crossing_base_is_read_only(self):
-        base, two_k = shor._crossing_base(ALIFERIS.B, ALIFERIS.D)
-        assert two_k.tolist() == [2.0 ** k for k in range(DEFAULT_K_CAP + 1)]
-        for array in (base, two_k):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0.0
-
-    def test_crossing_cache_is_bounded(self):
-        # More schemes (B, D) than the cache keeps, D = 1 and B = 1 among them.
-        shor._crossing_base.cache_clear()
-        maxsize = shor._crossing_base.cache_info().maxsize
-        for B in (1, 2, 10, 10 ** 4, 10 ** 9, 10 ** 30):
-            for D in (1, 2, 3, 7, 291, 10 ** 4, 10 ** 12):
-                min_photon_budget(ShorProblem(R=1000), make_scheme(1, 1, B, D, 1))
-                assert shor._crossing_base.cache_info().currsize <= maxsize
-        assert shor._crossing_base.cache_info().currsize == maxsize
-
     @settings(max_examples=40, deadline=None)
     @given(queries=st.lists(st.tuples(st.integers(2, 10 ** 7), st.integers(1, 10 ** 6),
                                       st.integers(1, 10 ** 4),
@@ -256,8 +240,7 @@ class TestMinPhotonBudget:
 
         cold = []
         for query in queries:
-            for cached in (optimizer._level_table, shor._crossing_base):
-                cached.cache_clear()
+            clear_caches()
             cold.append(budget(query))
         warm = [budget(query) for query in queries]
         order = list(range(len(queries)))
