@@ -6,22 +6,26 @@ can be fed back via --config and reproduces itself; identical invocations
 produce byte-identical files.  Probability-like columns are emitted as log10
 values (``_log10`` suffix); linear values appear only where representable.
 
-Each parameter is declared once, in PARAMS: its flag, the type that converts
-its flag text and its config value alike, its JSON type, and its status
-under every command that takes it.  The argv parser (build_parser), the
-per-command config schemas (CONFIG_SCHEMA) and config resolution (flag, else
-config, else default) are all generated from that table; the I/O flags
-(--format, --out, --config, fit's --in) are Params of _IO_PARAMS.  The parser
-takes the command first, then that command's flags by their exact names; a
-flag's value is the next token, or follows '=' in --flag=value.
+Each command is one Command record in _COMMANDS: its help line, its handler
+and its default report format.  Each parameter is declared once, in PARAMS:
+its flag, the type that converts its flag text and its config value alike,
+its JSON type, and its status under every command that takes it.  The argv
+parser (build_parser, no argparse), the per-command config schemas
+(CONFIG_SCHEMA, checked by _violation, no jsonschema) and config resolution
+(flag, else config, else default) are generated from these two tables; the
+I/O flags (--format, --out, --config, fit's --in) are Params of _IO_PARAMS.
+Flags match exactly; a value is the next token, or follows '=' in --flag=value.
 
-Each cmd_* handler resolves its settings and computes; main renders every
-report, JSON through _report and CSV through _csv_table.  One writer,
-_json_parts, gives json.dumps(sort_keys=True, indent=2) text for every JSON
-value and splices a table in at its depth; table rows, JSON and CSV alike,
-are joined from per-column prefixes and cells.  A parameter given by flag
-or config that the handler left out of its resolved config (it does not
-read it) is a usage error, raised before the handler computes.
+Each cmd_* handler resolves its settings, computes and returns a Report,
+(cfg, result, table): the table is blocks of columns whose keys are the CSV
+header, or None for a JSON-only report.  main renders every report in
+--format, else JSON for a report fed back, else the command's format: JSON
+through _report and CSV through _csv_table.  One writer, _json_parts, gives
+json.dumps(sort_keys=True, indent=2) text for every JSON value and splices a
+table in at its depth; table rows, JSON and CSV alike, are joined from
+per-column prefixes and cells.  A parameter given by flag or config that the
+handler left out of its resolved config (it does not read it) is a usage
+error, raised before the handler computes.
 
 Exit codes: 0 success, 1 computational infeasibility, 2 usage error, and
 141 (128 + SIGPIPE, as a shell reports a reader that left early) when
@@ -39,13 +43,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import crosstalk, gatesim, optimizer, scheme, shor
-
-COMMANDS = ("optimize", "sweep", "gatesim", "longrange", "shor", "fit")
 
 # Most grid points one sweep may take, per axis and in total.
 MAX_SWEEP_POINTS = 10 ** 6
@@ -240,41 +242,6 @@ PARAMS = (
     Param("D", "--D", float, NUMBER, {"fit": None}),
 )
 
-# The flags that name the report's format and files, not a computation
-# parameter: the parser reads them, configs and resolution do not.  A
-# sweep's format is left to main (see there), so it has its own help.
-_IO_PARAMS = (
-    Param("format", "--format", str, {"enum": ["json", "csv"]},
-          dict.fromkeys(c for c in COMMANDS if c != "sweep"), "report format (default: json)"),
-    Param("format", "--format", str, {"enum": ["json", "csv"]}, {"sweep": None},
-          "report format (default: csv, or json for a report fed back)"),
-    Param("out", "--out", str, {"type": "string"}, dict.fromkeys(COMMANDS),
-          "output path (default: stdout)"),
-    Param("config", "--config", str, {"type": "string"}, dict.fromkeys(COMMANDS),
-          "JSON config file (or a prior report)"),
-    Param("infile", "--in", str, {"type": "string"}, {"fit": None}, "CSV file with k,eta rows"),
-)
-
-# Each command's parameters by config key, in table order.
-_COMMAND_PARAMS = {
-    command: {p.key: p for p in PARAMS if command in p.status} for command in COMMANDS
-}
-
-
-def _schema(command: str) -> dict:
-    """The command's own keys; null is allowed where a parameter is optional."""
-    properties: dict[str, Any] = {"command": {"const": command}}
-    for key, param in _COMMAND_PARAMS[command].items():
-        properties[key] = param.json
-        if param.status[command] is None:
-            properties[key] = dict(param.json, type=[param.json["type"], "null"])
-    return {"type": "object", "properties": properties, "additionalProperties": False}
-
-
-# Published schema for --config files, one per command (a full report is
-# also accepted, and its "config" member is then used).
-CONFIG_SCHEMA = {command: _schema(command) for command in COMMANDS}
-
 # JSON Schema's types: a bool is neither a number nor an integer, and a float
 # with no fraction (2.0) is an integer.
 _JSON_TYPES: dict[str, Callable[[Any], bool]] = {
@@ -431,11 +398,12 @@ def _report(payload: dict, blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
         for kind, run in itertools.groupby(parts, type))
 
 
-def _csv_table(names: Sequence[str], blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
-    """A header of names and one line per row, one chunk per block: the one CSV writer."""
-    yield ",".join(names) + "\n"
-    for block in blocks:
-        yield _rows(["", *[","] * (len(names) - 1)], [block[n] for n in names], "\n", _csv_cells)
+def _csv_table(blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
+    """A header of the column keys, then a line per row, a chunk per block: the one CSV writer."""
+    for number, block in enumerate(blocks):
+        if not number:
+            yield ",".join(block) + "\n"
+        yield _rows(["", *[","] * (len(block) - 1)], list(block.values()), "\n", _csv_cells)
 
 
 def _one_row(row: dict) -> list[dict[str, list]]:
@@ -509,12 +477,13 @@ def _settings(args: SimpleNamespace, config: dict,
     return cfg
 
 
-# What a handler returns: the resolved config, the report's result, the CSV
-# header (None for a report that is JSON only) and the table as blocks of
-# columns.  main renders it: a result without _TABLE is written alone in
-# JSON, and the CSV report is the table.  A handler that resolves only some
-# of its parameters calls _reject_unread before it computes.
-Report = tuple[dict, dict, Sequence[str] | None, Iterable[dict[str, Sequence]]]
+# What a handler returns: the resolved config, the report's result and the
+# table as blocks of columns, whose keys are the CSV header in order (None
+# for a report that is JSON only).  main renders it: a result without _TABLE
+# is written alone in JSON, and the CSV report is the table, every block of
+# which has the same keys.  A handler that resolves only some of its
+# parameters calls _reject_unread before it computes.
+Report = tuple[dict, dict, Iterable[dict[str, Sequence]] | None]
 
 
 def cmd_optimize(args: SimpleNamespace, config: dict) -> Report:
@@ -534,7 +503,7 @@ def cmd_optimize(args: SimpleNamespace, config: dict) -> Report:
         c_star = optimizer.affine_usefulness_threshold(sch.B, model.eta0)
         report["usefulness_c_star"] = c_star
         report["no_c_helps"] = c_star == 0.0
-    return cfg, report, ("k", "log10_p"), [result.curve_columns()]
+    return cfg, report, [result.curve_columns()]
 
 
 # The law's field each sweep axis sets; B_eta0 is eta0 in units of 1/B.
@@ -622,15 +591,14 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
 
     sch = _parse_scheme(cfg["scheme"])
     # model_from_dict reads only the model's fields of point.
-    point = dict(cfg, A=_scheme_growth(cfg))
+    point = dict(cfg, A=float(sch.D))
     values = [_axis_values(axis) for axis in axes]
     grid = {_AXIS_FIELDS[axis["param"]]: vals / sch.B if axis["param"] == "B_eta0" else vals
             for axis, vals in zip(axes, values)}
     k_max, p_min = optimizer.sweep_minima(sch, point, grid, cfg["kcap"])
     # Before the first byte; no legal law reaches it (see scheme.NoiseModel).
     _json_cells(p_min[~np.isfinite(p_min)].tolist())  # json's error for a non-finite minimum
-    names = [axis["param"] for axis in axes] + ["k_max", "log10_p_min", "status"]
-    return cfg, {"rows": _TABLE}, names, _sweep_rows(axes, values, k_max, p_min, cfg["kcap"])
+    return cfg, {"rows": _TABLE}, _sweep_rows(axes, values, k_max, p_min, cfg["kcap"])
 
 
 def cmd_gatesim(args: SimpleNamespace, config: dict) -> Report:
@@ -653,7 +621,7 @@ def cmd_gatesim(args: SimpleNamespace, config: dict) -> Report:
             "rwa_marginal": spec.rwa_margin <= gatesim.RWA_MARGINAL_RATIO,
         }
     )
-    return cfg, result, None, ()
+    return cfg, result, None
 
 
 def cmd_longrange(args: SimpleNamespace, config: dict) -> Report:
@@ -678,8 +646,7 @@ def cmd_longrange(args: SimpleNamespace, config: dict) -> Report:
     if asym is not None:
         result["asymptotic"] = asym
         result["rel_err"] = abs(asym - oracle) / oracle
-    return (cfg, result, ("N0", "oracle", "asymptotic", "rel_err"),
-            _one_row(dict(result, N0=cfg["N0"])))
+    return cfg, result, _one_row({"N0": cfg["N0"], **result})
 
 
 def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
@@ -721,8 +688,8 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
             "rwa_marginal": margin <= gatesim.RWA_MARGINAL_RATIO,
         }
     )
-    return (cfg, result, ("R", "n_L", "k", "E_tot_J", "P_W", "T_tot_s", "tau_g_s"),
-            _one_row(result))
+    return cfg, result, _one_row(dict(R=cfg["R"], n_L=bill.n_L, k=bill.k, E_tot_J=bill.E_tot,
+                                      P_W=bill.P_avg, T_tot_s=bill.T_tot, tau_g_s=bill.tau_g))
 
 
 def _read_samples(path: str) -> list[list[float]]:
@@ -747,8 +714,10 @@ def _read_samples(path: str) -> list[list[float]]:
 
 
 def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
-    if args.samples is None and args.infile is not None:
-        args.samples = _read_samples(args.infile)  # --in stands for --samples
+    if args.infile is not None:  # --in stands for --samples
+        if args.samples is not None:
+            raise UsageError("--in and --samples both give the samples; give one")
+        args.samples = _read_samples(args.infile)
     cfg = _settings(args, config, ("samples", "model"))
     if cfg["model"] == "exp":  # D turns the fitted slope into beta
         _settings(args, config, ("D",), cfg)
@@ -761,17 +730,64 @@ def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
         "residual": fit.residual,
         "n_points": fit.n_points,
     }
-    return cfg, result, None, ()
+    return cfg, result, None
 
 
-_HANDLERS = {
-    "optimize": ("scan the logical-error curve", cmd_optimize),
-    "sweep": ("grid sweep emitting one row per point", cmd_sweep),
-    "gatesim": ("simulate the driven-qubit gate", cmd_gatesim),
-    "longrange": ("lattice crosstalk strength", cmd_longrange),
-    "shor": ("photon budget and energy bill", cmd_shor),
-    "fit": ("fit a noise law to (k, eta) samples", cmd_fit),
+class Command(NamedTuple):
+    """A command: its help line, its handler and its default report format (see main)."""
+
+    about: str
+    handler: Callable[[SimpleNamespace, dict], Report]
+    format: str
+
+
+# The commands, one record each, in the order the help lists them.
+_COMMANDS = {
+    "optimize": Command("scan the logical-error curve", cmd_optimize, "json"),
+    "sweep": Command("grid sweep emitting one row per point", cmd_sweep, "csv"),
+    "gatesim": Command("simulate the driven-qubit gate", cmd_gatesim, "json"),
+    "longrange": Command("lattice crosstalk strength", cmd_longrange, "json"),
+    "shor": Command("photon budget and energy bill", cmd_shor, "json"),
+    "fit": Command("fit a noise law to (k, eta) samples", cmd_fit, "json"),
 }
+COMMANDS = tuple(_COMMANDS)
+
+# The flags that name the report's format and files, not a computation
+# parameter: the parser reads them, configs and resolution do not.  --format
+# has one help per default format, each for the commands whose record has it.
+_IO_PARAMS = (
+    Param("format", "--format", str, {"enum": ["json", "csv"]},
+          {c: None for c, record in _COMMANDS.items() if record.format == "json"},
+          "report format (default: json)"),
+    Param("format", "--format", str, {"enum": ["json", "csv"]},
+          {c: None for c, record in _COMMANDS.items() if record.format == "csv"},
+          "report format (default: csv, or json for a report fed back)"),
+    Param("out", "--out", str, {"type": "string"}, dict.fromkeys(COMMANDS),
+          "output path (default: stdout)"),
+    Param("config", "--config", str, {"type": "string"}, dict.fromkeys(COMMANDS),
+          "JSON config file (or a prior report)"),
+    Param("infile", "--in", str, {"type": "string"}, {"fit": None}, "CSV file with k,eta rows"),
+)
+
+# Each command's parameters by config key, in table order.
+_COMMAND_PARAMS = {
+    command: {p.key: p for p in PARAMS if command in p.status} for command in COMMANDS
+}
+
+
+def _schema(command: str) -> dict:
+    """The command's own keys; null is allowed where a parameter is optional."""
+    properties: dict[str, Any] = {"command": {"const": command}}
+    for key, param in _COMMAND_PARAMS[command].items():
+        properties[key] = param.json
+        if param.status[command] is None:
+            properties[key] = dict(param.json, type=[param.json["type"], "null"])
+    return {"type": "object", "properties": properties, "additionalProperties": False}
+
+
+# Published schema for --config files, one per command (a full report is
+# also accepted, and its "config" member is then used).
+CONFIG_SCHEMA = {command: _schema(command) for command in COMMANDS}
 
 
 _HELP_FLAGS = ("-h", "--help")
@@ -854,9 +870,9 @@ def build_parser() -> Parser:
     helps: dict[str | None, str] = {None: _help_text(
         f"qecopt {{{','.join(COMMANDS)}}} [flags]",
         "Optimal error correction under scale-dependent noise",
-        [(command, help_text) for command, (help_text, _) in _HANDLERS.items()],
+        [(command, record.about) for command, record in _COMMANDS.items()],
         "'qecopt COMMAND --help' lists the flags of a command.")}
-    for command, (help_text, _) in _HANDLERS.items():
+    for command, record in _COMMANDS.items():
         params = [p for p in (*_IO_PARAMS, *PARAMS) if command in p.status]
         flags[command] = {param.flag: param for param in params}
         rows = [("-h, --help", "show this help and exit")]
@@ -868,7 +884,7 @@ def build_parser() -> Parser:
                 name += " " + param.key.upper()
             rows.append((name, param.help or ""))
         helps[command] = _help_text(
-            f"qecopt {command} [flags]", help_text, rows,
+            f"qecopt {command} [flags]", record.about, rows,
             "Flags must match exactly; a value is the next token or follows "
             "'=' (--flag=value).")
     return Parser(flags, helps)
@@ -880,17 +896,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(args, str):  # the help text -h or --help asked for
             sys.stdout.write(args)
             return 0
+        record = _COMMANDS[args.command]
         config, from_report = _load_config(args.config, args.command)
-        cfg, result, csv_names, table = _HANDLERS[args.command][1](args, config)
-        # The one format default: JSON, but a sweep writes CSV unless its
-        # config was a report.
-        fmt = args.format or ("csv" if args.command == "sweep" and not from_report else "json")
+        cfg, result, table = record.handler(args, config)
+        # The one format default: JSON for a report fed back, else the command's.
+        fmt = args.format or ("json" if from_report else record.format)
         if fmt == "json":
             _emit(_report({"config": cfg, "result": result}, table), args.out)
-        elif csv_names is None:
+        elif table is None:
             raise UsageError(f"{args.command} reports are JSON only")
         else:
-            _emit(_csv_table(csv_names, table), args.out)
+            _emit(_csv_table(table), args.out)
         return 0
     except (UsageError, ValueError, TypeError) as exc:
         sys.stderr.write(f"qecopt: {exc}\n")

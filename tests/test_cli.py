@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qecopt
-from qecopt import crosstalk, optimizer, scheme
+from qecopt import cli, crosstalk, optimizer, scheme
 from qecopt.cli import CLOSED_PIPE_EXIT, COMMANDS, CONFIG_SCHEMA, MAX_SWEEP_POINTS, main
 from qecopt.scheme import PI_SQ_OVER_16
 
@@ -349,6 +349,43 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         config = json.loads(out)["config"]
         assert config["c"] == 2.0 and config["kcap"] == 8
+
+    # Per command: flags that run it, and its CSV header (None: JSON only).
+    FORMAT_CASES = {
+        "optimize": (["--model", "affine", "--eta0", "5e-6", "--c", "1", "--kcap", "3"],
+                     "k,log10_p"),
+        "sweep": (["--model", "affine", "--kcap", "8", "--axis", "c:0:1:2",
+                   "--axis", "B_eta0:0.1:0.9:2"], "c,B_eta0,k_max,log10_p_min,status"),
+        "gatesim": (["--theta", "pi/2", "--gamma", "1", "--ng", "1000"], None),
+        "longrange": (["--lattice", "chain", "--z", "0.5", "--N0", "501", "--compare"],
+                      "N0,oracle,asymptotic,rel_err"),
+        "shor": (["--R", "1000", "--gamma", "10", "--omega0", "1e10"],
+                 "R,n_L,k,E_tot_J,P_W,T_tot_s,tau_g_s"),
+        "fit": (["--samples", "0:1e-5,1:2e-5", "--model", "affine"], None),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_format_and_csv_header(self, tmp_path, capsys, command):
+        # A plain config writes the command's default format (CSV for a
+        # sweep, JSON otherwise); a report fed back writes JSON; a CSV
+        # report's first line is its table's columns, in order.
+        flags, header = self.FORMAT_CASES[command]
+        report = tmp_path / "report.json"
+        assert main([command, *flags, "--format", "json", "--out", str(report)]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(report.read_text())["config"]))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == 0 and err == ""
+        if command == "sweep":
+            assert out.split("\n", 1)[0] == header
+        else:
+            assert out == report.read_text()
+        assert run(capsys, command, "--config", str(report)) == (0, report.read_text(), "")
+        code, out, err = run(capsys, command, *flags, "--format", "csv")
+        if header is None:
+            assert (code, out, err) == (2, "", f"qecopt: {command} reports are JSON only\n")
+        else:
+            assert code == 0 and err == "" and out.split("\n", 1)[0] == header
 
 
 class TestSweep:
@@ -879,6 +916,24 @@ class TestFit:
         )
         assert code == 2 and out == ""
         assert "cannot read samples" in err and err.count("\n") == 1
+
+    def test_samples_and_in_flags_together_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Rejected before any file is read: --in names a file that is not there.
+        monkeypatch.setattr(cli, "_read_samples", None)
+        code, out, err = run(capsys, "fit", "--samples", "0:1e-5,1:2e-5",
+                             "--in", str(tmp_path / "absent.csv"), "--model", "affine")
+        assert (code, out) == (2, "")
+        assert err == "qecopt: --in and --samples both give the samples; give one\n"
+
+    def test_in_flag_wins_over_config_samples(self, tmp_path, capsys):
+        data = tmp_path / "samples.csv"
+        data.write_text("0,1e-5\n1,3e-5\n")
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"samples": [[0, 1e-5], [1, 2e-5]]}))
+        code, out, err = run(capsys, "fit", "--config", str(config), "--in", str(data),
+                             "--model", "affine")
+        assert code == 0, err
+        assert json.loads(out)["config"]["samples"] == [[0.0, 1e-5], [1.0, 3e-5]]
 
     def test_unwritable_output_exits_2(self, capsys):
         code, out, err = run(

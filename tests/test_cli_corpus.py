@@ -3,7 +3,8 @@
 cli_corpus.json holds literal argv lists: both seeds' (1 and 2026) full
 benchmark workload rounds, the README's command lines (without --out), every
 --help and -h, and rejected probes.  Every op is argv only: no --out,
---config or --in file.  For each op it records the exit code, stderr
+--config or --in file is written or read (one probe names a missing --in
+file that is rejected unread).  For each op it records the exit code, stderr
 verbatim and the sha256 of stdout, as cli.main gives them at the commit
 that recorded it.
 
