@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`qecopt.scheme`: fault-tolerance scheme constants, scale-dependent
-  noise laws, noise-law fitting;
+  noise laws, noise-law fitting, and InputError, which every check on a
+  caller's value raises;
 * :mod:`qecopt.optimizer`: logical-error curves, optimal concatenation
   depth, analytic usefulness conditions and bounds;
 * :mod:`qecopt.crosstalk`: long-range lattice crosstalk strength and its
@@ -19,6 +20,7 @@ from .scheme import (
     ExponentialNoise,
     FitResult,
     FTScheme,
+    InputError,
     LogProb,
     NoiseModel,
     SCHEME_PRESETS,
@@ -84,7 +86,7 @@ def _warn(message: str) -> None:
     logger.warning(message)
 
 __all__ = [
-    "AffineNoise", "ExponentialNoise", "FitResult", "FTScheme", "LogProb",
+    "AffineNoise", "ExponentialNoise", "FitResult", "FTScheme", "InputError", "LogProb",
     "NoiseModel", "SCHEME_PRESETS", "ShorPhotonNoise", "TabulatedNoise",
     "eta_at_level", "fit_noise_model", "get_scheme", "make_scheme",
     "model_from_dict", "model_to_dict",

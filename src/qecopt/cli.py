@@ -29,7 +29,11 @@ error, raised before the handler computes.
 
 Exit codes: 0 success, 1 computational infeasibility, 2 usage error, and
 141 (128 + SIGPIPE, as a shell reports a reader that left early) when
-stdout is closed before the report is written.
+stdout is closed before the report is written.  main maps exactly two
+exception types to a one-line message: scheme.InputError (qecopt.InputError,
+raised by every check on a value the caller gave; UsageError is one) to exit
+2, and RuntimeError (an unreachable target) to exit 1.  Anything else is a
+bug and leaves main as a traceback.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ MAX_SWEEP_POINTS = 10 ** 6
 REPORT_ROWS = 1 << 12
 
 
-class UsageError(ValueError):
-    """Bad arguments or configuration (exit code 2)."""
+class UsageError(scheme.InputError):
+    """Bad arguments or configuration whose message names the flag or file
+    it refuses (exit code 2, as for every InputError)."""
 
 
 def _angle(value: str | float) -> float:
@@ -98,8 +103,8 @@ def _parse_scheme(value: str | dict) -> scheme.FTScheme:
 
 def _scheme_config(value: str | dict) -> str | dict:
     """Canonical config form of the scheme argument."""
-    if isinstance(value, dict):
-        return dict(value)
+    if isinstance(value, dict):  # its schema takes a whole float (575.0) as an integer
+        return {name: int(count) for name, count in value.items()}
     if "," in value:
         return _parse_scheme(value).to_dict()
     return value
@@ -430,7 +435,7 @@ def _load_config(path: str | None, command: str) -> tuple[dict, bool]:
         return {}, False
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     report = isinstance(data, dict) and "config" in data and "result" in data
     if report:
@@ -698,6 +703,8 @@ def _read_samples(path: str) -> list[list[float]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read samples {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read samples {path}: {exc}") from exc
     lines = text.strip().splitlines()
     first = text[:len(text) - len(text.lstrip())].count("\n") + 1  # lines[0]'s line number
     if lines and lines[0].lower().startswith("k,"):
@@ -734,21 +741,22 @@ def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
 
 
 class Command(NamedTuple):
-    """A command: its help line, its handler and its default report format (see main)."""
+    """A command: its help line, its handler and the report formats it
+    writes, its default first (see main)."""
 
     about: str
     handler: Callable[[SimpleNamespace, dict], Report]
-    format: str
+    formats: tuple[str, ...]
 
 
 # The commands, one record each, in the order the help lists them.
 _COMMANDS = {
-    "optimize": Command("scan the logical-error curve", cmd_optimize, "json"),
-    "sweep": Command("grid sweep emitting one row per point", cmd_sweep, "csv"),
-    "gatesim": Command("simulate the driven-qubit gate", cmd_gatesim, "json"),
-    "longrange": Command("lattice crosstalk strength", cmd_longrange, "json"),
-    "shor": Command("photon budget and energy bill", cmd_shor, "json"),
-    "fit": Command("fit a noise law to (k, eta) samples", cmd_fit, "json"),
+    "optimize": Command("scan the logical-error curve", cmd_optimize, ("json", "csv")),
+    "sweep": Command("grid sweep emitting one row per point", cmd_sweep, ("csv", "json")),
+    "gatesim": Command("simulate the driven-qubit gate", cmd_gatesim, ("json",)),
+    "longrange": Command("lattice crosstalk strength", cmd_longrange, ("json", "csv")),
+    "shor": Command("photon budget and energy bill", cmd_shor, ("json", "csv")),
+    "fit": Command("fit a noise law to (k, eta) samples", cmd_fit, ("json",)),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -757,10 +765,10 @@ COMMANDS = tuple(_COMMANDS)
 # has one help per default format, each for the commands whose record has it.
 _IO_PARAMS = (
     Param("format", "--format", str, {"enum": ["json", "csv"]},
-          {c: None for c, record in _COMMANDS.items() if record.format == "json"},
+          {c: None for c, record in _COMMANDS.items() if record.formats[0] == "json"},
           "report format (default: json)"),
     Param("format", "--format", str, {"enum": ["json", "csv"]},
-          {c: None for c, record in _COMMANDS.items() if record.format == "csv"},
+          {c: None for c, record in _COMMANDS.items() if record.formats[0] == "csv"},
           "report format (default: csv, or json for a report fed back)"),
     Param("out", "--out", str, {"type": "string"}, dict.fromkeys(COMMANDS),
           "output path (default: stdout)"),
@@ -898,17 +906,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         record = _COMMANDS[args.command]
         config, from_report = _load_config(args.config, args.command)
-        cfg, result, table = record.handler(args, config)
         # The one format default: JSON for a report fed back, else the command's.
-        fmt = args.format or ("json" if from_report else record.format)
+        fmt = args.format or ("json" if from_report else record.formats[0])
+        if fmt not in record.formats:  # refused before the handler computes
+            raise UsageError(f"{args.command} reports are JSON only")
+        cfg, result, table = record.handler(args, config)
         if fmt == "json":
             _emit(_report({"config": cfg, "result": result}, table), args.out)
-        elif table is None:
-            raise UsageError(f"{args.command} reports are JSON only")
         else:
             _emit(_csv_table(table), args.out)
         return 0
-    except (UsageError, ValueError, TypeError) as exc:
+    except scheme.InputError as exc:
         sys.stderr.write(f"qecopt: {exc}\n")
         return 2
     except RuntimeError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizer import log10_logical_error, one_level_condition
-from .scheme import FTScheme
+from .scheme import FTScheme, InputError
 
 # Local-noise equivalent of long-range strength: eta_eff = PREFACTOR*sqrt(2 t0 Delta).
 LOCAL_NOISE_PREFACTOR = math.exp(1.0 + 1.0 / (2.0 * math.e))  # ~3.2672
@@ -50,19 +50,19 @@ class LatticeSpec:
 
     def __post_init__(self) -> None:
         if self.d not in (1, 2):
-            raise ValueError(f"d must be 1 or 2, got {self.d!r}")
+            raise InputError(f"d must be 1 or 2, got {self.d!r}")
         if self.aspect not in ("chain", "square"):
-            raise ValueError(f"aspect must be 'chain' or 'square', got {self.aspect!r}")
+            raise InputError(f"aspect must be 'chain' or 'square', got {self.aspect!r}")
         if (self.d == 1) != (self.aspect == "chain"):
-            raise ValueError(f"d={self.d} inconsistent with aspect={self.aspect!r}")
+            raise InputError(f"d={self.d} inconsistent with aspect={self.aspect!r}")
         if self.N0 < 2:
-            raise ValueError(f"N0 must be >= 2, got {self.N0!r}")
+            raise InputError(f"N0 must be >= 2, got {self.N0!r}")
         if not 0 <= self.z < math.inf:  # also rejects NaN
-            raise ValueError(f"z must be finite and >= 0, got {self.z!r}")
+            raise InputError(f"z must be finite and >= 0, got {self.z!r}")
         if self.aspect == "square":
             side = math.isqrt(self.N0)
             if side * side != self.N0:
-                raise ValueError(f"square lattice needs a square N0, got {self.N0}")
+                raise InputError(f"square lattice needs a square N0, got {self.N0}")
 
     @property
     def side(self) -> int:
@@ -424,9 +424,9 @@ def delta_lattice_oracle(spec: LatticeSpec) -> float:
     u = M at c = 4999), so the rule errs by O(rho^-64) ~ 6e-32.
     """
     if spec.aspect == "chain" and spec.N0 > MAX_CHAIN_SITES:
-        raise ValueError(f"chain N0 capped at {MAX_CHAIN_SITES}")
+        raise InputError(f"chain N0 capped at {MAX_CHAIN_SITES}")
     if spec.aspect == "square" and spec.side > MAX_SQUARE_SIDE:
-        raise ValueError(f"square side capped at {MAX_SQUARE_SIDE}")
+        raise InputError(f"square side capped at {MAX_SQUARE_SIDE}")
     if spec.aspect == "chain":
         return _chain_row_sum(spec.side, spec.z)
     return _centre_row_sum(spec.side, spec.z)
@@ -479,9 +479,9 @@ def delta0_asymptotic(spec: LatticeSpec, kappa: float = 1.0) -> float:
     """
     z, n0 = spec.z, spec.N0
     if z > spec.d:
-        raise ValueError(f"asymptotic form covers z <= d, got z={z}, d={spec.d}")
+        raise InputError(f"asymptotic form covers z <= d, got z={z}, d={spec.d}")
     if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+        raise InputError(f"kappa must be positive and finite, got {kappa!r}")
     if n0 < 100:
         from . import _warn
 
@@ -498,14 +498,14 @@ def delta0_asymptotic(spec: LatticeSpec, kappa: float = 1.0) -> float:
 def effective_local_error(t0_delta: float) -> float:
     """Local-noise strength equivalent to long-range strength t0*Delta."""
     if t0_delta < 0:
-        raise ValueError("t0_delta must be >= 0")
+        raise InputError("t0_delta must be >= 0")
     return LOCAL_NOISE_PREFACTOR * math.sqrt(2.0 * t0_delta)
 
 
 def amplified_fault_pairs(B: float) -> float:
     """Effective fault-pair count for long-range noise, B_AMPLIFICATION*B^2."""
     if B < 1:
-        raise ValueError(f"need B >= 1, got {B!r}")
+        raise InputError(f"need B >= 1, got {B!r}")
     return B_AMPLIFICATION * B * B
 
 
@@ -519,9 +519,9 @@ def logical_crosstalk_log10(
     b' = B_AMPLIFICATION * B^2 and eta(k) by t0 Delta0 D^(beta k).
     """
     if t0_delta0 <= 0:
-        raise ValueError("t0_delta0 must be > 0")
+        raise InputError("t0_delta0 must be > 0")
     if beta < 0:
-        raise ValueError("beta must be >= 0")
+        raise InputError("beta must be >= 0")
     log10_eta_k = math.log10(t0_delta0) + beta * k * math.log10(scheme.D)
     return log10_logical_error(math.log10(amplified_fault_pairs(scheme.B)), log10_eta_k, k)
 

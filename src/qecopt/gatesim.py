@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import PI_SQ_OVER_16
+from .scheme import PI_SQ_OVER_16, InputError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -76,15 +76,15 @@ class GateSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 2.0 * math.pi:
-            raise ValueError(f"theta must lie in (0, 2*pi], got {self.theta!r}")
+            raise InputError(f"theta must lie in (0, 2*pi], got {self.theta!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
+            raise InputError(f"gamma must be finite and > 0, got {self.gamma!r}")
         if not (math.isfinite(self.n_g) and self.n_g > 0):
-            raise ValueError(f"n_g must be finite and > 0, got {self.n_g!r}")
+            raise InputError(f"n_g must be finite and > 0, got {self.n_g!r}")
         if self.omega0 is not None and not (
             math.isfinite(self.omega0) and self.omega0 > 0
         ):
-            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0!r}")
+            raise InputError(f"omega0 must be finite and > 0, got {self.omega0!r}")
 
     @property
     def rwa_margin(self) -> float:
@@ -112,19 +112,19 @@ class QubitChannel:
         ptm = np.asarray(self.ptm, dtype=float)
         object.__setattr__(self, "ptm", ptm)
         if ptm.shape != (4, 4):
-            raise ValueError(f"ptm must be 4x4, got {ptm.shape}")
+            raise InputError(f"ptm must be 4x4, got {ptm.shape}")
         entries = ptm.ravel().tolist()
         # Written as "not ok" so that a NaN fails each check.
         if not _trace_preserving(entries):
             first_row_err = np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0])))
-            raise ValueError(f"channel is not trace preserving ({first_row_err:.2e})")
+            raise InputError(f"channel is not trace preserving ({first_row_err:.2e})")
         if not all(map(math.isfinite, entries)):
-            raise ValueError("channel transfer matrix is not finite")
+            raise InputError("channel transfer matrix is not finite")
         eigmin = float(np.linalg.eigvalsh(choi_from_ptm(ptm)).min())
         if not eigmin >= CP_TOL:
-            raise ValueError(f"channel is not completely positive ({eigmin:.2e})")
+            raise InputError(f"channel is not completely positive ({eigmin:.2e})")
         if not sum(self.chi_diag) <= 1.0 + 1e-9:
-            raise ValueError(f"chi diagonal exceeds unit weight: {self.chi_diag}")
+            raise InputError(f"chi diagonal exceeds unit weight: {self.chi_diag}")
 
     def to_dict(self) -> dict:
         return {
@@ -137,12 +137,12 @@ class QubitChannel:
 def pulse_params(spec: GateSpec) -> tuple[float, float]:
     """(Omega, tau) of the square pulse; Omega * tau == theta identically.
 
-    ValueError when 4 gamma n_g, Omega or tau leaves the float range."""
+    InputError when 4 gamma n_g, Omega or tau leaves the float range."""
     rate = 4.0 * spec.gamma * spec.n_g
     omega = rate / spec.theta
     tau = spec.theta ** 2 / rate if rate > 0.0 else math.inf
     if not (math.isfinite(omega) and math.isfinite(tau)):
-        raise ValueError(
+        raise InputError(
             f"pulse is outside float range: 4 gamma n_g = {rate:g}, "
             f"Omega = {omega:g}, tau = {tau:g}"
         )
@@ -189,17 +189,17 @@ def extract_chi_diag(
 
     With theta == 0 the input is the noise map itself; otherwise it is a
     noisy rotation gate and the ideal rotation by theta is divided out first.
-    ValueError when the matrix is not 4x4, row 0 is not (1, 0, 0, 0) to
+    InputError when the matrix is not 4x4, row 0 is not (1, 0, 0, 0) to
     TP_TOL or an entry is not finite.
     """
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
-        raise ValueError(f"transfer matrix must be 4x4, got {ptm.shape}")
+        raise InputError(f"transfer matrix must be 4x4, got {ptm.shape}")
     entries = ptm.ravel().tolist()
     if not _trace_preserving(entries):
-        raise ValueError("transfer matrix is not trace preserving")
+        raise InputError("transfer matrix is not trace preserving")
     if not all(map(math.isfinite, entries[4:])):
-        raise ValueError("transfer matrix is not finite")
+        raise InputError("transfer matrix is not finite")
     if theta != 0.0:
         ptm = ideal_rotation_ptm(-theta) @ ptm
     chi = _CHI_COEFF @ np.diag(ptm) / 4.0  # the coefficient matrix inverts itself
@@ -256,7 +256,7 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
     With Omega tau = theta and gamma tau = theta^2 / (4 n_g), tau G depends
     on theta and n_g alone.  Every finite gamma tau gives a finite
     propagator; once gamma tau itself overflows (n_g below ~1e-308 photons)
-    the propagator is not finite, and that raises ValueError.
+    the propagator is not finite, and that raises InputError.
     """
     if spec.rwa_margin <= RWA_MARGINAL_RATIO:
         from . import _warn
@@ -266,7 +266,7 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
     decay = spec.theta ** 2 / (4.0 * spec.n_g)
     ptm = ideal_rotation_ptm(-spec.theta) @ _bloch_propagator(spec.theta, decay)
     if not all(map(math.isfinite, ptm.ravel().tolist())):
-        raise ValueError(
+        raise InputError(
             f"gate propagator is not finite at n_g={spec.n_g:g} "
             f"(gamma*tau = {decay:.3g})"
         )
@@ -280,6 +280,6 @@ def asymptotic_pauli_errors(n_g: float) -> tuple[float, float, float]:
     (pi^2/16, pi^2/32, pi^2/32) / n_g.  The dominant one, p_x, is the
     physical error probability used by the error-correction analysis."""
     if n_g <= 0:
-        raise ValueError(f"n_g must be > 0, got {n_g!r}")
+        raise InputError(f"n_g must be > 0, got {n_g!r}")
     p_x = PI_SQ_OVER_16 / n_g
     return (p_x, 0.5 * p_x, 0.5 * p_x)

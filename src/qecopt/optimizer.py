@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import FTScheme, LogProb, NoiseModel, TabulatedNoise, model_from_dict
+from .scheme import FTScheme, InputError, LogProb, NoiseModel, TabulatedNoise, model_from_dict
 from .scheme import eta_at_level  # unread here: benchmarks/tracing.py patches this name
 
 STATUS_OPTIMUM = "optimum-found"
@@ -139,9 +139,9 @@ def log10_logical_error(log10_b: float, log10_eta_k, k):
     """
     lowest, highest = (k.min(), k.max()) if isinstance(k, np.ndarray) else (k, k)
     if lowest < 0:
-        raise ValueError("concatenation level must be >= 0")
+        raise InputError("concatenation level must be >= 0")
     if highest > MAX_K_CAP:
-        raise ValueError(f"level {highest} exceeds the supported cap {MAX_K_CAP}")
+        raise InputError(f"level {highest} exceeds the supported cap {MAX_K_CAP}")
     if not isinstance(k, np.ndarray):
         return _recursion(log10_b, log10_eta_k, 2.0 ** k, k == 0)
     return _recursion(log10_b, log10_eta_k, _powers(k), k == 0)
@@ -178,7 +178,7 @@ def levels(k_cap: int, model: NoiseModel | None = None) -> Levels:
     """The level table of a scan over 0..k_cap (read-only and shared); a
     table law's length caps the levels too."""
     if not 1 <= k_cap <= MAX_K_CAP:
-        raise ValueError(f"k_cap must be in [1, {MAX_K_CAP}], got {k_cap}")
+        raise InputError(f"k_cap must be in [1, {MAX_K_CAP}], got {k_cap}")
     if isinstance(model, TabulatedNoise):
         k_cap = min(k_cap, len(model.f_values) - 1)
     return _level_table(k_cap + 1)
@@ -198,11 +198,11 @@ def log10_curve(scheme: FTScheme, model: NoiseModel, table: Levels) -> np.ndarra
 
 def first_minima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each curve's smallest level attaining its minimum (the last axis),
-    and that minimum; a ValueError if a curve holds a NaN."""
+    and that minimum; an InputError if a curve holds a NaN."""
     k_max = np.argmin(values, axis=-1)
     p_min = np.take_along_axis(values, k_max[..., None], axis=-1)[..., 0]
     if np.isnan(p_min).any():
-        raise ValueError(_UNDEFINED_CURVE)
+        raise InputError(_UNDEFINED_CURVE)
     return k_max, p_min
 
 
@@ -229,7 +229,7 @@ def find_kmax(
     k_max = int(np.argmin(values))
     curve = tuple(values.tolist())
     if math.isnan(curve[k_max]):
-        raise ValueError(_UNDEFINED_CURVE)
+        raise InputError(_UNDEFINED_CURVE)
     return OptResult(k_max=k_max, status=scan_status(k_max, len(curve) - 1),
                      log10_curve=curve)
 
@@ -244,7 +244,7 @@ def sweep_minima(scheme: FTScheme, law: dict, grid: dict[str, np.ndarray],
     is left as it is.  The grid is evaluated in blocks of at most
     SWEEP_BLOCK curve values, and in each block every swept field is an
     array along its own axis, so the law family takes each logarithm once
-    per distinct value.  A curve holding a NaN is a ValueError.
+    per distinct value.  A curve holding a NaN is an InputError.
     """
     table = levels(k_cap)
     point = dict(law)
@@ -269,7 +269,7 @@ def affine_usefulness_threshold(B: float, eta0: float) -> float:
     B*eta0 >= 1, where no slope (not even c = 0) makes encoding help.
     """
     if B < 1 or not 0.0 < eta0 < 1.0:
-        raise ValueError("need B >= 1 and eta0 in (0, 1)")
+        raise InputError("need B >= 1 and eta0 in (0, 1)")
     b_eta = B * eta0
     if b_eta >= 1.0:
         return 0.0
@@ -309,7 +309,7 @@ def one_level_condition(B: float, D: float, beta: float) -> float:
     eta0 < eta*.  At beta = 0 this is the scale-independent threshold 1/B.
     """
     if B < 1 or D < 1 or beta < 0:
-        raise ValueError("need B >= 1, D >= 1, beta >= 0")
+        raise InputError("need B >= 1, D >= 1, beta >= 0")
     return math.exp(-math.log(B) - 2.0 * beta * math.log(D))
 
 
@@ -330,11 +330,11 @@ def exp_model_bounds(scheme: FTScheme, eta0: float, beta: float) -> BoundsReport
     The bound values are meaningful only when `useful` is true.
     """
     if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta!r}")
+        raise InputError(f"beta must be > 0, got {beta!r}")
     if not 0.0 < eta0 < 1.0:
-        raise ValueError(f"eta0 must lie in (0, 1), got {eta0!r}")
+        raise InputError(f"eta0 must lie in (0, 1), got {eta0!r}")
     if scheme.D < 2:
-        raise ValueError("exponential bounds need D >= 2 (D = 1 never grows)")
+        raise InputError("exponential bounds need D >= 2 (D = 1 never grows)")
 
     ln_d = math.log(scheme.D)
     ln_b = math.log(scheme.B)

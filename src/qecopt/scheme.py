@@ -22,6 +22,12 @@ import numpy as np
 PI_SQ_OVER_16 = math.pi ** 2 / 16.0
 
 
+class InputError(ValueError):
+    """A value a caller gave is refused; the message names it.  Every check
+    in this package on what it is given raises this, and the CLI reports it
+    as a usage error (exit 2).  Any other exception is a bug."""
+
+
 def _log10(x):
     """math.log10 of a scalar, or of each element of an array.
 
@@ -55,14 +61,14 @@ class LogProb:
     def __post_init__(self) -> None:
         v = self.log10_value
         if math.isnan(v) or v == math.inf:
-            raise ValueError(f"LogProb must be finite or -inf, got {v!r}")
+            raise InputError(f"LogProb must be finite or -inf, got {v!r}")
 
 
 def _check_count(name: str, value: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer count, got {value!r}")
     if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise InputError(f"{name} must be >= 1, got {value}")
     return value
 
 
@@ -123,7 +129,7 @@ def get_scheme(name: str) -> FTScheme:
     try:
         return SCHEME_PRESETS[name]
     except KeyError:
-        raise ValueError(
+        raise InputError(
             f"unknown scheme preset {name!r}; "
             f"known: {sorted(SCHEME_PRESETS)}"
         ) from None
@@ -132,13 +138,13 @@ def get_scheme(name: str) -> FTScheme:
 def _check_eta0(field) -> None:
     for eta0 in _values(field):
         if not 0.0 < eta0 < 1.0:
-            raise ValueError(f"eta0 must lie in (0, 1), got {eta0!r}")
+            raise InputError(f"eta0 must lie in (0, 1), got {eta0!r}")
 
 
 def _check_growth(name: str, field) -> None:
     for value in _values(field):
         if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            raise InputError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,9 +184,9 @@ class ExponentialNoise:
     def log10_eta(self, ks, D: float | None = None):
         """log10 eta(k) = log10 eta0 + beta*k*log10 D at each level in ks."""
         if D is None:
-            raise ValueError("ExponentialNoise needs the scheme's D at evaluation")
+            raise InputError("ExponentialNoise needs the scheme's D at evaluation")
         if D < 1:
-            raise ValueError(f"D must be >= 1, got {D!r}")
+            raise InputError(f"D must be >= 1, got {D!r}")
         return _log10(self.eta0) + self.beta * ks * _log10(D)
 
 
@@ -199,18 +205,18 @@ class TabulatedNoise:
         f = tuple(float(v) for v in self.f_values)
         object.__setattr__(self, "f_values", f)
         if not f:
-            raise ValueError("f_values must be non-empty")
+            raise InputError("f_values must be non-empty")
         if f[0] != 1.0:
-            raise ValueError(f"f_values[0] must equal 1, got {f[0]!r}")
+            raise InputError(f"f_values[0] must equal 1, got {f[0]!r}")
         for a, b in zip(f, f[1:]):
             if not b >= a:
-                raise ValueError("f_values must be monotone non-decreasing")
+                raise InputError("f_values must be monotone non-decreasing")
 
     def log10_eta(self, ks, D: float | None = None):
         """log10 eta(k) = log10 eta0 + log10 f_values[k] at each level in ks."""
         top = np.max(ks)
         if top >= len(self.f_values):
-            raise ValueError(f"level {top} outside table (length {len(self.f_values)})")
+            raise InputError(f"level {top} outside table (length {len(self.f_values)})")
         return _log10(self.eta0) + _log10(np.asarray(self.f_values)[ks])
 
 
@@ -235,9 +241,9 @@ class ShorPhotonNoise:
     def __post_init__(self) -> None:
         for n_L in _values(self.n_L):
             if not 0 < n_L < math.inf:
-                raise ValueError(f"n_L must be positive and finite, got {n_L!r}")
+                raise InputError(f"n_L must be positive and finite, got {n_L!r}")
         if not 1 <= self.A < math.inf:
-            raise ValueError(f"A must be finite and >= 1, got {self.A!r}")
+            raise InputError(f"A must be finite and >= 1, got {self.A!r}")
 
     def log10_eta(self, ks, D: float | None = None):
         """log10 eta(k) = log10(pi^2/16) + k log10 A - log10 n_L at each
@@ -277,7 +283,7 @@ def eta_at_level(model: NoiseModel, k: int, D: float | None = None) -> float:
            (it is a property of the scheme, not of the law).
     """
     if k < 0:
-        raise ValueError("concatenation level must be >= 0")
+        raise InputError("concatenation level must be >= 0")
     return model.log10_eta(k, D)
 
 
@@ -294,9 +300,9 @@ class FitResult:
 
     def __post_init__(self) -> None:
         if self.residual < 0:
-            raise ValueError("residual must be >= 0")
+            raise InputError("residual must be >= 0")
         if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
+            raise InputError("n_points must be >= 2")
 
 
 def fit_noise_model(
@@ -313,15 +319,17 @@ def fit_noise_model(
     D, when given, must lie in (1, inf) whichever the law.
     """
     if D is not None and not 1 < D < math.inf:
-        raise ValueError(f"D must lie in (1, inf) to resolve beta, got {D!r}")
+        raise InputError(f"D must lie in (1, inf) to resolve beta, got {D!r}")
     if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
+        raise InputError("need at least 2 samples")
     ks = np.asarray([s[0] for s in samples], dtype=float)
     etas = np.asarray([s[1] for s in samples], dtype=float)
-    if np.any(etas <= 0.0) or np.any(etas >= 1.0):
-        raise ValueError("all eta samples must lie in (0, 1)")
+    if not np.all((etas > 0.0) & (etas < 1.0)):  # a NaN fails this too
+        raise InputError("all eta samples must lie in (0, 1)")
+    if not np.isfinite(ks).all():
+        raise InputError("abscissae k must be finite")
     if len(set(ks.tolist())) != len(ks):
-        raise ValueError("abscissae k must be distinct")
+        raise InputError("abscissae k must be distinct")
 
     design = np.column_stack([np.ones_like(ks), ks])
     model: NoiseModel
@@ -329,7 +337,7 @@ def fit_noise_model(
         coef, *_ = np.linalg.lstsq(design, etas, rcond=None)
         eta0, slope = float(coef[0]), float(coef[1])
         if eta0 <= 0:
-            raise ValueError("affine fit gives non-positive eta0")
+            raise InputError("affine fit gives non-positive eta0")
         c = slope / eta0
         if c < 0 and c > -1e-12:  # forgive round-off on exactly flat data
             c = 0.0
@@ -337,7 +345,7 @@ def fit_noise_model(
         predicted_log10 = np.log10(eta0 * (1.0 + c * ks))
     elif kind == "exp":
         if D is None:
-            raise ValueError("exponential fit needs the scheme's D")
+            raise InputError("exponential fit needs the scheme's D")
         log_etas = np.log10(etas)
         coef, *_ = np.linalg.lstsq(design, log_etas, rcond=None)
         intercept, slope = float(coef[0]), float(coef[1])
@@ -347,7 +355,7 @@ def fit_noise_model(
         model = ExponentialNoise(eta0=10.0 ** intercept, beta=beta)
         predicted_log10 = intercept + slope * ks
     else:
-        raise ValueError(f"fit model must be 'affine' or 'exp', got {kind!r}")
+        raise InputError(f"fit model must be 'affine' or 'exp', got {kind!r}")
 
     residual = float(np.sqrt(np.mean((predicted_log10 - np.log10(etas)) ** 2)))
     return FitResult(model=model, residual=residual, n_points=len(samples))
@@ -389,11 +397,11 @@ def model_from_dict(data: dict) -> NoiseModel:
     """
     kind = data.get("model")
     if kind not in MODEL_FIELDS:
-        raise ValueError(
+        raise InputError(
             f"unknown noise model {kind!r}; known: {', '.join(MODEL_FIELDS)}"
         )
     try:
         fields = {_ATTRIBUTES.get(name, name): data[name] for name in MODEL_FIELDS[kind]}
     except KeyError as exc:
-        raise ValueError(f"noise model {kind!r} missing field {exc}") from None
+        raise InputError(f"noise model {kind!r} missing field {exc}") from None
     return _MODEL_CLASSES[kind](**fields)

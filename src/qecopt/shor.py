@@ -20,7 +20,7 @@ import numpy as np
 
 from .gatesim import GateSpec, pulse_params
 from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax, levels
-from .scheme import PI_SQ_OVER_16, FTScheme, ShorPhotonNoise
+from .scheme import PI_SQ_OVER_16, FTScheme, InputError, ShorPhotonNoise
 
 HBAR = 1.054571817e-34  # J*s
 
@@ -41,11 +41,11 @@ class ShorProblem:
 
     def __post_init__(self) -> None:
         if self.R < 2:
-            raise ValueError(f"R must be >= 2, got {self.R!r}")
+            raise InputError(f"R must be >= 2, got {self.R!r}")
         if self.L > sys.float_info.max:
-            raise ValueError("L = R^2 logical gates exceeds the float range")
+            raise InputError("L = R^2 logical gates exceeds the float range")
         if not 0.5 < self.P_target < 1.0:
-            raise ValueError(f"P_target must lie in (1/2, 1), got {self.P_target!r}")
+            raise InputError(f"P_target must lie in (1/2, 1), got {self.P_target!r}")
 
     @property
     def L(self) -> int:
@@ -125,14 +125,14 @@ def error_target(problem: ShorProblem, p_err: float | None = None) -> float:
     if p_err is None:
         return target_logical_error(problem)
     if not 0.0 < p_err <= 1.0:
-        raise ValueError(f"perr must lie in (0, 1], got {p_err!r}")
+        raise InputError(f"perr must lie in (0, 1], got {p_err!r}")
     return p_err
 
 
 def search_cap(n_L_cap: float) -> float:
     """The cap on the photon-budget search, which must be positive and finite."""
     if not 0.0 < n_L_cap < math.inf:
-        raise ValueError(f"nlcap must be positive and finite, got {n_L_cap!r}")
+        raise InputError(f"nlcap must be positive and finite, got {n_L_cap!r}")
     return n_L_cap
 
 
@@ -222,10 +222,10 @@ def energy_bill(
     (photon_noise_model); the clock interval is its duration
     pi^2/(4 gamma n_g) (gatesim.pulse_params); a level-k logical gate takes
     M^k clock cycles.  The law and GateSpec check n_L, gamma, omega0 and
-    n_g; ValueError when a figure leaves the float range.
+    n_g; InputError when a figure leaves the float range.
     """
     if k < 0:
-        raise ValueError("concatenation level must be >= 0")
+        raise InputError("concatenation level must be >= 0")
     n_g = photon_noise_model(problem, n_L, scheme).photons_per_gate(k)
     pulse = GateSpec(theta=math.pi, gamma=gamma, n_g=n_g, omega0=omega0)
     _, tau_g = pulse_params(pulse)
@@ -234,7 +234,7 @@ def energy_bill(
     e_tot = HBAR * omega0 * problem.L * n_L
     p_avg = e_tot / t_tot if t_tot > 0.0 else math.inf
     if not all(0.0 < v < math.inf for v in (t_tot, e_tot, p_avg)):
-        raise ValueError(
+        raise InputError(
             f"energy bill is outside float range at n_L={n_L:g}, k={k}, "
             f"gamma={gamma:g}, omega0={omega0:g}"
         )
@@ -260,6 +260,6 @@ def rwa_margin(pulse: GateSpec) -> float:
     """
     margin = pulse.rwa_margin
     if not 0.0 < margin < math.inf:
-        raise ValueError(f"rotating-wave margin is outside float range: {margin:g}")
+        raise InputError(f"rotating-wave margin is outside float range: {margin:g}")
     return margin
 

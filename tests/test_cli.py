@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -176,6 +177,19 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out)["result"]["k_max"] == 17
 
+    def test_config_scheme_constants_may_be_whole_floats(self, tmp_path, capsys):
+        # The config schema takes 575.0 as an integer, so the scheme reads it as 575.
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"scheme": {"A": 575.0, "A_prime": 291, "B": 1e4,
+                                               "D": 291, "M": 3.0}}))
+        code, out, err = run(capsys, "optimize", "--config", str(path),
+                             "--model", "affine", "--eta0", "5e-6", "--c", "1")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["config"]["scheme"] == scheme.get_scheme("aliferis2006").to_dict()
+        assert all(type(v) is int for v in report["config"]["scheme"].values())
+        assert report["result"]["k_max"] == 17
+
 
 class TestDeterminismAndRoundTrip:
     def test_identical_invocations_byte_identical(self, tmp_path):
@@ -239,6 +253,14 @@ class TestDeterminismAndRoundTrip:
         code, out, err = run(capsys, "shor", "--config", str(path))
         assert code == 2 and out == ""
         assert "cannot read config" in err and err.count("\n") == 1
+
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"command": "shor", "R": 1000} \xff')
+        code, out, err = run(capsys, "shor", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"qecopt: cannot read config {path}: 'utf-8' codec can't "
+                              "decode byte 0xff") and err.count("\n") == 1
 
     def test_shor_and_fit_round_trips(self, tmp_path):
         for argv in (
@@ -917,6 +939,14 @@ class TestFit:
         assert code == 2 and out == ""
         assert "cannot read samples" in err and err.count("\n") == 1
 
+    def test_undecodable_input_file_names_it(self, tmp_path, capsys):
+        data = tmp_path / "samples.csv"
+        data.write_bytes(b"k,eta\n0,1e-6\n1,2e-4 \xff\n")
+        code, out, err = run(capsys, "fit", "--in", str(data), "--model", "affine")
+        assert code == 2 and out == ""
+        assert err.startswith(f"qecopt: cannot read samples {data}: 'utf-8' codec can't "
+                              "decode byte 0xff") and err.count("\n") == 1
+
     def test_samples_and_in_flags_together_exit_2(self, tmp_path, capsys, monkeypatch):
         # Rejected before any file is read: --in names a file that is not there.
         monkeypatch.setattr(cli, "_read_samples", None)
@@ -973,6 +1003,20 @@ class TestFit:
             capsys, "fit", "--samples", "0:1e-5,0:2e-5", "--model", "affine"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("samples, message", [
+        ("nan:1e-5,1:2e-5", "abscissae k must be finite"),
+        ("inf:1e-5,1:2e-5", "abscissae k must be finite"),
+        ("0:nan,1:2e-5", "all eta samples must lie in (0, 1)"),
+    ])
+    def test_non_finite_samples_are_refused_before_the_solver(self, samples, message):
+        # A child process, so that lines LAPACK prints (to fd 1 or 2, by BLAS
+        # build) would show; redirect_stdout and redirect_stderr cannot see them.
+        done = subprocess.run([sys.executable, "-m", "qecopt.cli", "fit", "--samples",
+                               samples, "--model", "affine"],
+                              env=_cli_env(), capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == f"qecopt: {message}\n".encode()
 
 
 def _cli_env() -> dict:
@@ -1086,3 +1130,72 @@ def test_readme_quick_start_runs_as_written(capsys):
     assert lower <= upper
     assert lines[3] == "[17, 8, 3]"  # the sweep's k_max: c = 1 agrees with find_kmax
     assert len(lines) == 4
+
+
+class TestInputErrors:
+    """One exception means a refused input: InputError exits 2, RuntimeError
+    (an unreachable target) exits 1, and anything else is a bug that leaves
+    main as a traceback."""
+
+    def test_input_error_is_a_value_error(self):
+        assert issubclass(qecopt.InputError, ValueError)
+        assert issubclass(cli.UsageError, qecopt.InputError)
+        assert scheme.InputError is qecopt.InputError
+
+    @pytest.mark.parametrize("error", [
+        ValueError("operands could not be broadcast together with shapes (3,) (4,)"),
+        TypeError("unsupported operand type(s) for +: 'float' and 'str'"),
+    ])
+    def test_a_library_bug_leaves_main(self, capsys, monkeypatch, error):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(optimizer, "log10_curve", broken)
+        with pytest.raises(type(error)) as raised:
+            main(["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1"])
+        assert raised.value is error
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, wrapped", [
+        (["gatesim", "--theta", "pi/2", "--gamma", "1", "--ng", "1000"],
+         (cli.gatesim, "evolve_noisy_gate")),
+        (["fit", "--samples", "0:1e-5,1:2e-5", "--model", "affine"],
+         (cli.scheme, "fit_noise_model")),
+    ])
+    def test_json_only_report_refuses_csv_before_computing(self, capsys, monkeypatch,
+                                                             argv, wrapped):
+        module, name = wrapped
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        assert run(capsys, *argv)[0] == 0 and len(calls) == 1
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out, err) == (2, "", f"qecopt: {argv[0]} reports are JSON only\n")
+        assert len(calls) == 1
+
+    def test_value_and_type_errors_are_raised_only_where_allowed(self):
+        # Every refusal of a caller's value is an InputError.  TypeError keeps
+        # its Python meaning, a value of the wrong type, at three sites.
+        raised: dict[str, list[str]] = {"ValueError": [], "TypeError": []}
+        package = Path(qecopt.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parents = {child: node for node in ast.walk(tree)
+                       for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                name = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(name, ast.Name) and name.id in raised:
+                    scope = parents[node]  # the function that raises, or the module
+                    while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                        scope = parents[scope]
+                    raised[name.id].append(f"{path.stem}.{getattr(scope, 'name', '')}")
+        assert raised["ValueError"] == []
+        assert sorted(raised["TypeError"]) == ["optimizer.generic_kmax_bound",
+                                               "scheme._check_count", "scheme.model_to_dict"]

@@ -72,7 +72,8 @@ VALID = {
     "ptarget": ["0.9", "0.6667"],
     "perr": ["1e-9", "1e-300", "1"],
     "nlcap": ["1e12", "1e30"],
-    "samples": ["0:1e-5,1:2e-5", "0:1e-5,0:2e-5", "0:1e-5", "1:2:3"],
+    "samples": ["0:1e-5,1:2e-5", "0:1e-5,0:2e-5", "0:1e-5", "1:2:3", "nan:1e-5,1:2e-5",
+                "inf:1e-5,1:2e-5", "0:nan,1:2e-5"],
     "D": ["291", "1"],
 }
 # These set the work of one example, so they take bounded values only.
@@ -125,6 +126,7 @@ def json_values(key: str) -> st.SearchStrategy:
     if key == "scheme":
         return st.sampled_from(["aliferis2006", "bogus", "1,2,3",
                                 {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3},
+                                {"A": 575.0, "A_prime": 291, "B": 1e4, "D": 291, "M": 3.0},
                                 {"A": 1, "A_prime": 1, "B": 1, "D": 1, "M": 1}])
     numbers = []
     for text in VALID.get(key, []):

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qecopt import cli
+from qecopt import InputError, cli
 from qecopt.optimizer import STATUS_NO_ENCODING, STATUS_OPTIMUM, STATUS_UNBOUNDED
 
 STATUSES = (STATUS_OPTIMUM, STATUS_UNBOUNDED, STATUS_NO_ENCODING)
@@ -287,8 +287,9 @@ def test_undefined_curve_writes_no_file(tmp_path, fmt, law):
 
 def test_non_finite_minimum_writes_no_file(tmp_path, monkeypatch):
     # No legal law gives a -inf minimum (the photon law takes n_L itself, so
-    # no n_L * L product can overflow); a curve forced to -inf at its top
-    # level still exits 2 with json's message before the first byte.
+    # no n_L * L product can overflow).  A curve forced to -inf at its top
+    # level is a bug, not a refused input: json's error leaves main, before
+    # the first byte.
     real_curve = cli.optimizer.log10_curve
 
     def minus_inf_at_the_top(*args):
@@ -298,11 +299,12 @@ def test_non_finite_minimum_writes_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.optimizer, "log10_curve", minus_inf_at_the_top)
     out = tmp_path / "sweep.json"
-    code, stdout, err = invoke("sweep", "--model", "shor", "--R", "1000",
-                               "--axis", "n_L:1:1.7976931348623157e308:3:log",
-                               "--format", "json", "--out", out)
-    assert code == 2 and stdout == ""
-    assert err == "qecopt: Out of range float values are not JSON compliant: -inf\n"
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON "
+                                         "compliant: -inf$") as raised:
+        invoke("sweep", "--model", "shor", "--R", "1000",
+               "--axis", "n_L:1:1.7976931348623157e308:3:log",
+               "--format", "json", "--out", out)
+    assert not isinstance(raised.value, InputError)
     assert not out.exists()
 
 
