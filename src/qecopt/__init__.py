@@ -15,6 +15,8 @@ Library layout:
 * :mod:`qecopt.cli`: the ``qecopt`` command-line front end.
 """
 
+import importlib
+
 from .scheme import (
     AffineNoise,
     ExponentialNoise,
@@ -33,42 +35,35 @@ from .scheme import (
     model_from_dict,
     model_to_dict,
 )
-from .optimizer import (
-    BoundsReport,
-    OptResult,
-    affine_usefulness_threshold,
-    exp_model_bounds,
-    find_kmax,
-    generic_kmax_bound,
-    one_level_condition,
-    sweep_minima,
-)
-from .crosstalk import (
-    LatticeSpec,
-    crosstalk_usefulness_threshold,
-    delta0_asymptotic,
-    delta_lattice_oracle,
-    effective_local_error,
-    logical_crosstalk_log10,
-)
-from .gatesim import (
-    GateSpec,
-    QubitChannel,
-    asymptotic_pauli_errors,
-    evolve_noisy_gate,
-    extract_chi_diag,
-    pulse_params,
-)
-from .shor import (
-    EnergyBill,
-    MinBudget,
-    ShorProblem,
-    energy_bill,
-    min_photon_budget,
-    optimize_photon_budget,
-    rwa_margin,
-    target_logical_error,
-)
+
+# The names exported from the other modules, by module.  Each module is
+# imported when one of its names is first read (PEP 562), so `import qecopt`
+# loads scheme alone, and a command loads only the modules it calls.
+_LAZY = {
+    "optimizer": ("BoundsReport", "OptResult", "affine_usefulness_threshold",
+                  "exp_model_bounds", "find_kmax", "generic_kmax_bound",
+                  "one_level_condition", "sweep_minima"),
+    "crosstalk": ("LatticeSpec", "crosstalk_usefulness_threshold", "delta0_asymptotic",
+                  "delta_lattice_oracle", "effective_local_error", "logical_crosstalk_log10"),
+    "gatesim": ("GateSpec", "QubitChannel", "asymptotic_pauli_errors",
+                "evolve_noisy_gate", "extract_chi_diag", "pulse_params"),
+    "shor": ("EnergyBill", "MinBudget", "ShorProblem", "energy_bill",
+             "min_photon_budget", "optimize_photon_budget", "rwa_margin",
+             "target_logical_error"),
+}
+
+
+def __getattr__(name: str):
+    module = next((module for module, names in _LAZY.items() if name in names), None)
+    if module is None:  # a submodule not yet imported, or no name at all
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 
@@ -90,14 +85,5 @@ __all__ = [
     "NoiseModel", "SCHEME_PRESETS", "ShorPhotonNoise", "TabulatedNoise",
     "eta_at_level", "fit_noise_model", "get_scheme", "make_scheme",
     "model_from_dict", "model_to_dict",
-    "BoundsReport", "OptResult", "affine_usefulness_threshold",
-    "exp_model_bounds", "find_kmax", "generic_kmax_bound",
-    "one_level_condition", "sweep_minima",
-    "LatticeSpec", "crosstalk_usefulness_threshold", "delta0_asymptotic",
-    "delta_lattice_oracle", "effective_local_error", "logical_crosstalk_log10",
-    "GateSpec", "QubitChannel", "asymptotic_pauli_errors",
-    "evolve_noisy_gate", "extract_chi_diag", "pulse_params",
-    "EnergyBill", "MinBudget", "ShorProblem", "energy_bill",
-    "min_photon_budget", "optimize_photon_budget", "rwa_margin",
-    "target_logical_error",
+    *(name for names in _LAZY.values() for name in names),
 ]

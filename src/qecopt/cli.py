@@ -6,26 +6,31 @@ can be fed back via --config and reproduces itself; identical invocations
 produce byte-identical files.  Probability-like columns are emitted as log10
 values (``_log10`` suffix); linear values appear only where representable.
 
-Each command is one Command record in _COMMANDS: its help line, its handler
-and its default report format.  Each parameter is declared once, in PARAMS:
-its flag, the type that converts its flag text and its config value alike,
-its JSON type, and its status under every command that takes it.  The argv
-parser (build_parser, no argparse), the per-command config schemas
-(CONFIG_SCHEMA, checked by _violation, no jsonschema) and config resolution
-(flag, else config, else default) are generated from these two tables; the
-I/O flags (--format, --out, --config, fit's --in) are Params of _IO_PARAMS.
-Flags match exactly; a value is the next token, or follows '=' in --flag=value.
+Each command is one Command record in _COMMANDS: its help line, its
+handler, its report formats and the library modules main imports for it (a
+gatesim loads neither optimizer nor shor).  Each parameter is declared once,
+in PARAMS: its flag, the type that converts its flag text and its config
+value alike, its JSON type, and its status under every command that takes
+it.  The argv parser (build_parser, no argparse; a parse plan per command),
+the per-command config schemas (CONFIG_SCHEMA, checked by _violation, no
+jsonschema) and config resolution (flag, else config, else default) are
+generated from these two tables; the I/O flags (--format, --out, --config,
+fit's --in) are Params of _IO_PARAMS.  Flags match exactly; a value is the
+next token, or follows '=' in --flag=value.
 
 Each cmd_* handler resolves its settings, computes and returns a Report,
 (cfg, result, table): the table is blocks of columns whose keys are the CSV
 header, or None for a JSON-only report.  main renders every report in
 --format, else JSON for a report fed back, else the command's format: JSON
-through _report and CSV through _csv_table.  One writer, _json_parts, gives
-json.dumps(sort_keys=True, indent=2) text for every JSON value and splices a
-table in at its depth; table rows, JSON and CSV alike, are joined from
-per-column prefixes and cells.  A parameter given by flag or config that the
-handler left out of its resolved config (it does not read it) is a usage
-error, raised before the handler computes.
+through _report and CSV through _csv_table.  One writer, _json_text, gives
+json.dumps(sort_keys=True, indent=2, allow_nan=False) text for every JSON
+value: a container of scalars in one call of json's C encoder, re-indented
+for its depth, any other container member by member, and on an error
+json.dumps's own, raised before the first byte.  It splices a table in at
+its depth; table rows, JSON and CSV alike, are joined from per-column
+prefixes and cells.  A parameter given by flag or config that the handler
+left out of its resolved config (it does not read it) is a usage error,
+raised before the handler computes.
 
 Exit codes: 0 success, 1 computational infeasibility, 2 usage error, and
 141 (128 + SIGPIPE, as a shell reports a reader that left early) when
@@ -39,19 +44,37 @@ bug and leaves main as a traceback.
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import crosstalk, gatesim, optimizer, scheme, shor
+from . import scheme
+
+# The library modules a handler may call beside scheme: each is imported when a
+# command's record names it (Command.modules) or when read as cli.NAME.
+_LIBRARY = ("crosstalk", "gatesim", "optimizer", "shor")
+
+
+def _library(name: str) -> ModuleType:
+    """The library module `name`, imported and bound as a global at first use."""
+    if name not in globals():
+        globals()[name] = importlib.import_module(f"{__package__}.{name}")
+    return globals()[name]
+
+
+def __getattr__(name: str) -> ModuleType:
+    """cli.optimizer and the other library modules, before a command calls them."""
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _library(name)
 
 # Most grid points one sweep may take, per axis and in total.
 MAX_SWEEP_POINTS = 10 ** 6
@@ -162,8 +185,7 @@ def _scheme_growth(cfg: dict) -> float:
 REQUIRED = object()  # status of a parameter the command cannot run without
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One parameter.  status maps each command that takes it to its
     default, REQUIRED, or None (optional, emitted as null when unset); a
     callable default is computed from the parameters resolved before it."""
@@ -220,7 +242,7 @@ PARAMS = (
           "photons per logical gate"),
     Param("A", "--A", float, NUMBER, {"optimize": _scheme_growth}),
     Param("kcap", "--kcap", int, {"type": "integer", "minimum": 1},
-          dict.fromkeys(_SCAN, optimizer.DEFAULT_K_CAP)),
+          dict.fromkeys(_SCAN, lambda cfg: optimizer.DEFAULT_K_CAP)),
     Param("axes", "--axis", _axes, {"type": "array", "items": _AXIS_JSON, "maxItems": 2},
           {"sweep": REQUIRED}, "param:min:max:count[:spacing], up to twice", "append"),
     Param("R", "--R", int, INTEGER, {"sweep": REQUIRED, "shor": REQUIRED}),
@@ -239,7 +261,7 @@ PARAMS = (
     Param("ptarget", "--ptarget", float, NUMBER, {"shor": 2.0 / 3.0}),
     Param("perr", "--perr", float, NUMBER, {"shor": None},
           "explicit per-gate error target"),
-    Param("nlcap", "--nlcap", float, NUMBER, {"shor": shor.N_L_SEARCH_CAP},
+    Param("nlcap", "--nlcap", float, NUMBER, {"shor": lambda cfg: shor.N_L_SEARCH_CAP},
           "search cap on n_L"),
     Param("samples", "--samples", _samples, {"type": "array", "items": _PAIR_JSON},
           {"fit": REQUIRED}, "k:eta,k:eta,..."),
@@ -316,44 +338,56 @@ def _violation(value: Any, schema: dict) -> str | None:
 
 _STRING = json.encoder.encode_basestring_ascii
 _TABLE = object()  # stands for a report's table in its payload (see _report)
+# A container of these scalars goes whole to _FLAT's C encoder: a member a
+# line, two spaces in.  ensure_ascii escapes every newline (and NUL) inside a
+# string, so each newline it writes is a separator, which _json_text
+# re-indents.  _ENCODE is built once; _FLAT.encode builds it on every call.
+_SCALARS = frozenset((float, int, str, bool, type(None)))
+_FLAT = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False,
+                         separators=(",\n  ", ": "))
+_ENCODE = json.encoder.c_make_encoder(
+    None, _FLAT.default, _STRING, None, _FLAT.key_separator, _FLAT.item_separator,
+    True, False, False) if json.encoder.c_make_encoder else lambda value, _: [_FLAT.encode(value)]
 
 
-def _json_parts(value: Any, depth: int, parts: list, blocks: Iterable = ()) -> None:
-    """Append value's JSON text at depth `depth` to parts as json.dumps(value, sort_keys=True,
-    indent=2, allow_nan=False) writes it, or raise json's error; _TABLE is the table in blocks."""
-    if type(value) is float and math.isfinite(value):
-        parts.append(repr(value))
-    elif type(value) is str:
-        parts.append(_STRING(value))
-    elif type(value) is int:
-        parts.append(int.__repr__(value))
-    elif value is None or value is True or value is False:
-        parts.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, (dict, list, tuple)):
-        keyed, inner = isinstance(value, dict), "\n" + "  " * (depth + 1)
-        lead = ("{" if keyed else "[") + inner
-        for item in sorted(value.items()) if keyed else value:
-            if keyed:
-                key, item = item
-                if not isinstance(key, str):  # json's own key conversion, and its errors
-                    (key,) = json.loads(json.dumps({key: None}, indent=2, allow_nan=False))
-                lead += _STRING(key) + ": "
-            parts.append(lead)
-            lead = "," + inner
-            _json_parts(item, depth + 1, parts, blocks)
-        parts.append(inner[:-2] + ("}" if keyed else "]") if value else "{}" if keyed else "[]")
-    elif value is _TABLE:
-        parts.append(_json_table(blocks, depth))
-    else:  # subclasses of str, int and float, and what json raises for
-        parts.append(json.dumps(value, indent=2, allow_nan=False))
+def _json_text(value: Any, depth: int) -> str:
+    """value's JSON text at depth `depth`, as json.dumps(value, sort_keys=True,
+    indent=2, allow_nan=False) writes it, or json's own error; _TABLE is
+    written as its depth between two NULs, which no JSON text holds."""
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    if kind is str:
+        return _STRING(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if value is _TABLE:
+        return f"\0{depth}\0"
+    try:
+        keyed = isinstance(value, dict)
+        members = value.values() if keyed else value if isinstance(value, (list, tuple)) else ()
+        if _SCALARS.issuperset(map(type, members)):  # a scalar has no members
+            text = "".join(_ENCODE(value, 0))
+            if not members:  # a scalar, or an empty container
+                return text
+            text = f"{text[0]}\n  {text[1:-1]}\n{text[-1]}"
+            return text.replace("\n", "\n" + "  " * depth) if depth else text
+        if keyed:  # json's order and key text
+            texts = [f"{_STRING(key) if isinstance(key, str) else _json_text({key: 0}, 0)[4:-5]}"
+                     f": {_json_text(item, depth + 1)}" for key, item in sorted(value.items())]
+        else:
+            texts = [_json_text(item, depth + 1) for item in value]
+        inner = "\n" + "  " * (depth + 1)
+        brackets = "{}" if keyed else "[]"
+        return f"{brackets[0]}{inner}{f',{inner}'.join(texts)}{inner[:-2]}{brackets[1]}"
+    except (TypeError, ValueError):
+        json.dumps(value, sort_keys=True, indent=2, allow_nan=False)  # json's own error
+        raise
 
 
 def _json_cells(values: list) -> list[str]:
-    """The JSON text of each value of a list, or json's error for the first bad one."""
-    parts: list[str] = []
-    for value in values:
-        _json_parts(value, 0, parts)
-    return parts
+    """The JSON text of each scalar of a list, or json's error for the first bad one."""
+    return _json_text(values, 0)[4:-2].split(",\n  ") if values else []  # in "[\n  ...\n]"
 
 
 def _csv_cells(values: list) -> list[str]:
@@ -395,12 +429,11 @@ def _json_table(blocks: Iterable[dict[str, Any]], depth: int) -> Iterator[str]:
 def _report(payload: dict, blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
     """The chunks of payload's JSON text, with the table in blocks for _TABLE;
     the rest is encoded before the first chunk, so a bad value writes nothing."""
-    parts: list = []
-    _json_parts(payload, 0, parts, blocks)
-    parts.append("\n")
-    return itertools.chain.from_iterable(  # text joined; a table streams its chunks
-        ("".join(run),) if kind is str else next(run)
-        for kind, run in itertools.groupby(parts, type))
+    text, *table = (_json_text(payload, 0) + "\n").split("\0")
+    if not table:
+        return iter((text,))
+    depth, rest = table  # the text around the table, which streams its chunks
+    return itertools.chain((text,), _json_table(blocks, int(depth)), (rest,))
 
 
 def _csv_table(blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
@@ -411,9 +444,9 @@ def _csv_table(blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
         yield _rows(["", *[","] * (len(block) - 1)], list(block.values()), "\n", _csv_cells)
 
 
-def _one_row(row: dict) -> list[dict[str, list]]:
-    """The table of the one row row, for _report or _csv_table."""
-    return [{key: [value] for key, value in row.items()}]
+def _one_row(row: dict) -> Iterator[dict[str, list]]:
+    """The table of the one row row, built only when _csv_table reads it."""
+    yield {key: [value] for key, value in row.items()}
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -589,7 +622,7 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
         raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
     if model == "shor":  # its one axis is n_L, and A is the scheme's D
         _settings(args, config, ("R",), cfg)
-        shor.ShorProblem(R=cfg["R"])  # echoed in every report, so checked unused too
+        _library("shor").ShorProblem(R=cfg["R"])  # echoed in every report, so checked unused too
     else:
         _settings(args, config, [f for f in fields if f not in swept], cfg)
     _reject_unread(args, config, cfg)
@@ -741,22 +774,28 @@ def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
 
 
 class Command(NamedTuple):
-    """A command: its help line, its handler and the report formats it
-    writes, its default first (see main)."""
+    """A command: its help line, its handler, the report formats it writes,
+    its default first (see main), and the library modules (of _LIBRARY) that
+    its handler calls, which main imports before it calls the handler."""
 
     about: str
     handler: Callable[[SimpleNamespace, dict], Report]
     formats: tuple[str, ...]
+    modules: tuple[str, ...]
 
 
 # The commands, one record each, in the order the help lists them.
 _COMMANDS = {
-    "optimize": Command("scan the logical-error curve", cmd_optimize, ("json", "csv")),
-    "sweep": Command("grid sweep emitting one row per point", cmd_sweep, ("csv", "json")),
-    "gatesim": Command("simulate the driven-qubit gate", cmd_gatesim, ("json",)),
-    "longrange": Command("lattice crosstalk strength", cmd_longrange, ("json", "csv")),
-    "shor": Command("photon budget and energy bill", cmd_shor, ("json", "csv")),
-    "fit": Command("fit a noise law to (k, eta) samples", cmd_fit, ("json",)),
+    "optimize": Command("scan the logical-error curve", cmd_optimize, ("json", "csv"),
+                        ("optimizer",)),
+    "sweep": Command("grid sweep emitting one row per point", cmd_sweep, ("csv", "json"),
+                     ("optimizer",)),
+    "gatesim": Command("simulate the driven-qubit gate", cmd_gatesim, ("json",), ("gatesim",)),
+    "longrange": Command("lattice crosstalk strength", cmd_longrange, ("json", "csv"),
+                         ("crosstalk",)),
+    "shor": Command("photon budget and energy bill", cmd_shor, ("json", "csv"),
+                    ("gatesim", "shor")),
+    "fit": Command("fit a noise law to (k, eta) samples", cmd_fit, ("json",), ()),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -812,8 +851,7 @@ def _help_text(usage: str, about: str, rows: list[tuple[str, str]], footer: str)
     return "\n".join([*lines, "", footer, ""])
 
 
-@dataclass(frozen=True)
-class Parser:
+class Parser(NamedTuple):
     """Reads argv: the command first, then that command's flags by their
     exact names (no abbreviations).  A flag's value is the next token, or
     follows '=' in --flag=value; the last value given wins, except for a
@@ -821,8 +859,10 @@ class Parser:
     are read; text-valued flags (angles, lists, axes, schemes) are converted
     during resolution, so a malformed one is a one-line usage error there."""
 
-    flags: dict[str, dict[str, Param]]
+    flags: dict[str, dict[str, Param]]  # each command's Params by flag
     helps: dict[str | None, str]  # the top level's (None) and each command's
+    # Per command: the blank namespace, and (key, converter, choices, action) by flag.
+    plans: dict[str, tuple[dict[str, None], dict[str, tuple]]]
 
     def parse(self, argv: Sequence[str]) -> SimpleNamespace | str:
         """The namespace of argv (its command and one attribute per flag of
@@ -833,40 +873,39 @@ class Parser:
         command = argv[0]
         if command in _HELP_FLAGS:
             return self.helps[None]
-        if command not in self.flags:
+        if command not in self.plans:
             raise UsageError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-        flags = self.flags[command]
-        values: dict[str, Any] = {param.key: None for param in flags.values()}
+        blank, steps = self.plans[command]
+        values = dict(blank)
         tokens = iter(argv[1:])
         for token in tokens:
             if token in _HELP_FLAGS:
                 return self.helps[command]
             name, given, text = token.partition("=") if token.startswith("--") else (
                 token, "", "")
-            param = flags.get(name)
-            if param is None:
+            step = steps.get(name)
+            if step is None:
                 if not name.startswith("-"):
                     raise UsageError(f"unexpected argument {token!r}: {command} takes flags only")
                 raise UsageError(f"{command} has no flag {name} (flags must match exactly; "
                                  f"see qecopt {command} --help)")
-            if param.action == "store_true":
+            key, convert, choices, action = step
+            if action == "store_true":
                 if given:
                     raise UsageError(f"{name} takes no value")
-                values[param.key] = True
+                values[key] = True
                 continue
             if not given:
                 text = next(tokens, None)
                 if text is None:
                     raise UsageError(f"{name} needs a value")
             try:
-                value = param.type(text) if param.type in _ACCEPTS else text
+                value = text if convert is None else convert(text)
             except ValueError:
-                raise UsageError(f"{name} needs {_ACCEPTS[param.type]}, got {text!r}") from None
-            choices = param.json.get("enum")
+                raise UsageError(f"{name} needs {_ACCEPTS[convert]}, got {text!r}") from None
             if choices and value not in choices:
                 raise UsageError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
-            values[param.key] = ([*(values[param.key] or ()), value]
-                                 if param.action == "append" else value)
+            values[key] = [*(values[key] or ()), value] if action == "append" else value
         return SimpleNamespace(command=command, **values)
 
 
@@ -874,7 +913,7 @@ class Parser:
 def build_parser() -> Parser:
     """The qecopt parser, built once per process from _IO_PARAMS and PARAMS.
     Parsing leaves it unchanged, so every call to main shares it."""
-    flags = {}
+    flags, plans = {}, {}
     helps: dict[str | None, str] = {None: _help_text(
         f"qecopt {{{','.join(COMMANDS)}}} [flags]",
         "Optimal error correction under scale-dependent noise",
@@ -883,6 +922,9 @@ def build_parser() -> Parser:
     for command, record in _COMMANDS.items():
         params = [p for p in (*_IO_PARAMS, *PARAMS) if command in p.status]
         flags[command] = {param.flag: param for param in params}
+        plans[command] = ({param.key: None for param in params}, {
+            param.flag: (param.key, param.type if param.type in _ACCEPTS else None,
+                         param.json.get("enum"), param.action) for param in params})
         rows = [("-h, --help", "show this help and exit")]
         for param in params:
             name = param.flag
@@ -895,7 +937,7 @@ def build_parser() -> Parser:
             f"qecopt {command} [flags]", record.about, rows,
             "Flags must match exactly; a value is the next token or follows "
             "'=' (--flag=value).")
-    return Parser(flags, helps)
+    return Parser(flags, helps, plans)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -910,6 +952,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         fmt = args.format or ("json" if from_report else record.formats[0])
         if fmt not in record.formats:  # refused before the handler computes
             raise UsageError(f"{args.command} reports are JSON only")
+        for name in record.modules:
+            _library(name)
         cfg, result, table = record.handler(args, config)
         if fmt == "json":
             _emit(_report({"config": cfg, "result": result}, table), args.out)

@@ -199,11 +199,12 @@ def log10_curve(scheme: FTScheme, model: NoiseModel, table: Levels) -> np.ndarra
 def first_minima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each curve's smallest level attaining its minimum (the last axis),
     and that minimum; an InputError if a curve holds a NaN."""
-    k_max = np.argmin(values, axis=-1)
-    p_min = np.take_along_axis(values, k_max[..., None], axis=-1)[..., 0]
+    curves = values.reshape(-1, values.shape[-1])
+    k_max = curves.argmin(axis=1)  # the array method: np.argmin dispatches slower
+    p_min = curves[np.arange(k_max.size), k_max]
     if np.isnan(p_min).any():
         raise InputError(_UNDEFINED_CURVE)
-    return k_max, p_min
+    return k_max.reshape(values.shape[:-1]), p_min.reshape(values.shape[:-1])
 
 
 def scan_status(k_max: int, k_cap: int) -> str:
@@ -226,7 +227,7 @@ def find_kmax(
     toward the smaller, cheaper level.
     """
     values = log10_curve(scheme, model, levels(k_cap, model))
-    k_max = int(np.argmin(values))
+    k_max = int(values.argmin())
     curve = tuple(values.tolist())
     if math.isnan(curve[k_max]):
         raise InputError(_UNDEFINED_CURVE)

@@ -305,6 +305,18 @@ class FitResult:
             raise InputError("n_points must be >= 2")
 
 
+def _line(ks: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Intercept and slope of the least-squares line through (ks, ys).  lstsq's
+    default cutoff drops the second singular value of the design [1, k] once
+    the ks spread past ~1e15; the line is then fitted against k / max|k|."""
+    for scale in (1.0, float(np.abs(ks).max())):
+        coef, _, rank, _ = np.linalg.lstsq(np.column_stack([np.ones_like(ks), ks / scale]), ys,
+                                           rcond=None)
+        if rank == 2:
+            break
+    return float(coef[0]), float(coef[1] / scale)
+
+
 def fit_noise_model(
     samples: Sequence[tuple[float, float]],
     kind: str,
@@ -331,11 +343,9 @@ def fit_noise_model(
     if len(set(ks.tolist())) != len(ks):
         raise InputError("abscissae k must be distinct")
 
-    design = np.column_stack([np.ones_like(ks), ks])
     model: NoiseModel
     if kind == "affine":
-        coef, *_ = np.linalg.lstsq(design, etas, rcond=None)
-        eta0, slope = float(coef[0]), float(coef[1])
+        eta0, slope = _line(ks, etas)
         if eta0 <= 0:
             raise InputError("affine fit gives non-positive eta0")
         c = slope / eta0
@@ -347,8 +357,7 @@ def fit_noise_model(
         if D is None:
             raise InputError("exponential fit needs the scheme's D")
         log_etas = np.log10(etas)
-        coef, *_ = np.linalg.lstsq(design, log_etas, rcond=None)
-        intercept, slope = float(coef[0]), float(coef[1])
+        intercept, slope = _line(ks, log_etas)
         beta = slope / math.log10(D)
         if beta < 0 and beta > -1e-12:
             beta = 0.0

@@ -6,6 +6,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1004,6 +1005,19 @@ class TestFit:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "0:1e-5,1e16:2e-5", "--model", "exp", "--D", "291"],
+        ["--samples", "0:1e-5,1e300:2e-5", "--model", "affine"],
+    ])
+    def test_abscissae_spread_far_apart_fit(self, capsys, flags):
+        # Refused at the parent: "eta0 must lie in (0, 1), got 1.0" and
+        # "affine fit gives non-positive eta0".
+        code, out, err = run(capsys, "fit", *flags)
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["model"]["eta0"] == pytest.approx(1e-5, rel=1e-9)
+        assert result["residual"] == pytest.approx(0.0, abs=1e-9)
+
     @pytest.mark.parametrize("samples, message", [
         ("nan:1e-5,1:2e-5", "abscissae k must be finite"),
         ("inf:1e-5,1:2e-5", "abscissae k must be finite"),
@@ -1057,6 +1071,64 @@ def test_import_leaves_scipy_submodules_unloaded(tmp_path):
                           env=_cli_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+def _loaded(*args: str) -> list[str]:
+    """The qecopt modules a fresh `python args` imports, read from the
+    lines "import 'NAME' # ..." that -v writes to stderr for every import."""
+    done = subprocess.run([sys.executable, "-v", *args], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return sorted(re.findall(r"^import '(qecopt(?:\.\w+)?)'", done.stderr, re.MULTILINE))
+
+
+# Each command's library modules beside the package and scheme: those its
+# handler calls, and what they import (crosstalk and shor read optimizer,
+# shor reads gatesim).  Run as `python -m qecopt.cli`, cli is __main__.
+LOADS = [
+    (["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1"], ["optimizer"]),
+    (["optimize", "--model", "exp", "--eta0", "1e-8", "--beta", "1e-4"], ["optimizer"]),
+    (["sweep", "--model", "affine", "--axis", "c:0:1:3", "--eta0", "1e-6"], ["optimizer"]),
+    (["sweep", "--model", "shor", "--R", "1000", "--axis", "n_L:1e4:1e13:4:log"],
+     ["gatesim", "optimizer", "shor"]),
+    (["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1000"], ["gatesim"]),
+    (["longrange", "--lattice", "chain", "--z", "0.5", "--N0", "1001", "--compare"],
+     ["crosstalk", "optimizer"]),
+    (["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"],
+     ["gatesim", "optimizer", "shor"]),
+    (["fit", "--samples", "0:1e-5,1:2e-5", "--model", "affine"], []),
+    (["--help"], []),
+]
+
+
+@pytest.mark.parametrize("argv, modules", LOADS, ids=[" ".join(argv[:3]) for argv, _ in LOADS])
+def test_a_command_loads_only_its_modules(argv, modules):
+    expected = ["qecopt", *(f"qecopt.{name}" for name in modules), "qecopt.scheme"]
+    assert _loaded("-m", "qecopt.cli", *argv) == sorted(expected)
+
+
+def test_the_package_loads_scheme_alone_and_the_rest_on_first_use():
+    assert _loaded("-c", "import qecopt") == ["qecopt", "qecopt.scheme"]
+    probe = (
+        "import sys, qecopt\n"
+        "names = dir(qecopt)\n"
+        "assert all(name in names for name in qecopt.__all__)\n"
+        "assert all(getattr(qecopt, name) is not None for name in qecopt.__all__)\n"
+        "from qecopt import cli\n"
+        "for name in ('crosstalk', 'gatesim', 'optimizer', 'scheme', 'shor'):\n"
+        "    assert getattr(cli, name) is sys.modules['qecopt.' + name], name\n"
+        "for owner in (qecopt, cli):\n"
+        "    try:\n"
+        "        owner.no_such_name\n"
+        "    except AttributeError as exc:\n"
+        "        print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "module 'qecopt' has no attribute 'no_such_name'",
+        "module 'qecopt.cli' has no attribute 'no_such_name'"]
 
 
 def test_closed_pipe_exits_quietly():

@@ -1,7 +1,7 @@
 """Report emission: one JSON writer and tables rendered from columns, byte
 for byte as json.
 
-`cli._json_parts` writes any JSON value and `cli._json_table` a list of
+`cli._json_text` writes any JSON value and `cli._json_table` a list of
 objects from blocks of columns (arrays, lists, or coded columns: distinct
 values and each row's index); both must give exactly the text of
 ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)`` and raise the
@@ -160,9 +160,7 @@ payloads = st.recursive(
 
 
 def write(payload) -> str:
-    parts: list = []
-    cli._json_parts(payload, 0, parts)
-    return "".join(parts)
+    return cli._json_text(payload, 0)
 
 
 def outcome(function, payload):
@@ -184,6 +182,47 @@ def test_writer_text_is_json_text(payload, data):
     expected = outcome(dump, wrapped)
     assert isinstance(expected, tuple)
     assert outcome(write, wrapped) == expected
+
+
+# Strings that hold what json's text must escape: a newline (the flat
+# encoder's separators are newlines), U+2028 and NUL (the table's marker).
+escaped_text = st.text(alphabet=st.sampled_from('a\n\u2028\x00"\\\xe9'), max_size=6)
+flat_scalars = st.one_of(floats, ints, st.none(), st.booleans(), escaped_text)
+flat_containers = st.one_of(st.lists(flat_scalars, max_size=5),
+                            st.lists(flat_scalars, max_size=5).map(tuple),
+                            st.dictionaries(escaped_text, flat_scalars, max_size=5))
+
+
+def nested(payload, depth: int, data) -> object:
+    """payload `depth` containers deep, between other members."""
+    for _ in range(depth):
+        payload = data.draw(st.sampled_from([[payload], (0, payload, "x"),
+                                             {"k\n\x00": payload, "z": 1.5}]))
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_containers, st.integers(min_value=3, max_value=6), st.data())
+def test_flat_containers_deep_down_are_json_text(flat, depth, data):
+    payload = nested(flat, depth, data)
+    assert write(payload) == dump(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(flat_scalars, max_size=4), st.sampled_from([math.inf, -math.inf, math.nan]),
+       st.integers(min_value=0, max_value=4), st.booleans(),
+       st.integers(min_value=0, max_value=4), st.data())
+def test_a_non_finite_float_in_a_flat_container_raises_json_error(members, bad, at, keyed,
+                                                                  depth, data):
+    members.insert(at % (len(members) + 1), bad)
+    flat = {f"m{i}": value for i, value in enumerate(members)} if keyed else members
+    payload = nested(flat, depth, data)
+    with pytest.raises(ValueError) as expected:
+        dump(payload)
+    with pytest.raises(ValueError) as got:
+        write(payload)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == f"Out of range float values are not JSON compliant: {bad!r}"
 
 
 @pytest.mark.parametrize("bad, message", [

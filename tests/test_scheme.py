@@ -210,6 +210,21 @@ class TestFitNoiseModel:
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             fit_noise_model([(0, 1e-5), (1, 2.0)], "affine")
 
+    @pytest.mark.parametrize("spread", [1e15, 1e16, 1e100, 1e300])
+    def test_exact_data_fits_however_far_the_abscissae_spread(self, spread):
+        # lstsq's default cutoff drops the second singular value of [1, k]
+        # once the ks spread past ~1e15: the fit then misread exact samples.
+        samples = [(0, 1e-5), (spread / 2, 1.5e-5), (spread, 2e-5)]
+        affine = fit_noise_model(samples, "affine")
+        assert affine.model.eta0 == pytest.approx(1e-5, rel=1e-9)
+        assert affine.model.c * spread == pytest.approx(1.0, rel=1e-9)
+        assert affine.residual == pytest.approx(0.0, abs=1e-9)
+        exp = fit_noise_model(samples[::2], "exp", D=291)
+        assert exp.model.eta0 == pytest.approx(1e-5, rel=1e-9)
+        assert exp.model.beta * spread * math.log10(291) == pytest.approx(math.log10(2),
+                                                                          rel=1e-9)
+        assert exp.residual == pytest.approx(0.0, abs=1e-9)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
             fit_noise_model([(0, 1e-5)], "affine")
