@@ -622,7 +622,7 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
         raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
     if model == "shor":  # its one axis is n_L, and A is the scheme's D
         _settings(args, config, ("R",), cfg)
-        _library("shor").ShorProblem(R=cfg["R"])  # echoed in every report, so checked unused too
+        scheme.check_key_length(cfg["R"])  # echoed in every report, so checked unused too
     else:
         _settings(args, config, [f for f in fields if f not in swept], cfg)
     _reject_unread(args, config, cfg)

@@ -13,6 +13,7 @@ they are safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -257,6 +258,15 @@ class ShorPhotonNoise:
             return self.n_L / self.A ** k
         except OverflowError:
             return 0.0
+
+
+def check_key_length(R: int) -> None:
+    """Refuse a Shor key of R bits whose L = R^2 logical gates are out of
+    range: R must be >= 2, and L must fit the float range."""
+    if R < 2:
+        raise InputError(f"R must be >= 2, got {R!r}")
+    if R * R > sys.float_info.max:
+        raise InputError("L = R^2 logical gates exceeds the float range")
 
 
 # Every law evaluates log10 eta(k) with log10_eta(ks, D), where ks is a level

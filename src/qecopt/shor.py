@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gatesim import GateSpec, pulse_params
 from .optimizer import DEFAULT_K_CAP, OptResult, find_kmax, levels
-from .scheme import PI_SQ_OVER_16, FTScheme, InputError, ShorPhotonNoise
+from .scheme import PI_SQ_OVER_16, FTScheme, InputError, ShorPhotonNoise, check_key_length
 
 HBAR = 1.054571817e-34  # J*s
 
@@ -40,10 +39,7 @@ class ShorProblem:
     P_target: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.R < 2:
-            raise InputError(f"R must be >= 2, got {self.R!r}")
-        if self.L > sys.float_info.max:
-            raise InputError("L = R^2 logical gates exceeds the float range")
+        check_key_length(self.R)
         if not 0.5 < self.P_target < 1.0:
             raise InputError(f"P_target must lie in (1/2, 1), got {self.P_target!r}")
 
@@ -112,11 +108,17 @@ def target_logical_error(problem: ShorProblem) -> float:
     """Largest tolerable error probability per logical gate.
 
     1/(3L) for the standard P_target = 2/3; otherwise the small-error
-    expansion of (1 - p)^L > P_target, namely -ln(P_target)/L.
+    expansion of (1 - p)^L > P_target, namely -ln(P_target)/L.  InputError
+    when that rounds to 0, as it does for L near the float range.
     """
     if problem.P_target == 2.0 / 3.0:
-        return 1.0 / (3.0 * problem.L)
-    return -math.log(problem.P_target) / problem.L
+        target = 1.0 / (3.0 * problem.L)
+    else:
+        target = -math.log(problem.P_target) / problem.L
+    if not target > 0.0:
+        raise InputError("target error per logical gate underflows to 0 at this R "
+                         "and P_target")
+    return target
 
 
 def error_target(problem: ShorProblem, p_err: float | None = None) -> float:

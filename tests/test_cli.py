@@ -1,4 +1,8 @@
-"""Command-line front end: subcommands, exit codes, determinism, round trips."""
+"""Command-line front end: subcommands, exit codes, determinism, round trips.
+
+This module imports neither SciPy, jsonschema nor hypothesis, so it also
+runs with the runtime dependencies alone.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,10 +24,19 @@ from qecopt.cli import CLOSED_PIPE_EXIT, COMMANDS, CONFIG_SCHEMA, MAX_SWEEP_POIN
 from qecopt.scheme import PI_SQ_OVER_16
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def is_json_text(out: str) -> bool:
+    """Whether out is json's own text for its value: a fixed point of
+    json.loads and json.dumps(sort_keys=True, indent=2), byte for byte."""
+    return out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestOptimize:
@@ -410,6 +424,22 @@ class TestDeterminismAndRoundTrip:
         else:
             assert code == 0 and err == "" and out.split("\n", 1)[0] == header
 
+    @pytest.mark.parametrize("argv", [
+        ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"],
+        ["shor", "--R", "100000", "--gamma", "10", "--omega0", "1e10"],
+        ["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1000"],
+        ["gatesim", "--theta", "2pi", "--gamma", "3", "--ng", "5e4", "--omega0", "1e12"],
+        ["gatesim", "--theta", "2.3", "--gamma", "0.5", "--ng", "300"],
+        ["optimize", "--model", "exp", "--eta0", "1e-8", "--beta", "1e-4"],
+        ["optimize", "--model", "shor", "--nL", "1e9", "--kcap", "8"],
+        ["longrange", "--lattice", "square", "--z", "1.1", "--N0", "250000", "--compare"],
+        ["sweep", "--model", "shor", "--R", "1000", "--axis", "n_L:1e4:1e13:40:log",
+         "--format", "json"],
+    ], ids=" ".join)
+    def test_a_json_report_is_jsons_own_text(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and is_json_text(out)
+
 
 class TestSweep:
     def test_row_count_and_ordering(self, capsys):
@@ -752,8 +782,45 @@ class TestLongrange:
         assert code == 2 and out == ""
         assert message in err and err.count("\n") == 1
 
+    # The closed forms at the chain's and the square's caps (the even side
+    # 10^4, the odd side 9999 below it, z = 2 the log form), then the square's
+    # 64^2 box at sides 2 and 127-130; z = 0 counts the other sites exactly,
+    # N0 - 1, on side 128 through the even far edge's halved weights.
+    @pytest.mark.parametrize("lattice, z, N0, oracle", [
+        ("chain", "0.5", "1000000", None),
+        ("chain", "0", "1000000", "999999.0"),
+        ("square", "1.5", "100000000", None),
+        ("square", "2", "100000000", None),
+        ("square", "2", "99980001", None),
+        ("square", "0", "100000000", "99999999.0"),
+        *(("square", "1.5", N0, None) for N0 in ("4", "16129", "16384", "16641", "16900")),
+        ("square", "0", "16384", "16383.0"),
+    ])
+    def test_caps_and_box_seams(self, capsys, lattice, z, N0, oracle):
+        compare = [] if oracle else ["--compare"]
+        code, out, err = run(capsys, "longrange", "--lattice", lattice, "--z", z,
+                             "--N0", N0, *compare)
+        assert (code, err) == (0, "")
+        assert oracle is None or f'"oracle": {oracle}' in out
+
 
 class TestShorCommand:
+    # The largest key whose L = R^2 logical gates fit the float range.
+    R_MAX = math.isqrt(int(sys.float_info.max))
+    UNDERFLOW = "target error per logical gate underflows to 0 at this R and P_target"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--model", "shor", "--R", "1"], "R must be >= 2, got 1"),
+        (["sweep", "--model", "shor", "--R", str(R_MAX + 1)],
+         "L = R^2 logical gates exceeds the float range"),
+        (["shor", "--R", str(R_MAX)], UNDERFLOW),  # 3 L overflows
+        (["shor", "--R", str(R_MAX), "--ptarget", "0.9999999999999999"], UNDERFLOW),
+    ])
+    def test_a_key_out_of_range_is_one_line(self, capsys, argv, message):
+        rest = (["--axis", "n_L:1e4:1e13:4:log"] if argv[0] == "sweep"
+                else ["--gamma", "10", "--omega0", "1e10"])
+        assert run(capsys, *argv, *rest) == (2, "", f"qecopt: {message}\n")
+
     def test_table_row_json(self, capsys):
         code, out, _ = run(
             capsys, "shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10"
@@ -1084,13 +1151,14 @@ def _loaded(*args: str) -> list[str]:
 
 # Each command's library modules beside the package and scheme: those its
 # handler calls, and what they import (crosstalk and shor read optimizer,
-# shor reads gatesim).  Run as `python -m qecopt.cli`, cli is __main__.
+# shor reads gatesim); a photon-law sweep checks R with scheme alone.  Run
+# as `python -m qecopt.cli`, cli is __main__.
 LOADS = [
     (["optimize", "--model", "affine", "--eta0", "5e-6", "--c", "1"], ["optimizer"]),
     (["optimize", "--model", "exp", "--eta0", "1e-8", "--beta", "1e-4"], ["optimizer"]),
     (["sweep", "--model", "affine", "--axis", "c:0:1:3", "--eta0", "1e-6"], ["optimizer"]),
     (["sweep", "--model", "shor", "--R", "1000", "--axis", "n_L:1e4:1e13:4:log"],
-     ["gatesim", "optimizer", "shor"]),
+     ["optimizer"]),
     (["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1000"], ["gatesim"]),
     (["longrange", "--lattice", "chain", "--z", "0.5", "--N0", "1001", "--compare"],
      ["crosstalk", "optimizer"]),
@@ -1145,6 +1213,43 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("code, argv", [
+    (2, ["optimize", "--model", "affine", "--eta0", "2.0"]),
+    (1, ["shor", "--R", "1000", "--gamma", "10", "--omega0", "1e10", "--nlcap", "10"]),
+    (2, ["shor", "--gam", "10", "--omega0", "1e10", "--R", "1000"]),  # flags match exactly
+    (0, ["--help"]),
+    (0, ["shor", "--help"]),
+])
+def test_the_entry_point_exits_with_mains_code(code, argv):
+    # Through entry_point, as the console script runs: a refusal is one line
+    # on stderr and nothing on stdout; help is stdout alone.
+    done = subprocess.run([sys.executable, "-m", "qecopt.cli", *argv], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    if code:
+        assert done.stdout == "" and done.stderr.count("\n") == 1, done.stderr
+    else:
+        assert done.stderr == "" and done.stdout.startswith("usage: qecopt ")
+
+
+def test_a_json_sweep_at_the_grid_cap_runs_in_bounded_memory():
+    # 1000 x 1000 points (MAX_SWEEP_POINTS): the report is streamed, so the
+    # peak stays far below what 10^6 row dicts and their text need.  Its
+    # ~190 MB go to the null device, which --out opens as it would a file.
+    probe = (
+        "import resource, sys\n"
+        "from qecopt import cli\n"
+        "code = cli.main(['sweep', '--model', 'affine', '--axis', 'c:0:10:1000',\n"
+        "                 '--axis', 'B_eta0:0.01:0.99:1000', '--format', 'json',\n"
+        "                 '--out', sys.argv[1]])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, os.devnull],
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
+    code, rss_mb = done.stdout.split()
+    assert code == "0" and float(rss_mb) <= 160, done.stdout
+
+
 @pytest.fixture
 def log_probs_built(monkeypatch):
     """The log10 value of every LogProb built while the test runs."""
@@ -1191,8 +1296,7 @@ def test_opt_result_views_give_the_floats(log_probs_built):
 
 
 def test_readme_quick_start_runs_as_written(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     k_max, log10_p_min, status = lines[0].split()
@@ -1202,6 +1306,20 @@ def test_readme_quick_start_runs_as_written(capsys):
     assert lower <= upper
     assert lines[3] == "[17, 8, 3]"  # the sweep's k_max: c = 1 agrees with find_kmax
     assert len(lines) == 4
+
+
+def test_readme_command_lines_run_as_written(tmp_path, capsys, monkeypatch):
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("qecopt ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)  # where --out grid.csv goes
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        assert not out.startswith("{") or is_json_text(out), line
+    assert (tmp_path / "grid.csv").read_text().count("\n") == 1 + 101 * 99
 
 
 class TestInputErrors:
