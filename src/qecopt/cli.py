@@ -48,6 +48,7 @@ import importlib
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -171,8 +172,10 @@ def _axes(value: list) -> list[dict]:
                     raise UsageError(f"--axis {text}: {field} needs {_ACCEPTS[convert]}, "
                                      f"got {part!r}") from None
             axis["spacing"] = parts[4] if len(parts) == 5 else "linear"
-            if (problem := _violation(axis, _AXIS_JSON)) is not None:
-                raise UsageError(f"--axis {text}: {problem}")
+            # Typed as above, only count and spacing can break the schema, which
+            # words the refusal.
+            if not (1 <= axis["count"] <= MAX_SWEEP_POINTS and axis["spacing"] in _SPACINGS):
+                raise UsageError(f"--axis {text}: {_violation(axis, _AXIS_JSON)}")
         axes.append(axis)
     return axes
 
@@ -214,6 +217,7 @@ _SCHEME_JSON = {
         },
     ]
 }
+_SPACINGS = ["linear", "log"]
 _AXIS_JSON = {
     "type": "object",
     "properties": {
@@ -221,7 +225,7 @@ _AXIS_JSON = {
         "min": NUMBER,
         "max": NUMBER,
         "count": {"type": "integer", "minimum": 1, "maximum": MAX_SWEEP_POINTS},
-        "spacing": {"enum": ["linear", "log"]},
+        "spacing": {"enum": _SPACINGS},
     },
     "required": ["param", "min", "max", "count"],
     "additionalProperties": False,
@@ -397,18 +401,42 @@ def _csv_cells(values: list) -> list[str]:
 
 def _rows(prefixes: Sequence[str], columns: Sequence, close: str, cells: Callable) -> str:
     """The rows of columns: each cell after its column's prefix, then close.
-    Finite arrays are written by repr, as json does, and all else by cells; a
-    coded column, (values, index), gives each of its values' text once."""
+    Finite number arrays are written by repr, as json does, and all else by
+    cells; a coded column, (values, index), gives each of its values' text
+    once, with its prefix (and close, if it is the last column) joined on
+    before its rows gather them.  One row is one join of each prefix and cell."""
+    first = columns[0]
+    count = len(first[1] if isinstance(first, tuple) else first)
+    if not count:
+        return ""
+    if count == 1:
+        texts = cells([column[0] if type(column) is list else _one_value(column)
+                       for column in columns])
+        return "".join(map(str.__add__, prefixes, texts)) + close
+    last = len(columns) - 1
     streams: list[Iterable[str]] = []
-    for prefix, column in zip(prefixes, columns):
+    for number, (prefix, column) in enumerate(zip(prefixes, columns)):
         values, index = column if isinstance(column, tuple) else (column, None)
-        if isinstance(values, np.ndarray) and np.isfinite(values).all():
+        numbers = isinstance(values, np.ndarray) and values.dtype.kind in "fiu"
+        if numbers and np.isfinite(values).all():
             texts = list(map(repr, values.tolist()))
         else:  # json raises for a non-finite float; CSV writes its str
             texts = cells(values.tolist() if isinstance(values, np.ndarray) else values)
-        streams += (itertools.repeat(prefix),
-                    texts if index is None else map(texts.__getitem__, index.tolist()))
-    return "".join(itertools.chain.from_iterable(zip(*streams, itertools.repeat(close))))
+        if index is None:
+            streams += (itertools.repeat(prefix), texts)
+        else:
+            tail = close if number == last else ""
+            texts = [f"{prefix}{text}{tail}" for text in texts]
+            streams.append(operator.itemgetter(*index.tolist())(texts))
+    if index is None:  # the last column has no close of its own
+        streams.append(itertools.repeat(close))
+    return "".join(itertools.chain.from_iterable(zip(*streams)))
+
+
+def _one_value(column) -> Any:
+    """The one value of a one-row column: an array's as a Python scalar."""
+    values, at = (column[0], int(column[1][0])) if isinstance(column, tuple) else (column, 0)
+    return values.item(at) if isinstance(values, np.ndarray) else values[at]
 
 
 def _json_table(blocks: Iterable[dict[str, Any]], depth: int) -> Iterator[str]:
@@ -438,10 +466,12 @@ def _report(payload: dict, blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
 
 def _csv_table(blocks: Iterable[dict[str, Any]]) -> Iterator[str]:
     """A header of the column keys, then a line per row, a chunk per block: the one CSV writer."""
-    for number, block in enumerate(blocks):
-        if not number:
+    prefixes = None
+    for block in blocks:
+        if prefixes is None:
             yield ",".join(block) + "\n"
-        yield _rows(["", *[","] * (len(block) - 1)], list(block.values()), "\n", _csv_cells)
+            prefixes = ["", *[","] * (len(block) - 1)]
+        yield _rows(prefixes, list(block.values()), "\n", _csv_cells)
 
 
 def _one_row(row: dict) -> Iterator[dict[str, list]]:

@@ -259,10 +259,9 @@ def _rectangle_parts(geometry: tuple[np.ndarray, ...], z: float) -> np.ndarray:
     """
     half, ch, r, r2, along, g_edges, signed_half, gu, gv, corner_r2 = geometry
     s = z / 2.0
-    poch = [1.0]  # (s)_N for N <= 22
-    for i in range(22):
-        poch.append(poch[-1] * (s + i))
-    poch = np.array(poch)
+    factors = s + np.arange(-1.0, 22.0)  # s + N - 1 for N = 1..22, after (s)_0 = 1
+    factors[0] = 1.0
+    poch = np.multiply.accumulate(factors)  # (s)_N for N <= 22, multiplied in order
     w = _gauss_legendre(_LINE_NODES)[1]
 
     f = r2 ** (-s)
@@ -436,7 +435,8 @@ def delta_lattice_oracle(spec: LatticeSpec) -> float:
 @functools.lru_cache(maxsize=2)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once a process
-    and shared, so read-only."""
+    and shared, so read-only.  _c_z_cosines keeps the cosines of C_z's
+    joined 32- and 16-point nodes, which do not depend on z."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -444,6 +444,16 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 # _c_z_integral's nodes on [-1, 1] map to theta = _C_Z_HALF * (x + 1).
 _C_Z_HALF = math.pi / 8.0
+
+
+@functools.cache
+def _c_z_cosines() -> np.ndarray:
+    """cos(theta) at _c_z_integral's 32 nodes and then its 16 check nodes,
+    built once with their Gauss-Legendre rules and read-only."""
+    x, x_check = _gauss_legendre(32)[0], _gauss_legendre(16)[0]
+    cosines = np.cos(_C_Z_HALF * (np.concatenate((x, x_check)) + 1.0))
+    cosines.flags.writeable = False
+    return cosines
 
 
 def _c_z_integral(z: float) -> float:
@@ -455,12 +465,11 @@ def _c_z_integral(z: float) -> float:
     rho = 3 + 2 sqrt(2) and the n-point rule errs by O(rho^(-2n)):
     rho^(-64) ~ 1e-49 here.  The gap to the 16-point rule (O(rho^-32) ~ 3e-25)
     checks that at run time; both rules take one power of their joined
-    nodes' cosines.
+    nodes' cosines, which _c_z_cosines builds once.
     """
-    (x, w), (x_check, w_check) = _gauss_legendre(32), _gauss_legendre(16)
-    f = np.cos(_C_Z_HALF * (np.concatenate((x, x_check)) + 1.0)) ** (z - 2.0)
-    value = _C_Z_HALF * float(w @ f[:32])
-    err = abs(value - _C_Z_HALF * float(w_check @ f[32:]))
+    f = _c_z_cosines() ** (z - 2.0)
+    value = _C_Z_HALF * float(_gauss_legendre(32)[1] @ f[:32])
+    err = abs(value - _C_Z_HALF * float(_gauss_legendre(16)[1] @ f[32:]))
     if err > 1e-10:
         raise RuntimeError(f"C_z quadrature error {err:.2e} above 1e-10")
     return value

@@ -231,7 +231,10 @@ def energy_bill(
     n_g = photon_noise_model(problem, n_L, scheme).photons_per_gate(k)
     pulse = GateSpec(theta=math.pi, gamma=gamma, n_g=n_g, omega0=omega0)
     _, tau_g = pulse_params(pulse)
-    tau_L = scheme.M ** k * tau_g
+    try:
+        tau_L = scheme.M ** k * tau_g
+    except OverflowError:  # M^k, an int, is past the float range
+        tau_L = math.inf
     t_tot = problem.L * tau_L
     e_tot = HBAR * omega0 * problem.L * n_L
     p_avg = e_tot / t_tot if t_tot > 0.0 else math.inf

@@ -590,15 +590,21 @@ class TestSweep:
         assert code == 2 and out == ""
         assert message in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("axis", ["c:0:1:2:foo", "c:0:1:2:LOG", "c:0:1:2:", "c:0:1:0",
-                                      f"c:0:1:{MAX_SWEEP_POINTS + 1}"])
-    def test_flag_axis_meets_the_config_schema(self, capsys, axis):
+    @pytest.mark.parametrize("axis, problem", [
+        ("c:0:1:2:foo", "'foo' is not one of ['linear', 'log']"),
+        ("c:0:1:2:LOG", "'LOG' is not one of ['linear', 'log']"),
+        ("c:0:1:2:", "'' is not one of ['linear', 'log']"),
+        ("c:0:1:0", "0 is less than the minimum of 1"),
+        ("c:0:1:0:foo", "0 is less than the minimum of 1"),  # count is checked first
+        (f"c:0:1:{MAX_SWEEP_POINTS + 1}",
+         f"{MAX_SWEEP_POINTS + 1} is greater than the maximum of {MAX_SWEEP_POINTS}"),
+    ])
+    def test_flag_axis_meets_the_config_schema(self, capsys, axis, problem):
         # A spacing other than linear or log, or a count out of bounds, is
-        # rejected as the same axis in a config would be.
-        code, out, err = run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
-                             "--axis", axis, "--format", "json")
-        assert code == 2 and out == ""
-        assert err.startswith(f"qecopt: --axis {axis}: ") and err.count("\n") == 1
+        # rejected as the same axis in a config would be, in the schema's words.
+        assert run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
+                   "--axis", axis, "--format", "json") == (
+            2, "", f"qecopt: --axis {axis}: {problem}\n")
 
     @pytest.mark.parametrize("axis, message", [
         ("c:0:x:3", "max needs a number, got 'x'"),
@@ -820,6 +826,18 @@ class TestShorCommand:
         rest = (["--axis", "n_L:1e4:1e13:4:log"] if argv[0] == "sweep"
                 else ["--gamma", "10", "--omega0", "1e10"])
         assert run(capsys, *argv, *rest) == (2, "", f"qecopt: {message}\n")
+
+    # With D = 1 the scan runs to k = 64: M^64 is a float at M = 60000 (the
+    # bill's product overflows at the least budget) and an int past the
+    # float range at 100000, searched for or given.
+    @pytest.mark.parametrize("M, budget", [(60000, []), (100000, []),
+                                           (100000, ["--nL", "1e9"])])
+    def test_an_energy_bill_past_the_float_range_is_one_line(self, capsys, M, budget):
+        n_L = "1e+09" if budget else "1"
+        assert run(capsys, "shor", "--scheme", f"1,1,1,1,{M}", "--R", "100", "--gamma", "1",
+                   "--omega0", "1e10", *budget) == (
+            2, "", f"qecopt: energy bill is outside float range at n_L={n_L}, k=64, "
+                   "gamma=1, omega0=1e+10\n")
 
     def test_table_row_json(self, capsys):
         code, out, _ = run(

@@ -553,6 +553,17 @@ class TestDelta0Asymptotic:
             assert err < 1e-13
             assert _c_z_integral(z) == pytest.approx(reference, rel=1e-14, abs=0.0), z
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=2.0, exclude_max=True))
+    def test_quadrature_from_the_kept_cosines_is_the_per_call_formula(self, z):
+        # The cosines built once are those each call used to take afresh.
+        x, w = np.polynomial.legendre.leggauss(32)
+        x_check, w_check = np.polynomial.legendre.leggauss(16)
+        f = np.cos(math.pi / 8.0 * (np.concatenate((x, x_check)) + 1.0)) ** (z - 2.0)
+        value = math.pi / 8.0 * float(w @ f[:32])
+        assert crosstalk._c_z_integral(z) == value
+        assert abs(value - math.pi / 8.0 * float(w_check @ f[32:])) <= 1e-10
+
     def test_marginal_decay_log_forms(self):
         chain = LatticeSpec(d=1, z=1.0, N0=10 ** 5)
         assert delta0_asymptotic(chain) == pytest.approx(

@@ -6,8 +6,10 @@ objects from blocks of columns (arrays, lists, or coded columns: distinct
 values and each row's index); both must give exactly the text of
 ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)`` and raise the
 same error, and a table must give the same bytes however its rows are split
-into blocks.  A sweep streams its table in blocks of `cli.REPORT_ROWS` rows,
-so its memory does not grow with the grid.
+into blocks.  `cli._csv_table` must give the keys as its header, then each
+row's str cells (empty for None) joined by commas.  A sweep streams its
+table in blocks of `cli.REPORT_ROWS` rows, so its memory does not grow with
+the grid.
 """
 
 from __future__ import annotations
@@ -53,17 +55,19 @@ def decoded(column) -> list:
 @st.composite
 def tables(draw) -> tuple[dict, list[dict]]:
     """Columns keyed by name, and the same table as json's rows.  Each column
-    is a float array, an int array, a list of mixed scalars, or coded: a float
+    is a float, int or bool array, a list of mixed scalars, or coded: a float
     array or a list of scalars, and an index into it for each row."""
     n = draw(st.integers(min_value=0, max_value=12))
     columns = {}
     for key in draw(keys):
-        kind = draw(st.sampled_from(["float", "int", "list", "coded"]))
+        kind = draw(st.sampled_from(["float", "int", "bool", "list", "coded"]))
         if kind == "float":
             columns[key] = np.array(draw(st.lists(floats, min_size=n, max_size=n)), float)
         elif kind == "int":
             values = draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n))
             columns[key] = np.array(values, dtype=np.int64)
+        elif kind == "bool":
+            columns[key] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
         elif kind == "list":
             columns[key] = draw(st.lists(scalars, min_size=n, max_size=n))
         else:
@@ -101,6 +105,15 @@ def test_table_text_is_json_text(table, cuts, depth):
     for _ in range(depth):
         payload, expected = {"m": payload, "n": 0}, {"m": expected, "n": 0}
     assert "".join(cli._report(payload, blocks)) == dump(expected) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.lists(st.integers(min_value=0, max_value=20), max_size=4))
+def test_csv_table_is_the_keys_then_each_rows_str_cells(table, cuts):
+    columns, rows = table
+    expected = [",".join(columns)] + [
+        ",".join("" if value is None else str(value) for value in row.values()) for row in rows]
+    assert "".join(cli._csv_table(blocks_of(columns, cuts))) == "\n".join(expected) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
