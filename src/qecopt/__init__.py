@@ -48,8 +48,7 @@ _LAZY = {
     "gatesim": ("GateSpec", "QubitChannel", "asymptotic_pauli_errors",
                 "evolve_noisy_gate", "extract_chi_diag", "pulse_params"),
     "shor": ("EnergyBill", "MinBudget", "ShorProblem", "energy_bill",
-             "min_photon_budget", "optimize_photon_budget", "rwa_margin",
-             "target_logical_error"),
+             "min_photon_budget", "optimize_photon_budget", "target_logical_error"),
 }
 
 

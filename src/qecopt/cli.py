@@ -686,7 +686,7 @@ def cmd_gatesim(args: SimpleNamespace, config: dict) -> Report:
             "p_y": channel.chi_diag[2],
             "p_z": channel.chi_diag[3],
             "asymptotic": {"p_x": asym[0], "p_y": asym[1], "p_z": asym[2]},
-            "rwa_marginal": spec.rwa_margin <= gatesim.RWA_MARGINAL_RATIO,
+            "rwa_marginal": spec.rwa_marginal,
         }
     )
     return cfg, result, None
@@ -742,7 +742,6 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
         opt = shor.optimize_photon_budget(problem, n_L, sch)
         k, log10_p_min = opt.k_max, opt.log10_curve[opt.k_max]
     bill = shor.energy_bill(problem, n_L, k, cfg["gamma"], cfg["omega0"], sch)
-    margin = shor.rwa_margin(bill.pulse)
 
     result = bill.to_dict()
     result.update(
@@ -752,8 +751,8 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
             "p_err_target": p_err,
             "log10_p_min": log10_p_min,
             "meets_target": log10_p_min <= math.log10(p_err),
-            "rwa_margin": margin,
-            "rwa_marginal": margin <= gatesim.RWA_MARGINAL_RATIO,
+            "rwa_margin": bill.pulse.rwa_margin,
+            "rwa_marginal": bill.pulse.rwa_marginal,
         }
     )
     return cfg, result, _one_row(dict(R=cfg["R"], n_L=bill.n_L, k=bill.k, E_tot_J=bill.E_tot,
@@ -823,8 +822,7 @@ _COMMANDS = {
     "gatesim": Command("simulate the driven-qubit gate", cmd_gatesim, ("json",), ("gatesim",)),
     "longrange": Command("lattice crosstalk strength", cmd_longrange, ("json", "csv"),
                          ("crosstalk",)),
-    "shor": Command("photon budget and energy bill", cmd_shor, ("json", "csv"),
-                    ("gatesim", "shor")),
+    "shor": Command("photon budget and energy bill", cmd_shor, ("json", "csv"), ("shor",)),
     "fit": Command("fit a noise law to (k, eta) samples", cmd_fit, ("json",), ()),
 }
 COMMANDS = tuple(_COMMANDS)
@@ -889,7 +887,6 @@ class Parser(NamedTuple):
     are read; text-valued flags (angles, lists, axes, schemes) are converted
     during resolution, so a malformed one is a one-line usage error there."""
 
-    flags: dict[str, dict[str, Param]]  # each command's Params by flag
     helps: dict[str | None, str]  # the top level's (None) and each command's
     # Per command: the blank namespace, and (key, converter, choices, action) by flag.
     plans: dict[str, tuple[dict[str, None], dict[str, tuple]]]
@@ -943,7 +940,7 @@ class Parser(NamedTuple):
 def build_parser() -> Parser:
     """The qecopt parser, built once per process from _IO_PARAMS and PARAMS.
     Parsing leaves it unchanged, so every call to main shares it."""
-    flags, plans = {}, {}
+    plans = {}
     helps: dict[str | None, str] = {None: _help_text(
         f"qecopt {{{','.join(COMMANDS)}}} [flags]",
         "Optimal error correction under scale-dependent noise",
@@ -951,7 +948,6 @@ def build_parser() -> Parser:
         "'qecopt COMMAND --help' lists the flags of a command.")}
     for command, record in _COMMANDS.items():
         params = [p for p in (*_IO_PARAMS, *PARAMS) if command in p.status]
-        flags[command] = {param.flag: param for param in params}
         plans[command] = ({param.key: None for param in params}, {
             param.flag: (param.key, param.type if param.type in _ACCEPTS else None,
                          param.json.get("enum"), param.action) for param in params})
@@ -967,7 +963,7 @@ def build_parser() -> Parser:
             f"qecopt {command} [flags]", record.about, rows,
             "Flags must match exactly; a value is the next token or follows "
             "'=' (--flag=value).")
-    return Parser(flags, helps, plans)
+    return Parser(helps, plans)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -24,7 +24,7 @@ tau G depends on theta and n_g alone, and the result is bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,43 +88,46 @@ class GateSpec:
 
     @property
     def rwa_margin(self) -> float:
-        """(omega0/gamma) / n_g; values <= RWA_MARGINAL_RATIO are marginal
-        for the RWA."""
+        """(omega0/gamma) / n_g, or inf when omega0 is None.  InputError when
+        omega0 is given and the margin leaves (0, inf): omega0/gamma can
+        overflow or underflow for a legal spec."""
         if self.omega0 is None:
             return math.inf
-        return (self.omega0 / self.gamma) / self.n_g
+        margin = (self.omega0 / self.gamma) / self.n_g
+        if not 0.0 < margin < math.inf:
+            raise InputError(f"rotating-wave margin is outside float range: {margin:g}")
+        return margin
+
+    @property
+    def rwa_marginal(self) -> bool:
+        """Whether the rotating-wave approximation is marginal: a margin of
+        at most RWA_MARGINAL_RATIO."""
+        return self.rwa_margin <= RWA_MARGINAL_RATIO
 
 
 @dataclass(frozen=True)
 class QubitChannel:
     """Noise map in Pauli-transfer representation plus its chi diagonal.
 
-    ptm is the 4x4 real transfer matrix in the (1, x, y, z) basis; chi_diag
-    is (chi00, p_x, p_y, p_z).  Construction enforces trace preservation,
-    complete positivity (Choi spectrum) and the chi normalization.
+    ptm is the 4x4 real transfer matrix in the (1, x, y, z) basis; chi_diag,
+    (chi00, p_x, p_y, p_z), is derived from it (extract_chi_diag).
+    Construction enforces the shape, trace preservation and finiteness
+    (extract_chi_diag) and complete positivity (Choi spectrum).  The chi
+    weight needs no check of its own: it equals ptm[0, 0], which trace
+    preservation holds to TP_TOL.
     """
 
     ptm: np.ndarray
-    chi_diag: tuple[float, float, float, float]
+    chi_diag: tuple[float, float, float, float] = field(init=False)
     rwa_margin: float = math.inf
 
     def __post_init__(self) -> None:
         ptm = np.asarray(self.ptm, dtype=float)
         object.__setattr__(self, "ptm", ptm)
-        if ptm.shape != (4, 4):
-            raise InputError(f"ptm must be 4x4, got {ptm.shape}")
-        entries = ptm.ravel().tolist()
-        # Written as "not ok" so that a NaN fails each check.
-        if not _trace_preserving(entries):
-            first_row_err = np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0])))
-            raise InputError(f"channel is not trace preserving ({first_row_err:.2e})")
-        if not all(map(math.isfinite, entries)):
-            raise InputError("channel transfer matrix is not finite")
+        object.__setattr__(self, "chi_diag", extract_chi_diag(ptm))
         eigmin = float(np.linalg.eigvalsh(choi_from_ptm(ptm)).min())
         if not eigmin >= CP_TOL:
             raise InputError(f"channel is not completely positive ({eigmin:.2e})")
-        if not sum(self.chi_diag) <= 1.0 + 1e-9:
-            raise InputError(f"chi diagonal exceeds unit weight: {self.chi_diag}")
 
     def to_dict(self) -> dict:
         return {
@@ -190,14 +193,16 @@ def extract_chi_diag(
     With theta == 0 the input is the noise map itself; otherwise it is a
     noisy rotation gate and the ideal rotation by theta is divided out first.
     InputError when the matrix is not 4x4, row 0 is not (1, 0, 0, 0) to
-    TP_TOL or an entry is not finite.
+    TP_TOL (the message gives row 0's largest error) or an entry is not
+    finite.
     """
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
         raise InputError(f"transfer matrix must be 4x4, got {ptm.shape}")
     entries = ptm.ravel().tolist()
     if not _trace_preserving(entries):
-        raise InputError("transfer matrix is not trace preserving")
+        row_err = np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0])))
+        raise InputError(f"transfer matrix is not trace preserving ({row_err:.2e})")
     if not all(map(math.isfinite, entries[4:])):
         raise InputError("transfer matrix is not finite")
     if theta != 0.0:
@@ -256,9 +261,11 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
     With Omega tau = theta and gamma tau = theta^2 / (4 n_g), tau G depends
     on theta and n_g alone.  Every finite gamma tau gives a finite
     propagator; once gamma tau itself overflows (n_g below ~1e-308 photons)
-    the propagator is not finite, and that raises InputError.
+    the propagator is not finite, and that raises InputError.  A marginal
+    rotating-wave approximation is logged; a margin outside the float range
+    is an InputError (GateSpec.rwa_margin), checked first.
     """
-    if spec.rwa_margin <= RWA_MARGINAL_RATIO:
+    if spec.rwa_marginal:
         from . import _warn
 
         _warn(f"rotating-wave approximation is marginal: n_g={spec.n_g:g} vs "
@@ -270,9 +277,7 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
             f"gate propagator is not finite at n_g={spec.n_g:g} "
             f"(gamma*tau = {decay:.3g})"
         )
-    return QubitChannel(
-        ptm=ptm, chi_diag=extract_chi_diag(ptm), rwa_margin=spec.rwa_margin
-    )
+    return QubitChannel(ptm=ptm, rwa_margin=spec.rwa_margin)
 
 
 def asymptotic_pauli_errors(n_g: float) -> tuple[float, float, float]:

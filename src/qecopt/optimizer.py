@@ -70,8 +70,12 @@ class OptResult:
     """
 
     k_max: int
-    status: str
     log10_curve: tuple[float, ...]
+
+    @property
+    def status(self) -> str:
+        """scan_status of k_max over the scanned levels."""
+        return scan_status(self.k_max, len(self.log10_curve) - 1)
 
     @property
     def log10_p_min(self) -> LogProb:
@@ -231,8 +235,7 @@ def find_kmax(
     curve = tuple(values.tolist())
     if math.isnan(curve[k_max]):
         raise InputError(_UNDEFINED_CURVE)
-    return OptResult(k_max=k_max, status=scan_status(k_max, len(curve) - 1),
-                     log10_curve=curve)
+    return OptResult(k_max=k_max, log10_curve=curve)
 
 
 def sweep_minima(scheme: FTScheme, law: dict, grid: dict[str, np.ndarray],

@@ -100,8 +100,12 @@ class MinBudget:
 
     n_L: float
     k: int
-    feasible: bool
     log10_p_min: float | None = None
+
+    @property
+    def feasible(self) -> bool:
+        """Whether the target is reachable within the cap: a scan confirmed it."""
+        return self.log10_p_min is not None
 
 
 def target_logical_error(problem: ShorProblem) -> float:
@@ -199,7 +203,7 @@ def min_photon_budget(
     log_n = float((base - (target + math.log10(scheme.B)) / two_k).min())
     # n_L > n_L_cap, compared in log space so 10^log_n cannot overflow.
     if not log_n <= log_cap:
-        return MinBudget(n_L=n_L_cap, k=0, feasible=False)
+        return MinBudget(n_L=n_L_cap, k=0)
     n_L = max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
     result = optimize_photon_budget(problem, n_L, scheme)
     log10_p_min = result.log10_curve[result.k_max]
@@ -207,7 +211,7 @@ def min_photon_budget(
         raise RuntimeError(
             f"photon budget n_L={n_L!r} misses the target log10 p = {target!r}"
         )
-    return MinBudget(n_L=n_L, k=result.k_max, feasible=True, log10_p_min=log10_p_min)
+    return MinBudget(n_L=n_L, k=result.k_max, log10_p_min=log10_p_min)
 
 
 def energy_bill(
@@ -253,18 +257,4 @@ def energy_bill(
         T_tot=t_tot,
         pulse=pulse,
     )
-
-
-def rwa_margin(pulse: GateSpec) -> float:
-    """(omega0/gamma) / n_g (GateSpec.rwa_margin) of a physical gate's pulse,
-    such as the pulse an EnergyBill priced, whose n_g is the photons per
-    physical gate of the noise law (photon_noise_model).
-
-    Ratios <= gatesim.RWA_MARGINAL_RATIO mean the rotating-wave design of
-    the gates is marginal at this operating point.
-    """
-    margin = pulse.rwa_margin
-    if not 0.0 < margin < math.inf:
-        raise InputError(f"rotating-wave margin is outside float range: {margin:g}")
-    return margin
 

@@ -663,6 +663,20 @@ class TestGatesim:
         assert result["p_x"] == result["chi_diag"][1]
         assert result["asymptotic"]["p_x"] == pytest.approx(6.169e-4, rel=1e-3)
         assert result["Omega"] * result["tau"] == pytest.approx(math.pi, rel=1e-12)
+        assert (result["rwa_margin"], result["rwa_marginal"]) == (None, False)  # no --omega0
+
+    # omega0/gamma overflows or underflows for a legal pulse; each command
+    # refuses that margin with one line, and null stays "no --omega0".
+    @pytest.mark.parametrize("argv, margin", [
+        (["gatesim", "--theta", "pi", "--gamma", "1e-200", "--ng", "1e-10",
+          "--omega0", "1e200"], "inf"),
+        (["gatesim", "--theta", "pi", "--gamma", "1", "--ng", "1e300",
+          "--omega0", "1e-300"], "0"),
+        (["shor", "--R", "1000", "--gamma", "1e-300", "--omega0", "1e300"], "inf"),
+    ])
+    def test_a_margin_outside_float_range_is_refused(self, capsys, argv, margin):
+        assert run(capsys, *argv) == (
+            2, "", f"qecopt: rotating-wave margin is outside float range: {margin}\n")
 
     def test_theta_expressions(self, capsys):
         for text, value in (("pi/2", math.pi / 2), ("2pi", 2 * math.pi),

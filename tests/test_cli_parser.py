@@ -68,8 +68,14 @@ def texts(namespace: dict) -> dict:
     return {key: repr(value) for key, value in namespace.items()}
 
 
+@functools.cache
+def command_flags(command: str) -> dict[str, cli.Param]:
+    """The command's Params by exact flag, as the parser reads them."""
+    return {p.flag: p for p in (*cli._IO_PARAMS, *cli.PARAMS) if command in p.status}
+
+
 def exact_flags(command: str) -> list[str]:
-    return list(cli.build_parser().flags[command])
+    return list(command_flags(command))
 
 
 # Values argparse takes as values too: none starts with '-' unless it is a
@@ -87,7 +93,7 @@ def argvs(draw) -> list[str]:
     with values or as --flag=value; now and then a stray value, a flag of
     another command, or a last flag without its value."""
     command = draw(st.sampled_from(cli.COMMANDS))
-    table = cli.build_parser().flags[command]
+    table = command_flags(command)
     # A flag of another command that argparse would not read as a prefix of
     # one of this command's flags.
     foreign = sorted({f for c in cli.COMMANDS for f in exact_flags(c)

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qecopt import InputError
 from qecopt.gatesim import (
     _CHI_COEFF,
+    CP_TOL,
     RWA_MARGINAL_RATIO,
     GateSpec,
     QubitChannel,
@@ -138,6 +140,34 @@ class TestGateSpec:
         spec = GateSpec(theta=PI, gamma=10.0, n_g=1e6, omega0=1e10)
         assert spec.rwa_margin == pytest.approx(1e3)
         assert GateSpec(theta=PI, gamma=1.0, n_g=10.0).rwa_margin == math.inf
+
+    @settings(max_examples=300)
+    @given(
+        log10_gamma=st.floats(-300.0, 300.0),
+        log10_n_g=st.floats(-300.0, 300.0),
+        log10_omega0=st.none() | st.floats(-300.0, 300.0),
+    )
+    def test_rwa_margin_is_refused_only_outside_float_range(
+        self, log10_gamma, log10_n_g, log10_omega0
+    ):
+        # inf means "no omega0" and nothing else; a margin that overflows or
+        # underflows is refused on read, by both properties alike.
+        omega0 = None if log10_omega0 is None else 10.0 ** log10_omega0
+        spec = GateSpec(theta=PI, gamma=10.0 ** log10_gamma, n_g=10.0 ** log10_n_g,
+                        omega0=omega0)
+        if omega0 is None:
+            assert (spec.rwa_margin, spec.rwa_marginal) == (math.inf, False)
+            return
+        margin = (omega0 / spec.gamma) / spec.n_g
+        if 0.0 < margin < math.inf:
+            assert spec.rwa_margin == margin
+            assert spec.rwa_marginal is (margin <= RWA_MARGINAL_RATIO)
+            return
+        message = f"rotating-wave margin is outside float range: {margin:g}"
+        for name in ("rwa_margin", "rwa_marginal"):
+            with pytest.raises(InputError) as refused:
+                getattr(spec, name)
+            assert str(refused.value) == message
 
 
 class TestPulseParams:
@@ -339,7 +369,7 @@ class TestEvolveNoisyGate:
         # The warning and the reports' rwa_marginal share one threshold:
         # a margin of exactly RWA_MARGINAL_RATIO is marginal.
         spec = GateSpec(theta=PI, gamma=1.0, n_g=1e7, omega0=omega0)
-        assert (spec.rwa_margin <= RWA_MARGINAL_RATIO) is warned
+        assert spec.rwa_marginal is warned
         evolve_noisy_gate(spec)
         assert bool(caplog.records) is warned
 
@@ -375,22 +405,56 @@ class TestAsymptoticPauliErrors:
             asymptotic_pauli_errors(0.0)
 
 
+# Each turns a 4x4 transfer matrix into an array that is not 4x4.
+_RESHAPES = (lambda m: m[:3, :3], lambda m: np.pad(m, ((0, 0), (0, 1))), np.ravel)
+
+
+@st.composite
+def perturbed_gates(draw) -> np.ndarray:
+    """A gate's noise map with up to three entries moved: by a hair either
+    side of TP_TOL, anywhere in [-2, 2] or to a non-finite value; now and
+    then reshaped so that it is not 4x4."""
+    theta = draw(st.floats(1e-3, 2.0 * PI))
+    ptm = evolve_noisy_gate(GateSpec(theta=theta, gamma=1.0,
+                                     n_g=10.0 ** draw(st.floats(-3.0, 8.0)))).ptm.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        ptm[i, j] = draw(st.sampled_from([math.nan, math.inf, -math.inf])
+                         | st.floats(-2e-9, 2e-9).map(lambda d, v=ptm[i, j]: v + d)
+                         | st.floats(-2.0, 2.0))
+    if draw(st.integers(0, 7)) == 0:
+        ptm = draw(st.sampled_from(_RESHAPES))(ptm)
+    return ptm
+
+
+def _outcome(build):
+    """What build returns, or the message of the InputError it raises."""
+    try:
+        return build()
+    except InputError as exc:
+        return str(exc)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
 class TestQubitChannelInvariants:
     def test_rejects_trace_violation(self):
         bad = np.eye(4)
         bad[0, 1] = 1e-3
-        with pytest.raises(ValueError, match="trace"):
-            QubitChannel(ptm=bad, chi_diag=(1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=re.escape("not trace preserving (1.00e-03)")):
+            QubitChannel(ptm=bad)
 
     def test_rejects_non_cp_map(self):
         # transposition-like map: TP but not CP
         bad = np.diag([1.0, 1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="positive"):
-            QubitChannel(ptm=bad, chi_diag=(0.5, 0.5, 0.0, 0.0))
+            QubitChannel(ptm=bad)
 
-    def test_rejects_overweight_chi(self):
-        with pytest.raises(ValueError, match="chi"):
-            QubitChannel(ptm=np.eye(4), chi_diag=(1.0, 0.1, 0.0, 0.0))
+    def test_chi_diag_is_derived_not_given(self):
+        with pytest.raises(TypeError, match="chi_diag"):
+            QubitChannel(ptm=np.eye(4), chi_diag=(1.0, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("i,j", [(i, j) for i in range(4) for j in range(4)])
@@ -401,13 +465,32 @@ class TestQubitChannelInvariants:
         ptm[i, j] = bad
         message = "trace" if i == 0 else "not finite"
         with pytest.raises(ValueError, match=message):
-            QubitChannel(ptm=ptm, chi_diag=(1.0, 0.0, 0.0, 0.0))
+            QubitChannel(ptm=ptm)
         with pytest.raises(ValueError, match=message):
             extract_chi_diag(ptm)
 
-    def test_rejects_nan_chi_weight(self):
-        with pytest.raises(ValueError, match="chi"):
-            QubitChannel(ptm=np.eye(4), chi_diag=(math.nan, 0.0, 0.0, 0.0))
+    @settings(deadline=None, max_examples=300)
+    @given(
+        theta=st.floats(0.0, 2.0 * PI, exclude_min=True),
+        log10_n_g=st.floats(-20.0, 12.0),
+    )
+    def test_chi_diag_is_extract_chi_diag_bit_for_bit(self, theta, log10_n_g):
+        channel = evolve_noisy_gate(GateSpec(theta=theta, gamma=1.0, n_g=10.0 ** log10_n_g))
+        assert _bits(channel.chi_diag) == _bits(extract_chi_diag(channel.ptm))
+
+    @settings(deadline=None, max_examples=400)
+    @given(ptm=perturbed_gates())
+    def test_refuses_what_extract_chi_diag_refuses_and_non_cp_maps(self, ptm):
+        # The same message wherever extract_chi_diag refuses; past it, a
+        # refusal exactly where the Choi matrix has an eigenvalue below CP_TOL.
+        chi = _outcome(lambda: extract_chi_diag(ptm))
+        channel = _outcome(lambda: QubitChannel(ptm=ptm))
+        if isinstance(chi, str):
+            assert channel == chi
+        elif np.linalg.eigvalsh(choi_from_ptm(ptm)).min() < CP_TOL:
+            assert isinstance(channel, str) and "completely positive" in channel
+        else:
+            assert _bits(channel.chi_diag) == _bits(chi)
 
 
 class TestChoiMatrix:

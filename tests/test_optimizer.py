@@ -28,6 +28,7 @@ from qecopt.optimizer import (
     generic_kmax_bound,
     log10_logical_error,
     one_level_condition,
+    scan_status,
     sweep_minima,
 )
 from qecopt.scheme import (
@@ -99,6 +100,10 @@ class TestLogicalErrorLog10:
                 assert got == pytest.approx(log10_fraction(oracle[k]), abs=1e-9)
 
 
+# eta0 spread evenly in log10 over both sides of ALIFERIS's threshold 1/B.
+LOG_ETA0 = st.floats(-12.0, -2.0).map(lambda x: 10.0 ** x)
+
+
 class TestFindKmax:
     def test_affine_turnaround(self):
         result = find_kmax(ALIFERIS, AffineNoise(5e-6, c=1.0), k_cap=64)
@@ -146,6 +151,37 @@ class TestFindKmax:
             for model in (AffineNoise(eta0, c=0.0), ExponentialNoise(eta0, beta=0.0)):
                 result = find_kmax(ALIFERIS, model)
                 assert (result.status == STATUS_UNBOUNDED) is expect_unbounded
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        law=st.one_of(
+            st.builds(AffineNoise, LOG_ETA0, c=st.floats(0.0, 10.0)),
+            st.builds(ExponentialNoise, LOG_ETA0, beta=st.floats(0.0, 2.0)),
+            st.builds(TabulatedNoise, LOG_ETA0,
+                      st.lists(st.floats(1.0, 3.0), max_size=40).map(
+                          lambda growth: tuple(itertools.accumulate([1.0, *growth],
+                                                                    lambda a, b: a * b)))),
+        ),
+        k_cap=st.integers(1, 200),
+    )
+    def test_status_is_read_off_the_curve(self, law, k_cap):
+        # status is scan_status of the scan's own levels, and it says what
+        # the curve shows: no encoding at k_max = 0, unbounded where the last
+        # level lies strictly below every earlier one, else an optimum.
+        result = find_kmax(ALIFERIS, law, k_cap)
+        curve = result.log10_curve
+        k_last = len(curve) - 1
+        if not isinstance(law, TabulatedNoise):
+            assert k_last == k_cap
+        assert result.status == scan_status(result.k_max, k_last)
+        if k_last >= 1 and curve[-1] < min(curve[:-1]):
+            expected = STATUS_UNBOUNDED
+        elif result.k_max == 0:
+            expected = STATUS_NO_ENCODING
+        else:
+            expected = STATUS_OPTIMUM
+        assert result.status == expected
+        assert result.to_dict()["status"] == expected
 
     def test_tabulated_scan_respects_table_length(self):
         model = TabulatedNoise(5e-6, tuple(float(1 + k) for k in range(9)))

@@ -21,7 +21,6 @@ from qecopt.shor import (
     min_photon_budget,
     optimize_photon_budget,
     photon_noise_model,
-    rwa_margin,
     target_logical_error,
 )
 
@@ -226,6 +225,29 @@ class TestMinPhotonBudget:
         if budget.feasible:
             assert budget.n_L == max(1.0, 10.0 ** log_n * (1.0 + 1e-12))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        R=st.integers(2, 10 ** 7),
+        log_p_err=st.none() | st.floats(-300.0, -0.3),
+        log_cap=st.floats(0.0, 300.0),
+    )
+    def test_feasible_is_a_confirmed_scan(self, R, log_p_err, log_cap):
+        # feasible is read off log10_p_min: a float that meets the target
+        # where the scan confirmed the budget, None with (cap, 0) where the
+        # budget would pass the cap.
+        problem, cap = ShorProblem(R=R), 10.0 ** log_cap
+        p_err = None if log_p_err is None else 10.0 ** log_p_err
+        budget = min_photon_budget(problem, ALIFERIS, p_err=p_err, n_L_cap=cap)
+        assert budget.feasible is (budget.log10_p_min is not None)
+        if budget.feasible:
+            assert budget.log10_p_min <= math.log10(error_target(problem, p_err))
+        else:
+            assert (budget.n_L, budget.k) == (cap, 0)
+
+    def test_feasible_is_not_a_field(self):
+        with pytest.raises(TypeError, match="feasible"):
+            MinBudget(n_L=1.0, k=0, feasible=True)
+
     @settings(max_examples=40, deadline=None)
     @given(queries=st.lists(st.tuples(st.integers(2, 10 ** 7), st.integers(1, 10 ** 6),
                                       st.integers(1, 10 ** 4),
@@ -314,13 +336,13 @@ def gate_pulse(n_L, k, gamma, omega0, scheme=ALIFERIS):
 
 class TestRwaMargin:
     def test_thousand_bit_operating_point(self):
-        assert rwa_margin(gate_pulse(1e6, 0, gamma=10.0, omega0=1e10)) == (
+        assert gate_pulse(1e6, 0, gamma=10.0, omega0=1e10).rwa_margin == (
             pytest.approx(1e3)
         )
 
     def test_boundary_value(self):
         # n_g = omega0/gamma sits exactly at the approximation boundary
-        assert rwa_margin(gate_pulse(1e9, 0, gamma=1.0, omega0=1e9)) == (
+        assert gate_pulse(1e9, 0, gamma=1.0, omega0=1e9).rwa_margin == (
             pytest.approx(1.0)
         )
 
@@ -328,10 +350,10 @@ class TestRwaMargin:
     def test_margin_stays_finite(self, gamma, omega0):
         # omega0/gamma leaves the float range (inf, or 0) for a legal pulse.
         with pytest.raises(ValueError, match="rotating-wave margin"):
-            rwa_margin(GateSpec(theta=math.pi, gamma=gamma, n_g=1.0, omega0=omega0))
+            GateSpec(theta=math.pi, gamma=gamma, n_g=1.0, omega0=omega0).rwa_margin
 
     def test_concatenated_operating_point(self):
-        got = rwa_margin(gate_pulse(1e11, 2, gamma=10.0, omega0=1e10))
+        got = gate_pulse(1e11, 2, gamma=10.0, omega0=1e10).rwa_margin
         n_g = 1e11 / 291.0 ** 2
         assert n_g == pytest.approx(1.18e6, rel=1e-2)
         assert got == pytest.approx(1e9 / n_g, rel=1e-12)
@@ -344,7 +366,7 @@ def _assert_bill_prices_the_law(problem, n_L, k, scheme):
     law = photon_noise_model(problem, n_L, scheme)
     bill = energy_bill(problem, n_L, k, gamma=10.0, omega0=1e10, scheme=scheme)
     assert bill.n_g == pytest.approx(PI_SQ_OVER_16 / 10.0 ** law.log10_eta(k), rel=1e-12)
-    assert rwa_margin(bill.pulse) == pytest.approx((1e10 / 10.0) / bill.n_g, rel=1e-12)
+    assert bill.pulse.rwa_margin == pytest.approx((1e10 / 10.0) / bill.n_g, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_L,k", [(1e6, 0), (1e9, 1), (1e11, 2), (3e12, 3)])
@@ -354,7 +376,7 @@ def test_bill_and_margin_are_the_gate_pulse(n_L, k):
     pulse = GateSpec(theta=math.pi, gamma=10.0, n_g=bill.n_g, omega0=1e10)
     assert bill.pulse == pulse
     assert bill.tau_g == pulse_params(pulse)[1] == math.pi ** 2 / (4.0 * 10.0 * bill.n_g)
-    assert rwa_margin(bill.pulse) == pulse.rwa_margin
+    assert bill.pulse.rwa_margin == pulse.rwa_margin
 
 
 class TestOnePhotonLaw:
