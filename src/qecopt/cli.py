@@ -206,16 +206,12 @@ NUMBER = {"type": "number"}
 INTEGER = {"type": "integer"}
 _SCAN = ("optimize", "sweep")  # the commands that scan a noise law
 
+# A preset name or the constants; the object keywords pass a string.
 _SCHEME_JSON = {
-    "oneOf": [
-        {"type": "string"},
-        {
-            "type": "object",
-            "properties": {name: INTEGER for name in ("A", "A_prime", "B", "D", "M")},
-            "required": ["A", "A_prime", "B", "D", "M"],
-            "additionalProperties": False,
-        },
-    ]
+    "type": ["string", "object"],
+    "properties": {name: INTEGER for name in ("A", "A_prime", "B", "D", "M")},
+    "required": ["A", "A_prime", "B", "D", "M"],
+    "additionalProperties": False,
 }
 _SPACINGS = ["linear", "log"]
 _AXIS_JSON = {
@@ -296,7 +292,7 @@ def _violation(value: Any, schema: dict) -> str | None:
     """The first way value breaks schema, or None.
 
     Covers the keywords CONFIG_SCHEMA uses, with JSON Schema's meaning:
-    type, const, enum, oneOf, minimum, maximum, minItems, maxItems, items,
+    type, const, enum, minimum, maximum, minItems, maxItems, items,
     required, properties and additionalProperties (false only).  As in JSON
     Schema, a keyword about numbers, arrays or objects passes other values.
     """
@@ -309,10 +305,6 @@ def _violation(value: Any, schema: dict) -> str | None:
         return f"{schema['const']!r} was expected"
     if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
         return f"{value!r} is not one of {schema['enum']!r}"
-    if "oneOf" in schema:
-        matches = sum(_violation(value, branch) is None for branch in schema["oneOf"])
-        if matches != 1:
-            return f"{value!r} matches {matches} of the oneOf schemas, not exactly 1"
     if _JSON_TYPES["number"](value):
         if "minimum" in schema and value < schema["minimum"]:
             return f"{value!r} is less than the minimum of {schema['minimum']!r}"
@@ -680,6 +672,7 @@ def cmd_gatesim(args: SimpleNamespace, config: dict) -> Report:
     result = channel.to_dict()
     result.update(
         {
+            "rwa_margin": None if spec.omega0 is None else spec.rwa_margin,
             "Omega": omega,
             "tau": tau,
             "p_x": channel.chi_diag[1],
@@ -696,8 +689,6 @@ def cmd_longrange(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config, ("lattice", "z", "N0", "compare"))
     if cfg["compare"]:
         _settings(args, config, ("kappa",), cfg)
-        if not 0 < cfg["kappa"] < math.inf:
-            raise UsageError(f"--kappa must be positive and finite, got {cfg['kappa']!r}")
     elif args.format == "csv":
         raise UsageError("csv output requires --compare")
     _reject_unread(args, config, cfg)
@@ -755,8 +746,8 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
             "rwa_marginal": bill.pulse.rwa_marginal,
         }
     )
-    return cfg, result, _one_row(dict(R=cfg["R"], n_L=bill.n_L, k=bill.k, E_tot_J=bill.E_tot,
-                                      P_W=bill.P_avg, T_tot_s=bill.T_tot, tau_g_s=bill.tau_g))
+    return cfg, result, _one_row({key: result[key] for key in
+                                  ("R", "n_L", "k", "E_tot_J", "P_W", "T_tot_s", "tau_g_s")})
 
 
 def _read_samples(path: str) -> list[list[float]]:
@@ -791,9 +782,7 @@ def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
     if cfg["model"] == "exp":  # D turns the fitted slope into beta
         _settings(args, config, ("D",), cfg)
     _reject_unread(args, config, cfg)
-    fit = scheme.fit_noise_model(
-        [tuple(s) for s in cfg["samples"]], cfg["model"], D=cfg.get("D")
-    )
+    fit = scheme.fit_noise_model(cfg["samples"], cfg["model"], D=cfg.get("D"))
     result = {
         "model": scheme.model_to_dict(fit.model),
         "residual": fit.residual,

@@ -68,9 +68,6 @@ class LatticeSpec:
     def side(self) -> int:
         return self.N0 if self.aspect == "chain" else math.isqrt(self.N0)
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "z": self.z, "N0": self.N0, "aspect": self.aspect}
-
 
 # H_n(z) is summed term by term below this many terms and by Euler-Maclaurin
 # from here on; a power of two, so n / _EM_START is exact.

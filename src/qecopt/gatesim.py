@@ -119,7 +119,6 @@ class QubitChannel:
 
     ptm: np.ndarray
     chi_diag: tuple[float, float, float, float] = field(init=False)
-    rwa_margin: float = math.inf
 
     def __post_init__(self) -> None:
         ptm = np.asarray(self.ptm, dtype=float)
@@ -130,11 +129,7 @@ class QubitChannel:
             raise InputError(f"channel is not completely positive ({eigmin:.2e})")
 
     def to_dict(self) -> dict:
-        return {
-            "ptm": self.ptm.tolist(),
-            "chi_diag": [float(v) for v in self.chi_diag],
-            "rwa_margin": None if math.isinf(self.rwa_margin) else self.rwa_margin,
-        }
+        return {"ptm": self.ptm.tolist(), "chi_diag": [float(v) for v in self.chi_diag]}
 
 
 def pulse_params(spec: GateSpec) -> tuple[float, float]:
@@ -185,13 +180,10 @@ def _trace_preserving(entries: list[float]) -> bool:
     )
 
 
-def extract_chi_diag(
-    ptm: np.ndarray, theta: float = 0.0
-) -> tuple[float, float, float, float]:
-    """(chi00, p_x, p_y, p_z) from a channel's transfer-matrix diagonal.
+def extract_chi_diag(ptm: np.ndarray) -> tuple[float, float, float, float]:
+    """(chi00, p_x, p_y, p_z) from the diagonal of a noise map's transfer
+    matrix (a noisy gate with its ideal rotation divided out).
 
-    With theta == 0 the input is the noise map itself; otherwise it is a
-    noisy rotation gate and the ideal rotation by theta is divided out first.
     InputError when the matrix is not 4x4, row 0 is not (1, 0, 0, 0) to
     TP_TOL (the message gives row 0's largest error) or an entry is not
     finite.
@@ -205,8 +197,6 @@ def extract_chi_diag(
         raise InputError(f"transfer matrix is not trace preserving ({row_err:.2e})")
     if not all(map(math.isfinite, entries[4:])):
         raise InputError("transfer matrix is not finite")
-    if theta != 0.0:
-        ptm = ideal_rotation_ptm(-theta) @ ptm
     chi = _CHI_COEFF @ np.diag(ptm) / 4.0  # the coefficient matrix inverts itself
     return tuple(chi.tolist())
 
@@ -277,7 +267,7 @@ def evolve_noisy_gate(spec: GateSpec) -> QubitChannel:
             f"gate propagator is not finite at n_g={spec.n_g:g} "
             f"(gamma*tau = {decay:.3g})"
         )
-    return QubitChannel(ptm=ptm, rwa_margin=spec.rwa_margin)
+    return QubitChannel(ptm=ptm)
 
 
 def asymptotic_pauli_errors(n_g: float) -> tuple[float, float, float]:

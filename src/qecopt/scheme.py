@@ -212,6 +212,8 @@ class TabulatedNoise:
         for a, b in zip(f, f[1:]):
             if not b >= a:
                 raise InputError("f_values must be monotone non-decreasing")
+        if f[-1] == math.inf:  # the largest entry, as the table is monotone
+            raise InputError("f_values must be finite")
 
     def log10_eta(self, ks, D: float | None = None):
         """log10 eta(k) = log10 eta0 + log10 f_values[k] at each level in ks."""
@@ -308,12 +310,6 @@ class FitResult:
     residual: float
     n_points: int
 
-    def __post_init__(self) -> None:
-        if self.residual < 0:
-            raise InputError("residual must be >= 0")
-        if self.n_points < 2:
-            raise InputError("n_points must be >= 2")
-
 
 def _line(ks: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     """Intercept and slope of the least-squares line through (ks, ys).  lstsq's
@@ -324,11 +320,11 @@ def _line(ks: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
                                            rcond=None)
         if rank == 2:
             break
-    return float(coef[0]), float(coef[1] / scale)
+    return float(coef[0]), float(coef[1]) / scale  # inf on overflow, with no numpy warning
 
 
 def fit_noise_model(
-    samples: Sequence[tuple[float, float]],
+    samples: Sequence[Sequence[float]],
     kind: str,
     D: float | None = None,
 ) -> FitResult:
@@ -337,8 +333,10 @@ def fit_noise_model(
     The affine law is fitted linearly in k on eta; the exponential law is
     fitted linearly in k on log10 eta, with the slope converted to beta via
     the supplied growth factor D.  The reported residual is RMS in log10
-    space for both laws.  kind is the law's wire name, "affine" or "exp".
-    D, when given, must lie in (1, inf) whichever the law.
+    space for both laws, and is computed from the returned law itself.  kind
+    is the law's wire name, "affine" or "exp".  The abscissae are levels:
+    finite, distinct and >= 0.  D, when given, must lie in (1, inf) whichever
+    the law.
     """
     if D is not None and not 1 < D < math.inf:
         raise InputError(f"D must lie in (1, inf) to resolve beta, got {D!r}")
@@ -350,9 +348,12 @@ def fit_noise_model(
         raise InputError("all eta samples must lie in (0, 1)")
     if not np.isfinite(ks).all():
         raise InputError("abscissae k must be finite")
+    if (ks < 0.0).any():
+        raise InputError(f"abscissae k must be >= 0, got {float(ks.min())!r}")
     if len(set(ks.tolist())) != len(ks):
         raise InputError("abscissae k must be distinct")
 
+    log_etas = np.log10(etas)
     model: NoiseModel
     if kind == "affine":
         eta0, slope = _line(ks, etas)
@@ -362,21 +363,22 @@ def fit_noise_model(
         if c < 0 and c > -1e-12:  # forgive round-off on exactly flat data
             c = 0.0
         model = AffineNoise(eta0=eta0, c=c)
-        predicted_log10 = np.log10(eta0 * (1.0 + c * ks))
     elif kind == "exp":
         if D is None:
             raise InputError("exponential fit needs the scheme's D")
-        log_etas = np.log10(etas)
         intercept, slope = _line(ks, log_etas)
         beta = slope / math.log10(D)
         if beta < 0 and beta > -1e-12:
             beta = 0.0
-        model = ExponentialNoise(eta0=10.0 ** intercept, beta=beta)
-        predicted_log10 = intercept + slope * ks
+        try:
+            eta0 = 10.0 ** intercept
+        except OverflowError:  # refused below as eta0 = inf
+            eta0 = math.inf
+        model = ExponentialNoise(eta0=eta0, beta=beta)
     else:
         raise InputError(f"fit model must be 'affine' or 'exp', got {kind!r}")
 
-    residual = float(np.sqrt(np.mean((predicted_log10 - np.log10(etas)) ** 2)))
+    residual = float(np.sqrt(np.mean((model.log10_eta(ks, D) - log_etas) ** 2)))
     return FitResult(model=model, residual=residual, n_points=len(samples))
 
 

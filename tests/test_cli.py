@@ -58,6 +58,19 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out)["result"]["status"] == "unbounded-improvement"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("f_values", ["1,inf", "1,1e308,inf"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_an_infinite_table_entry_is_refused(self, capsys, tmp_path, fmt, f_values,
+                                                by_config):
+        given = ["--f-values", f_values]
+        if by_config:
+            path = tmp_path / "table.json"
+            path.write_text(json.dumps({"f_values": [float(v) for v in f_values.split(",")]}))
+            given = ["--config", str(path)]  # Infinity
+        assert run(capsys, "optimize", "--model", "table", "--eta0", "1e-5", *given,
+                   "--format", fmt) == (2, "", "qecopt: f_values must be finite\n")
+
     def test_parse_failure_exits_2(self, capsys):
         code, out, err = run(capsys, "optimize", "--model", "affine", "--eta0", "bogus")
         assert code == 2 and out == ""
@@ -792,12 +805,17 @@ class TestLongrange:
 
     @pytest.mark.parametrize("flags, message", [
         (["--lattice", "square", "--N0", "144", "--z", "inf"], "z must be finite"),
-        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "inf"], "--kappa"),
-        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "nan"], "--kappa"),
-        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "0"], "--kappa"),
+        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "inf"], "inf"),
+        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "nan"], "nan"),
+        (["--lattice", "chain", "--N0", "101", "--z", "0.5", "--kappa", "0"], "0.0"),
     ])
     @pytest.mark.parametrize("compare", [[], ["--compare"]])
     def test_non_finite_parameters_exit_2(self, capsys, flags, message, compare):
+        # A kappa is refused as unread without --compare, and by the closed
+        # form, which alone checks it, with it.
+        if "--kappa" in flags:
+            message = (f"qecopt: kappa must be positive and finite, got {message}\n" if compare
+                       else "qecopt: --kappa is given but this longrange does not read it\n")
         code, out, err = run(capsys, "longrange", *flags, *compare)
         assert code == 2 and out == ""
         assert message in err and err.count("\n") == 1
@@ -1121,6 +1139,7 @@ class TestFit:
         ("nan:1e-5,1:2e-5", "abscissae k must be finite"),
         ("inf:1e-5,1:2e-5", "abscissae k must be finite"),
         ("0:nan,1:2e-5", "all eta samples must lie in (0, 1)"),
+        ("-100:1e-5,0:1e-5,1:0.5", "abscissae k must be >= 0, got -100.0"),
     ])
     def test_non_finite_samples_are_refused_before_the_solver(self, samples, message):
         # A child process, so that lines LAPACK prints (to fd 1 or 2, by BLAS

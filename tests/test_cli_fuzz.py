@@ -59,7 +59,7 @@ VALID = {
     "eta0": ["5e-6", "1e-12", "0.5"],
     "c": ["1", "0"],
     "beta": ["1", "0.5", "0"],
-    "f_values": ["1,300,90000", "1,2", "2,1", ""],
+    "f_values": ["1,300,90000", "1,2", "2,1", "", "1,inf", "1,1e308,inf"],
     "A": ["291", "1"],
     "R": ["1000", "2", "64"],
     "theta": ["pi", "pi/2", "2pi", "1.5", "tau"],
@@ -73,7 +73,8 @@ VALID = {
     "perr": ["1e-9", "1e-300", "1"],
     "nlcap": ["1e12", "1e30"],
     "samples": ["0:1e-5,1:2e-5", "0:1e-5,0:2e-5", "0:1e-5", "1:2:3", "nan:1e-5,1:2e-5",
-                "inf:1e-5,1:2e-5", "0:nan,1:2e-5"],
+                "inf:1e-5,1:2e-5", "0:nan,1:2e-5", "-100:1e-5,0:1e-5,1:0.5",
+                "1000:1e-5,1001:1e-9"],
     "D": ["291", "1"],
 }
 # These set the work of one example, so they take bounded values only.
@@ -98,18 +99,44 @@ def axis_text(draw) -> str:
     return ":".join(parts)
 
 
+def flag_choices(key: str, param: cli.Param) -> list[str]:
+    """The listed flag texts of a parameter other than --axis."""
+    if key in BOUNDED_TEXT:
+        return BOUNDED_TEXT[key]
+    return list(param.json.get("enum", [])) + VALID.get(key, []) + EDGE_TEXT
+
+
 def flag_values(key: str, param: cli.Param) -> st.SearchStrategy:
     if key == "axes":
         return st.lists(axis_text(), min_size=1, max_size=3)
+    return st.sampled_from(flag_choices(key, param))
+
+
+def json_choices(key: str) -> list:
+    """The listed config values of a key other than axes."""
     if key in BOUNDED_TEXT:
-        return st.sampled_from(BOUNDED_TEXT[key])
-    return st.sampled_from(list(param.json.get("enum", [])) + VALID.get(key, [])
-                           + EDGE_TEXT)
+        return BOUNDED_JSON
+    if key == "samples":
+        return [[[0, 1e-5], [1, 2e-5]], [[0, 1e-5]], [[0, 2.0], [1, 0.5]], [[0, 1e-5, 3]],
+                "0:1e-5,1:2e-5", [[-100, 1e-5], [0, 1e-5], [1, 0.5]],
+                [[1000, 1e-5], [1001, 1e-9]]]
+    if key == "f_values":
+        return [[1, 300, 90000], [1.0], [2.0, 1.0], [], [1, math.inf], [1, 1e308, math.inf]]
+    if key == "scheme":
+        return ["aliferis2006", "bogus", "1,2,3",
+                {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3},
+                {"A": 575.0, "A_prime": 291, "B": 1e4, "D": 291, "M": 3.0},
+                {"A": 1, "A_prime": 1, "B": 1, "D": 1, "M": 1}]
+    numbers = []
+    for text in VALID.get(key, []):
+        try:
+            numbers.append(float(text))
+        except ValueError:
+            pass
+    return EDGE_JSON + numbers + ["affine", "exp", "chain", "pi"]
 
 
 def json_values(key: str) -> st.SearchStrategy:
-    if key in BOUNDED_TEXT:
-        return st.sampled_from(BOUNDED_JSON)
     if key == "axes":
         axis = st.fixed_dictionaries(
             {"param": st.sampled_from(AXIS_PARAMS),
@@ -118,23 +145,7 @@ def json_values(key: str) -> st.SearchStrategy:
              "count": st.sampled_from([0, 1, 3])},
             optional={"spacing": st.sampled_from(["log", "linear", "cubic"])})
         return st.lists(axis, max_size=3)
-    if key == "samples":
-        return st.sampled_from([[[0, 1e-5], [1, 2e-5]], [[0, 1e-5]], [[0, 2.0], [1, 0.5]],
-                                [[0, 1e-5, 3]], "0:1e-5,1:2e-5"])
-    if key == "f_values":
-        return st.sampled_from([[1, 300, 90000], [1.0], [2.0, 1.0], []])
-    if key == "scheme":
-        return st.sampled_from(["aliferis2006", "bogus", "1,2,3",
-                                {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3},
-                                {"A": 575.0, "A_prime": 291, "B": 1e4, "D": 291, "M": 3.0},
-                                {"A": 1, "A_prime": 1, "B": 1, "D": 1, "M": 1}])
-    numbers = []
-    for text in VALID.get(key, []):
-        try:
-            numbers.append(float(text))
-        except ValueError:
-            pass
-    return st.sampled_from(EDGE_JSON + numbers + ["affine", "exp", "chain", "pi"])
+    return st.sampled_from(json_choices(key))
 
 
 def set_flag(argv: list[str], flag: str, values: list[str]) -> list[str]:
@@ -280,6 +291,30 @@ def test_fuzzed_config_exits_cleanly(workdir, base_configs, data):
     check(argv, workdir)
 
 
+# Every listed value, one edit at a time: the drawn tests above may miss a
+# value that breaks one command, and these try each on each base.
+def single_edits(command: str) -> Iterator[tuple[str, cli.Param]]:
+    for key, param in COMMAND_PARAMS[command].items():
+        if key != "axes" and param.action != "store_true":
+            yield key, param
+
+
+def test_every_single_flag_edit_exits_cleanly(workdir):
+    for base in BASES:
+        for key, param in single_edits(base[0]):
+            for value in flag_choices(key, param):
+                check(set_flag(base, param.flag, [value]), workdir)
+
+
+def test_every_single_config_edit_exits_cleanly(workdir, base_configs):
+    path = workdir / "edit.json"
+    for base, config in zip(BASES, base_configs):
+        for key, _ in single_edits(base[0]):
+            for value in json_choices(key):
+                path.write_text(json.dumps(dict(config, **{key: value})))
+                check([base[0], "--config", str(path)], workdir)
+
+
 # The config walker against jsonschema, the reference it replaced.  Junk is
 # any JSON value, with keys drawn from the schemas' own names so that junk
 # objects come close to valid axes and schemes.
@@ -368,7 +403,7 @@ SCHEME = {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3}
     {"command": "sweep", "axes": [{"param": "c", "min": 0.0, "max": 1.0}]},
     {"command": "sweep", "axes": [AXIS, AXIS, AXIS]},
     {"command": "sweep", "axes": [dict(AXIS, spacing="cubic")]},
-    # A scheme under neither oneOf branch, and one under the object branch.
+    # A scheme of neither type, and objects that break or keep the object rules.
     {"command": "shor", "scheme": 291}, {"command": "shor", "scheme": [575]},
     {"command": "shor", "scheme": dict(SCHEME, D=291.5)},
     {"command": "shor", "scheme": dict(SCHEME, extra=1)},
@@ -387,7 +422,9 @@ def test_walker_agrees_with_jsonschema_on_edges(config):
 @pytest.mark.parametrize("schema", [
     {"const": 1}, {"const": True}, {"enum": [1, 2.0]}, {"enum": [False]},
     {"minimum": 1}, {"maximum": 1}, {"type": "number", "minimum": -1, "maximum": 1},
-    {"type": ["integer", "null"]}, {"oneOf": [{"type": "number"}, {"type": "integer"}]},
+    {"type": ["integer", "null"]},
+    # The scheme's shape: keywords about objects pass every other value.
+    {"type": ["string", "object"], "required": ["A"], "additionalProperties": False},
 ])
 @pytest.mark.parametrize("value", [
     True, False, 1, 1.0, 2.0, 0, -0.0, math.nan, math.inf, -math.inf, None, "1", [1],
@@ -400,7 +437,7 @@ def test_walker_keeps_json_schema_rules_beyond_config_schema(schema, value):
     assert (cli._violation(value, schema) is None) == accepted
 
 
-WALKER_KEYWORDS = {"type", "const", "enum", "oneOf", "minimum", "maximum", "minItems",
+WALKER_KEYWORDS = {"type", "const", "enum", "minimum", "maximum", "minItems",
                    "maxItems", "items", "required", "properties", "additionalProperties"}
 
 
@@ -413,9 +450,6 @@ def schema_keywords(schema: dict) -> Iterator[tuple[str, object]]:
                 yield from schema_keywords(sub)
         elif keyword == "items":
             yield from schema_keywords(value)
-        elif keyword == "oneOf":
-            for sub in value:
-                yield from schema_keywords(sub)
 
 
 def test_config_schema_uses_only_the_walkers_keywords():

@@ -151,10 +151,6 @@ class TestLatticeSpec:
             with pytest.raises(ValueError, match="z must be"):
                 LatticeSpec(d=1, z=z, N0=100)
 
-    def test_json_round_trip_fields(self):
-        spec = LatticeSpec(d=2, z=1.0, N0=10 ** 4, aspect="square")
-        assert LatticeSpec(**spec.to_dict()) == spec
-
 
 class TestDeltaLatticeOracle:
     def test_three_site_chain_by_hand(self):

@@ -23,10 +23,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qecopt import InputError, cli
+from qecopt import InputError, cli, scheme
+from qecopt.gatesim import GateSpec
 from qecopt.optimizer import STATUS_NO_ENCODING, STATUS_OPTIMUM, STATUS_UNBOUNDED
 
 STATUSES = (STATUS_OPTIMUM, STATUS_UNBOUNDED, STATUS_NO_ENCODING)
@@ -376,3 +377,60 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
     assert peak <= 16 * 2 ** 20, peak
     with out.open() as report:
         assert sum(line.startswith('        "status": ') for line in report) == 2 * 10 ** 5
+
+
+# Each report field has one source: the CLI reads it off its owner, never
+# restates it.
+def powers(lo: float, hi: float) -> st.SearchStrategy[float]:
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(R=st.integers(2, 10 ** 6), gamma=powers(-2, 3), omega0=powers(6, 12),
+       target=st.one_of(st.just([]),
+                        powers(-15, -2).map(lambda p: ["--perr", repr(p)]),
+                        st.floats(0.1, 0.99).map(lambda p: ["--ptarget", repr(p)]),
+                        powers(2, 14).map(lambda n: ["--nL", repr(n)])))
+def test_shor_csv_row_is_its_json_result(R, gamma, omega0, target):
+    argv = ["shor", "--R", R, "--gamma", repr(gamma), "--omega0", repr(omega0), *target]
+    code, report, err = invoke(*argv, "--format", "json")
+    code_csv, table, err_csv = invoke(*argv, "--format", "csv")
+    assert (code_csv, err_csv) == (code, err)
+    if code == 0:
+        result = json.loads(report)["result"]
+        header, row, end = table.split("\n")
+        assert (header, end) == ("R,n_L,k,E_tot_J,P_W,T_tot_s,tau_g_s", "")
+        assert row == ",".join(str(result[key]) for key in header.split(","))
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(1e-3, 2.0 * math.pi), gamma=powers(-3, 3), n_g=powers(0, 8),
+       omega0=st.none() | powers(0, 15))
+def test_gatesim_margin_is_the_gate_specs(theta, gamma, n_g, omega0):
+    given_omega0 = [] if omega0 is None else ["--omega0", repr(omega0)]
+    code, report, err = invoke("gatesim", "--theta", repr(theta), "--gamma", repr(gamma),
+                               "--ng", repr(n_g), *given_omega0)
+    assert (code, err) == (0, "")
+    spec = GateSpec(theta=theta, gamma=gamma, n_g=n_g, omega0=omega0)
+    result = json.loads(report)["result"]
+    assert result["rwa_margin"] == (None if omega0 is None else spec.rwa_margin)
+    assert result["rwa_marginal"] is spec.rwa_marginal
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["affine", "exp"]), D=st.floats(1.5, 1000.0),
+       eta0=powers(-9, -6), growth=st.floats(1.0, 3.0),
+       ks=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=6, unique=True),
+       noise=st.lists(st.floats(0.8, 1.25), min_size=6, max_size=6))
+def test_fit_residual_is_the_rms_of_its_returned_law(kind, D, eta0, growth, ks, noise):
+    samples = [(k, eta0 * growth ** k * wobble) for k, wobble in zip(ks, noise)]
+    flags = ["--model", kind] + (["--D", repr(D)] if kind == "exp" else [])
+    code, report, err = invoke("fit", "--samples",
+                               ",".join(f"{k!r}:{eta!r}" for k, eta in samples), *flags)
+    assert code in (0, 2) and err.count("\n") == int(code == 2)
+    assume(code == 0)  # a law the draws push below a flat one is refused
+    result = json.loads(report)["result"]
+    model = scheme.model_from_dict(result["model"])
+    ks_, etas = np.array(samples).T
+    residual = np.sqrt(np.mean((model.log10_eta(ks_, D) - np.log10(etas)) ** 2))
+    assert result["residual"] == float(residual)

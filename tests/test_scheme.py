@@ -166,6 +166,9 @@ class TestNoiseModelValidation:
             TabulatedNoise(1e-5, (2.0, 3.0))
         with pytest.raises(ValueError):
             TabulatedNoise(1e-5, (1.0, 3.0, 2.0))
+        for f_values in ((1.0, math.inf), (1.0, 1e308, math.inf)):
+            with pytest.raises(ValueError, match="^f_values must be finite$"):
+                TabulatedNoise(1e-5, f_values)
 
     def test_shor_photon_validation(self):
         for n_L in (0.0, -1.0, math.inf, math.nan):
@@ -205,6 +208,25 @@ class TestFitNoiseModel:
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError, match="distinct"):
             fit_noise_model([(0, 1e-5), (0, 2e-5)], "affine")
+
+    @pytest.mark.parametrize("kind, D, message", [("affine", None, "c must be finite"),
+                                                  ("exp", 2, "beta must be finite")])
+    def test_a_slope_past_the_float_range_is_refused(self, kind, D, message):
+        # The slope over a subnormal spread overflows: refused, with no
+        # numpy warning on the way.
+        with pytest.raises(ValueError, match=message):
+            fit_noise_model([(0, 1e-6), (5e-324, 1.25e-6)], kind, D=D)
+
+    def test_an_intercept_past_the_float_range_is_refused(self):
+        # Falling by 10^4 a level from k = 1000, the law's eta0 is 10^3995.
+        with pytest.raises(ValueError, match=r"^eta0 must lie in \(0, 1\), got inf$"):
+            fit_noise_model([(1000, 1e-5), (1001, 1e-9)], "exp", D=291)
+
+    @pytest.mark.parametrize("kind, D", [("affine", None), ("exp", 291)])
+    def test_abscissae_are_levels(self, kind, D):
+        # The affine law fitted to these is not positive at k = -100.
+        with pytest.raises(ValueError, match=r"^abscissae k must be >= 0, got -100\.0$"):
+            fit_noise_model([(-100, 1e-5), (0, 1e-5), (1, 0.5)], kind, D=D)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
