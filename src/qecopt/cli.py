@@ -52,30 +52,12 @@ import operator
 import os
 import sys
 from pathlib import Path
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import scheme
-
-# The library modules a handler may call beside scheme: each is imported when a
-# command's record names it (Command.modules) or when read as cli.NAME.
-_LIBRARY = ("crosstalk", "gatesim", "optimizer", "shor")
-
-
-def _library(name: str) -> ModuleType:
-    """The library module `name`, imported and bound as a global at first use."""
-    if name not in globals():
-        globals()[name] = importlib.import_module(f"{__package__}.{name}")
-    return globals()[name]
-
-
-def __getattr__(name: str) -> ModuleType:
-    """cli.optimizer and the other library modules, before a command calls them."""
-    if name not in _LIBRARY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _library(name)
 
 # Most grid points one sweep may take, per axis and in total.
 MAX_SWEEP_POINTS = 10 ** 6
@@ -115,14 +97,8 @@ def _angle(value: str | float) -> float:
 
 
 def _parse_scheme(value: str | dict) -> scheme.FTScheme:
-    if isinstance(value, dict):
-        return scheme.make_scheme(**value)
-    if "," in value:
-        parts = [int(p) for p in value.split(",")]
-        if len(parts) != 5:
-            raise UsageError("explicit scheme needs 5 integers: A,A_prime,B,D,M")
-        return scheme.make_scheme(*parts)
-    return scheme.get_scheme(value)
+    """The scheme of a canonical scheme argument: its counts or a preset name."""
+    return scheme.make_scheme(**value) if isinstance(value, dict) else scheme.get_scheme(value)
 
 
 def _scheme_config(value: str | dict) -> str | dict:
@@ -130,7 +106,10 @@ def _scheme_config(value: str | dict) -> str | dict:
     if isinstance(value, dict):  # its schema takes a whole float (575.0) as an integer
         return {name: int(count) for name, count in value.items()}
     if "," in value:
-        return _parse_scheme(value).to_dict()
+        parts = [int(p) for p in value.split(",")]
+        if len(parts) != 5:
+            raise UsageError("explicit scheme needs 5 integers: A,A_prime,B,D,M")
+        return scheme.make_scheme(*parts).to_dict()
     return value
 
 
@@ -793,8 +772,9 @@ def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
 
 class Command(NamedTuple):
     """A command: its help line, its handler, the report formats it writes,
-    its default first (see main), and the library modules (of _LIBRARY) that
-    its handler calls, which main imports before it calls the handler."""
+    its default first (see main), and the library modules beside scheme that
+    its handler calls, which main imports and binds as globals before it calls
+    the handler."""
 
     about: str
     handler: Callable[[SimpleNamespace, dict], Report]
@@ -967,8 +947,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         fmt = args.format or ("json" if from_report else record.formats[0])
         if fmt not in record.formats:  # refused before the handler computes
             raise UsageError(f"{args.command} reports are JSON only")
-        for name in record.modules:
-            _library(name)
+        for name in record.modules:  # bound here, once a process, for the handler
+            if name not in globals():
+                globals()[name] = importlib.import_module(f"{__package__}.{name}")
         cfg, result, table = record.handler(args, config)
         if fmt == "json":
             _emit(_report({"config": cfg, "result": result}, table), args.out)

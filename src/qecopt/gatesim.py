@@ -167,19 +167,6 @@ def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
     return 0.5 * (choi + choi.conj().T)
 
 
-def _trace_preserving(entries: list[float]) -> bool:
-    """Row 0 of a flattened transfer matrix is (1, 0, 0, 0) to TP_TOL.
-
-    Written as one chain of "ok" comparisons, so that a NaN or an infinity
-    anywhere in the row fails it (Python's max would drop a NaN)."""
-    return (
-        abs(entries[0] - 1.0) <= TP_TOL
-        and abs(entries[1]) <= TP_TOL
-        and abs(entries[2]) <= TP_TOL
-        and abs(entries[3]) <= TP_TOL
-    )
-
-
 def extract_chi_diag(ptm: np.ndarray) -> tuple[float, float, float, float]:
     """(chi00, p_x, p_y, p_z) from the diagonal of a noise map's transfer
     matrix (a noisy gate with its ideal rotation divided out).
@@ -192,7 +179,9 @@ def extract_chi_diag(ptm: np.ndarray) -> tuple[float, float, float, float]:
     if ptm.shape != (4, 4):
         raise InputError(f"transfer matrix must be 4x4, got {ptm.shape}")
     entries = ptm.ravel().tolist()
-    if not _trace_preserving(entries):
+    # One chain of "ok" comparisons, so a NaN or an infinity in row 0 fails it.
+    if not (abs(entries[0] - 1.0) <= TP_TOL and abs(entries[1]) <= TP_TOL
+            and abs(entries[2]) <= TP_TOL and abs(entries[3]) <= TP_TOL):
         row_err = np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0])))
         raise InputError(f"transfer matrix is not trace preserving ({row_err:.2e})")
     if not all(map(math.isfinite, entries[4:])):

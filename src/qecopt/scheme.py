@@ -104,11 +104,6 @@ class FTScheme:
         for name in ("A", "A_prime", "B", "D", "M"):
             _check_count(name, getattr(self, name))
 
-    @property
-    def threshold(self) -> float:
-        """Scale-independent threshold error probability, 1/B."""
-        return 1.0 / self.B
-
     def to_dict(self) -> dict:
         return {"A": self.A, "A_prime": self.A_prime, "B": self.B,
                 "D": self.D, "M": self.M}

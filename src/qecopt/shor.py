@@ -135,13 +135,6 @@ def error_target(problem: ShorProblem, p_err: float | None = None) -> float:
     return p_err
 
 
-def search_cap(n_L_cap: float) -> float:
-    """The cap on the photon-budget search, which must be positive and finite."""
-    if not 0.0 < n_L_cap < math.inf:
-        raise InputError(f"nlcap must be positive and finite, got {n_L_cap!r}")
-    return n_L_cap
-
-
 def photon_noise_model(
     problem: ShorProblem | None, n_L: float, scheme: FTScheme
 ) -> ShorPhotonNoise:
@@ -197,7 +190,9 @@ def min_photon_budget(
     infeasible result when the budget exceeds n_L_cap, which must be positive
     and finite.  p_err, when given, must lie in (0, 1].
     """
-    log_cap = math.log10(search_cap(n_L_cap))
+    if not 0.0 < n_L_cap < math.inf:
+        raise InputError(f"nlcap must be positive and finite, got {n_L_cap!r}")
+    log_cap = math.log10(n_L_cap)
     target = math.log10(error_target(problem, p_err))
     base, two_k = _crossing_base(scheme.B, scheme.D)
     log_n = float((base - (target + math.log10(scheme.B)) / two_k).min())

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import qecopt
-from qecopt import cli, crosstalk, optimizer, scheme
+from qecopt import cli, crosstalk, gatesim, optimizer, scheme
 from qecopt.cli import CLOSED_PIPE_EXIT, COMMANDS, CONFIG_SCHEMA, MAX_SWEEP_POINTS, main
 from qecopt.scheme import PI_SQ_OVER_16
 
@@ -1229,13 +1229,11 @@ def test_a_command_loads_only_its_modules(argv, modules):
 def test_the_package_loads_scheme_alone_and_the_rest_on_first_use():
     assert _loaded("-c", "import qecopt") == ["qecopt", "qecopt.scheme"]
     probe = (
-        "import sys, qecopt\n"
+        "import qecopt\n"
         "names = dir(qecopt)\n"
         "assert all(name in names for name in qecopt.__all__)\n"
         "assert all(getattr(qecopt, name) is not None for name in qecopt.__all__)\n"
         "from qecopt import cli\n"
-        "for name in ('crosstalk', 'gatesim', 'optimizer', 'scheme', 'shor'):\n"
-        "    assert getattr(cli, name) is sys.modules['qecopt.' + name], name\n"
         "for owner in (qecopt, cli):\n"
         "    try:\n"
         "        owner.no_such_name\n"
@@ -1399,7 +1397,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv, wrapped", [
         (["gatesim", "--theta", "pi/2", "--gamma", "1", "--ng", "1000"],
-         (cli.gatesim, "evolve_noisy_gate")),
+         (gatesim, "evolve_noisy_gate")),
         (["fit", "--samples", "0:1e-5,1:2e-5", "--model", "affine"],
          (cli.scheme, "fit_noise_model")),
     ])

@@ -24,6 +24,13 @@ which re-records the given op numbers (all ops and the fingerprint when
 none is given).  A change that alters reports on purpose re-records only
 those ops and lists them; an op is never dropped or changed to make the
 test pass.  New ops go at the end of the list.
+
+The corpus is also the CLI's coverage record.  A fresh process, profiled from
+before `import qecopt`, replays every op through cli.main and names each
+function defined in src/qecopt that it never entered; that list must be
+NOT_REACHED, where each entry says why no argv reaches it.  A function no
+command runs is deleted, or listed with its reason; a command path no op
+takes gets an op.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -42,6 +51,76 @@ import numpy as np
 from qecopt import cli
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
+
+_PAPER_FORMULA = "a paper formula the library exports and no command reports"
+_BENCHMARK_VIEW = "read by benchmarks/ until its benchmark-only change (ROADMAP item 1)"
+# Every function in src/qecopt that no corpus op enters, keyed by module and
+# qualified name, with the reason no argv-only op can enter it.
+NOT_REACHED = {
+    "qecopt.optimizer.log10_logical_error": _PAPER_FORMULA,
+    "qecopt.optimizer.generic_kmax_bound": _PAPER_FORMULA,
+    "qecopt.crosstalk.effective_local_error": _PAPER_FORMULA,
+    "qecopt.crosstalk.amplified_fault_pairs": _PAPER_FORMULA,
+    "qecopt.crosstalk.logical_crosstalk_log10": _PAPER_FORMULA,
+    "qecopt.crosstalk.crosstalk_usefulness_threshold": _PAPER_FORMULA,
+    "qecopt.scheme.LogProb.__post_init__": _BENCHMARK_VIEW,
+    "qecopt.scheme.eta_at_level": _BENCHMARK_VIEW,
+    "qecopt.optimizer.OptResult.log10_p_min": _BENCHMARK_VIEW,
+    "qecopt.optimizer.OptResult.curve": _BENCHMARK_VIEW,
+    "qecopt.cli._read_samples": "reads fit's --in file; corpus ops are argv only",
+    "qecopt.cli.entry_point": "the console script around cli.main, which the ops call",
+    "qecopt.__dir__": "dir(qecopt), for interactive use",
+}
+
+# Run as `python -c _GUARD CORPUS`: prints, as a JSON list, every function
+# defined in the imported qecopt package that no op entered.  A function is
+# keyed by its file and first line (a decorator's, if it has one), as its
+# code object is, and named from the syntax tree, since co_qualname is not in
+# CPython 3.10.
+_GUARD = r"""
+import sys
+
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+sys.setprofile(profile)
+
+import ast, contextlib, io, json
+from pathlib import Path
+
+import qecopt
+from qecopt import cli
+
+for op in json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))["ops"]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(op["argv"])
+sys.setprofile(None)
+starts = {(code.co_filename, code.co_firstlineno) for code in entered}
+
+
+def functions(body, prefix):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield prefix + node.name, first
+            yield from functions(node.body, f"{prefix}{node.name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node.body, f"{prefix}{node.name}.")
+
+
+never = []
+for path in sorted(Path(qecopt.__file__).parent.glob("*.py")):
+    module = "qecopt" if path.stem == "__init__" else f"qecopt.{path.stem}"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    never += [f"{module}.{name}" for name, first in functions(tree.body, "")
+              if (str(path), first) not in starts]
+print(json.dumps(never))
+"""
 
 
 def fingerprint() -> dict:
@@ -101,6 +180,16 @@ def test_corpus_replays_byte_for_byte():
               f"since this platform's float fingerprint {here} differs from "
               f"the recorded {corpus['fingerprint']}:\n" + "\n".join(moved))
     assert not faults, f"{len(faults)} ops differ from the corpus:\n" + "\n".join(faults)
+
+
+def test_the_corpus_enters_every_function_but_the_listed():
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", _GUARD, str(CORPUS)],
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert set(json.loads(run.stdout)) == set(NOT_REACHED)
 
 
 def regenerate(numbers: list[int]) -> None:

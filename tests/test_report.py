@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qecopt import InputError, cli, scheme
+from qecopt import InputError, cli, optimizer, scheme
 from qecopt.gatesim import GateSpec
 from qecopt.optimizer import STATUS_NO_ENCODING, STATUS_OPTIMUM, STATUS_UNBOUNDED
 
@@ -343,14 +343,14 @@ def test_non_finite_minimum_writes_no_file(tmp_path, monkeypatch):
     # no n_L * L product can overflow).  A curve forced to -inf at its top
     # level is a bug, not a refused input: json's error leaves main, before
     # the first byte.
-    real_curve = cli.optimizer.log10_curve
+    real_curve = optimizer.log10_curve
 
     def minus_inf_at_the_top(*args):
         values = real_curve(*args)
         values[..., -1] = -math.inf
         return values
 
-    monkeypatch.setattr(cli.optimizer, "log10_curve", minus_inf_at_the_top)
+    monkeypatch.setattr(optimizer, "log10_curve", minus_inf_at_the_top)
     out = tmp_path / "sweep.json"
     with pytest.raises(ValueError, match="^Out of range float values are not JSON "
                                          "compliant: -inf$") as raised:
