@@ -9,14 +9,17 @@ values (``_log10`` suffix); linear values appear only where representable.
 Each command is one Command record in _COMMANDS: its help line, its
 handler, its report formats and the library modules main imports for it (a
 gatesim loads neither optimizer nor shor).  Each parameter is declared once,
-in PARAMS: its flag, the type that converts its flag text and its config
-value alike, its JSON type, and its status under every command that takes
-it.  The argv parser (build_parser, no argparse; a parse plan per command),
-the per-command config schemas (CONFIG_SCHEMA, checked by _violation, no
-jsonschema) and config resolution (flag, else config, else default) are
-generated from these two tables; the I/O flags (--format, --out, --config,
-fit's --in) are Params of _IO_PARAMS.  Flags match exactly; a value is the
-next token, or follows '=' in --flag=value.
+in PARAMS: its flag, the type that reads its flag text, its JSON type, and
+its status under every command that takes it.  The argv parser
+(build_parser, no argparse; a parse plan per command), the per-command
+config schemas (CONFIG_SCHEMA) and config resolution are generated from
+these two tables; the I/O flags (--format, --out, --config, fit's --in) are
+Params of _IO_PARAMS.  Flags match exactly; a value is the next token, or
+follows '=' in --flag=value.  Each value has one reader: the parser reads
+flag text as it parses; the schema walk (_read_json, no jsonschema) reads a
+config, each "number" a float and each "integer" an int, where an integer
+literal past the float range reads as +-inf, as flag text 1e400 does.
+Resolution only picks the flag, else the config value, else the default.
 
 Each cmd_* handler resolves its settings, computes and returns a Report,
 (cfg, result, table): the table is blocks of columns whose keys are the CSV
@@ -70,30 +73,22 @@ class UsageError(scheme.InputError):
     it refuses (exit code 2, as for every InputError)."""
 
 
-def _angle(value: str | float) -> float:
+def _angle(value: str) -> float:
     """Angles as plain floats or simple pi expressions: 'pi', 'pi/2', '2pi'."""
-    if not isinstance(value, str):
-        return float(value)
     cleaned = value.strip().lower().replace(" ", "")
-    try:
-        return float(cleaned)
-    except ValueError:
-        pass
-    factor = 1.0
-    body = cleaned
-    if "pi" in body:
-        head, _, tail = body.partition("pi")
-        if head:
-            factor *= float(head.rstrip("*"))
-        if tail:
-            if not tail.startswith("/"):
-                raise UsageError(f"cannot parse angle {value!r}")
-            denominator = float(tail[1:])
-            if denominator == 0.0:
-                raise UsageError(f"angle {value!r} divides by zero")
-            factor /= denominator
-        return factor * math.pi
-    raise UsageError(f"cannot parse angle {value!r}")
+    head, pi, tail = cleaned.partition("pi")
+    if not pi:
+        try:
+            return float(cleaned)
+        except ValueError:
+            raise UsageError(f"cannot parse angle {value!r}") from None
+    factor = float(head.rstrip("*")) if head else 1.0
+    if tail and not tail.startswith("/"):
+        raise UsageError(f"cannot parse angle {value!r}")
+    denominator = float(tail[1:]) if tail else 1.0
+    if denominator == 0.0:
+        raise UsageError(f"angle {value!r} divides by zero")
+    return factor / denominator * math.pi
 
 
 def _parse_scheme(value: str | dict) -> scheme.FTScheme:
@@ -101,62 +96,48 @@ def _parse_scheme(value: str | dict) -> scheme.FTScheme:
     return scheme.make_scheme(**value) if isinstance(value, dict) else scheme.get_scheme(value)
 
 
-def _scheme_config(value: str | dict) -> str | dict:
-    """Canonical config form of the scheme argument."""
-    if isinstance(value, dict):  # its schema takes a whole float (575.0) as an integer
-        return {name: int(count) for name, count in value.items()}
-    if "," in value:
-        parts = [int(p) for p in value.split(",")]
-        if len(parts) != 5:
-            raise UsageError("explicit scheme needs 5 integers: A,A_prime,B,D,M")
-        return scheme.make_scheme(*parts).to_dict()
-    return value
+def _scheme_config(value: str) -> str | dict:
+    """Canonical config form of the scheme argument: a preset name as given,
+    or the counts of A,A_prime,B,D,M."""
+    if "," not in value:
+        return value
+    parts = [int(p) for p in value.split(",")]
+    if len(parts) != 5:
+        raise UsageError("explicit scheme needs 5 integers: A,A_prime,B,D,M")
+    return scheme.make_scheme(*parts).to_dict()
 
 
-def _floats(value: str | list) -> list[float]:
-    """'1,300,9e4' or a list of numbers."""
-    items = value.split(",") if isinstance(value, str) else value
-    return [float(v) for v in items]
+def _floats(value: str) -> list[float]:
+    """'1,300,9e4'."""
+    return [float(v) for v in value.split(",")]
 
 
-def _samples(value: str | list) -> list[list[float]]:
-    """'k:eta,k:eta,...' or a list of [k, eta] pairs."""
-    if isinstance(value, str):
-        pairs = []
-        for chunk in value.split(","):
-            k, _, eta = chunk.partition(":")
-            if not eta:
-                raise UsageError("samples format is k:eta,k:eta,...")
-            pairs.append((k, eta))
-        value = pairs
-    return [[float(k), float(eta)] for k, eta in value]
+def _samples(value: str) -> list[list[float]]:
+    """'k:eta,k:eta,...'."""
+    pairs = [chunk.partition(":")[::2] for chunk in value.split(",")]
+    if not all(eta for _, eta in pairs):
+        raise UsageError("samples format is k:eta,k:eta,...")
+    return [[float(k), float(eta)] for k, eta in pairs]
 
 
-def _axes(value: list) -> list[dict]:
-    """Each --axis text 'param:min:max:count[:spacing]' as an axis object,
-    checked against the config schema's axis; axis objects from a config
-    (checked with the config) pass through."""
-    axes = []
-    for axis in value:
-        if isinstance(axis, str):
-            text, parts = axis, axis.split(":")
-            if len(parts) not in (4, 5):
-                raise UsageError("axis format is param:min:max:count[:spacing]")
-            axis = {"param": parts[0]}
-            fields = (("min", float), ("max", float), ("count", int))
-            for (field, convert), part in zip(fields, parts[1:4]):
-                try:
-                    axis[field] = convert(part)
-                except ValueError:
-                    raise UsageError(f"--axis {text}: {field} needs {_ACCEPTS[convert]}, "
-                                     f"got {part!r}") from None
-            axis["spacing"] = parts[4] if len(parts) == 5 else "linear"
-            # Typed as above, only count and spacing can break the schema, which
-            # words the refusal.
-            if not (1 <= axis["count"] <= MAX_SWEEP_POINTS and axis["spacing"] in _SPACINGS):
-                raise UsageError(f"--axis {text}: {_violation(axis, _AXIS_JSON)}")
-        axes.append(axis)
-    return axes
+def _axis(value: str) -> dict:
+    """An --axis text 'param:min:max:count[:spacing]' as the config axis
+    object it must match."""
+    parts = value.split(":")
+    if len(parts) not in (4, 5):
+        raise UsageError("axis format is param:min:max:count[:spacing]")
+    axis = {"param": parts[0]}
+    for field, convert, part in zip(("min", "max", "count"), (float, float, int), parts[1:4]):
+        axis[field] = _read(f"--axis {value}: {field}", convert, part)
+    axis["spacing"] = parts[4] if len(parts) == 5 else _SPACING["default"]
+    # Typed as above, only count and spacing can break the schema, whose walk
+    # words the refusal.
+    if not (1 <= axis["count"] <= MAX_SWEEP_POINTS and axis["spacing"] in _SPACING["enum"]):
+        try:
+            _read_json(axis, _AXIS_JSON)
+        except UsageError as exc:
+            raise UsageError(f"--axis {value}: {exc}") from None
+    return axis
 
 
 def _scheme_growth(cfg: dict) -> float:
@@ -174,7 +155,7 @@ class Param(NamedTuple):
 
     key: str
     flag: str
-    type: Callable[[Any], Any]
+    type: Callable[[str], Any]  # reads the flag's text
     json: dict
     status: dict[str, Any]
     help: str | None = None
@@ -192,7 +173,7 @@ _SCHEME_JSON = {
     "required": ["A", "A_prime", "B", "D", "M"],
     "additionalProperties": False,
 }
-_SPACINGS = ["linear", "log"]
+_SPACING = {"enum": ["linear", "log"], "default": "linear"}
 _AXIS_JSON = {
     "type": "object",
     "properties": {
@@ -200,7 +181,7 @@ _AXIS_JSON = {
         "min": NUMBER,
         "max": NUMBER,
         "count": {"type": "integer", "minimum": 1, "maximum": MAX_SWEEP_POINTS},
-        "spacing": {"enum": _SPACINGS},
+        "spacing": _SPACING,
     },
     "required": ["param", "min", "max", "count"],
     "additionalProperties": False,
@@ -222,7 +203,8 @@ PARAMS = (
     Param("A", "--A", float, NUMBER, {"optimize": _scheme_growth}),
     Param("kcap", "--kcap", int, {"type": "integer", "minimum": 1},
           dict.fromkeys(_SCAN, lambda cfg: optimizer.DEFAULT_K_CAP)),
-    Param("axes", "--axis", _axes, {"type": "array", "items": _AXIS_JSON, "maxItems": 2},
+    Param("axes", "--axis", _axis,
+          {"type": "array", "items": _AXIS_JSON, "minItems": 1, "maxItems": 2},
           {"sweep": REQUIRED}, "param:min:max:count[:spacing], up to twice", "append"),
     Param("R", "--R", int, INTEGER, {"sweep": REQUIRED, "shor": REQUIRED}),
     Param("theta", "--theta", _angle, NUMBER, {"gatesim": REQUIRED},
@@ -267,48 +249,56 @@ def _same(a: Any, b: Any) -> bool:
     return isinstance(a, bool) is isinstance(b, bool) and a == b
 
 
-def _violation(value: Any, schema: dict) -> str | None:
-    """The first way value breaks schema, or None.
+def _read_json(value: Any, schema: dict) -> Any:
+    """value as schema reads it, or a UsageError that words the first way
+    value breaks schema.
 
     Covers the keywords CONFIG_SCHEMA uses, with JSON Schema's meaning:
     type, const, enum, minimum, maximum, minItems, maxItems, items,
-    required, properties and additionalProperties (false only).  As in JSON
-    Schema, a keyword about numbers, arrays or objects passes other values.
+    required, properties, additionalProperties (false only) and default,
+    which a missing property takes.  As in JSON Schema, a keyword about
+    numbers, arrays or objects passes other values.  Where value's first
+    listed type is "number" it reads as a float, and "integer" as an int.
     """
+    read = value
     types = schema.get("type")
     if types is not None:
         types = [types] if isinstance(types, str) else types
-        if not any(_JSON_TYPES[t](value) for t in types):
-            return f"{value!r} is not of type {', '.join(map(repr, types))}"
+        kind = next((t for t in types if _JSON_TYPES[t](value)), None)
+        if kind is None:
+            raise UsageError(f"{value!r} is not of type {', '.join(map(repr, types))}")
+        if kind in ("number", "integer"):  # a number from its text, as a flag: +-inf past floats
+            read = float(repr(value)) if kind == "number" else int(value)
     if "const" in schema and not _same(value, schema["const"]):
-        return f"{schema['const']!r} was expected"
+        raise UsageError(f"{schema['const']!r} was expected")
     if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
-        return f"{value!r} is not one of {schema['enum']!r}"
+        raise UsageError(f"{value!r} is not one of {schema['enum']!r}")
     if _JSON_TYPES["number"](value):
         if "minimum" in schema and value < schema["minimum"]:
-            return f"{value!r} is less than the minimum of {schema['minimum']!r}"
+            raise UsageError(f"{value!r} is less than the minimum of {schema['minimum']!r}")
         if "maximum" in schema and value > schema["maximum"]:
-            return f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+            raise UsageError(f"{value!r} is greater than the maximum of {schema['maximum']!r}")
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            return f"{value!r} is too short"
+            raise UsageError(f"{value!r} is too short")
         if len(value) > schema.get("maxItems", len(value)):
-            return f"{value!r} is too long"
-        for item in value if "items" in schema else ():
-            if (problem := _violation(item, schema["items"])) is not None:
-                return problem
+            raise UsageError(f"{value!r} is too long")
+        if "items" in schema:
+            read = [_read_json(item, schema["items"]) for item in value]
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
-                return f"{key!r} is a required property"
+                raise UsageError(f"{key!r} is a required property")
         properties = schema.get("properties", {})
+        read = {key: sub["default"] for key, sub in properties.items() if "default" in sub}
         for key, item in value.items():
             if key in properties:
-                if (problem := _violation(item, properties[key])) is not None:
-                    return problem
+                read[key] = _read_json(item, properties[key])
             elif schema.get("additionalProperties", True) is False:
-                return f"additional property {key!r} is not allowed"
-    return None
+                raise UsageError(f"additional property {key!r} is not allowed")
+            else:
+                read[key] = item
+    return read
 
 
 _STRING = json.encoder.encode_basestring_ascii
@@ -467,19 +457,20 @@ def _load_config(path: str | None, command: str) -> tuple[dict, bool]:
     was a report, whose "config" member is then the config."""
     if path is None:
         return {}, False
+    # A ValueError is bad UTF-8, bad JSON or an integer literal too long to convert.
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     report = isinstance(data, dict) and "config" in data and "result" in data
     if report:
         data = data["config"]
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    problem = _violation(data, CONFIG_SCHEMA[command])
-    if problem is not None:
-        raise UsageError(f"config does not match the {command} schema: {problem}")
-    return data, report
+    try:
+        return _read_json(data, CONFIG_SCHEMA[command]), report
+    except UsageError as exc:
+        raise UsageError(f"config does not match the {command} schema: {exc}") from None
 
 
 def _reject_unread(args: SimpleNamespace, config: dict, cfg: dict) -> None:
@@ -492,10 +483,23 @@ def _reject_unread(args: SimpleNamespace, config: dict, cfg: dict) -> None:
                              "does not read it")
 
 
+def _read(flag: str, convert: Callable[[str], Any], text: str) -> Any:
+    """text read by convert, a flag's type; a ValueError it raises is a
+    UsageError that names the flag."""
+    try:
+        return convert(text)
+    except UsageError:  # names what it refuses already
+        raise
+    except ValueError as exc:
+        raise UsageError(f"{flag} needs {_ACCEPTS[convert]}, got {text!r}" if convert in _ACCEPTS
+                         else f"{flag}: {exc}") from None
+
+
 def _settings(args: SimpleNamespace, config: dict,
               keys: Sequence[str] | None = None, cfg: dict | None = None) -> dict:
     """Resolve keys (default: all of the command's parameters) into cfg:
-    the flag, else the config value, else the default."""
+    the flag, else the config value, else the default.  Only a config
+    string (a scheme's A,A_prime,B,D,M) is read here, by its flag's type."""
     params = _COMMAND_PARAMS[args.command]
     cfg = {"command": args.command} if cfg is None else cfg
     for key in params if keys is None else keys:
@@ -503,11 +507,10 @@ def _settings(args: SimpleNamespace, config: dict,
         value = getattr(args, key)
         if value is None:
             value = config.get(key)
+            if isinstance(value, str):
+                value = _read(param.flag, param.type, value)
         if value is not None:
-            try:
-                cfg[key] = param.type(value)
-            except ValueError as exc:  # a UsageError names what it rejects already
-                raise exc if isinstance(exc, UsageError) else UsageError(f"{param.flag}: {exc}")
+            cfg[key] = value
             continue
         status = param.status[args.command]
         if status is REQUIRED:
@@ -550,8 +553,7 @@ _AXIS_FIELDS = {"eta0": "eta0", "c": "c", "beta": "beta", "B_eta0": "eta0", "n_L
 
 
 def _axis_values(axis: dict) -> np.ndarray:
-    lo, hi, count = float(axis["min"]), float(axis["max"]), int(axis["count"])
-    spacing = axis.get("spacing", "linear")
+    lo, hi, count, spacing = axis["min"], axis["max"], axis["count"], axis["spacing"]
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError("axis min and max must be finite")
     if hi < lo:
@@ -602,8 +604,6 @@ def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
 def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "model", "kcap", "axes"))
     axes, model = cfg["axes"], cfg["model"]
-    if not axes:
-        raise UsageError("sweep needs at least one axis (--axis or config)")
     if model == "table":
         raise UsageError("sweep does not support --model table")
     fields = scheme.MODEL_FIELDS[model]
@@ -619,7 +619,7 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
             raise UsageError(f"cannot sweep {param!r}: axis {swept[field]!r} already sets "
                              f"{field}; choose from {', '.join(choices)}, one per field")
         swept[field] = param
-    if math.prod(int(axis["count"]) for axis in axes) > MAX_SWEEP_POINTS:
+    if math.prod(axis["count"] for axis in axes) > MAX_SWEEP_POINTS:
         raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
     if model == "shor":  # its one axis is n_L, and A is the scheme's D
         _settings(args, config, ("R",), cfg)
@@ -837,7 +837,7 @@ CONFIG_SCHEMA = {command: _schema(command) for command in COMMANDS}
 _HELP_FLAGS = ("-h", "--help")
 
 
-# What a conversion that can fail accepts, for its error message.
+# What a number reader accepts, for its error message.
 _ACCEPTS = {int: "an integer", float: "a number"}
 
 
@@ -852,12 +852,12 @@ class Parser(NamedTuple):
     """Reads argv: the command first, then that command's flags by their
     exact names (no abbreviations).  A flag's value is the next token, or
     follows '=' in --flag=value; the last value given wins, except for a
-    flag that appends (--axis).  Integers and numbers are converted as they
-    are read; text-valued flags (angles, lists, axes, schemes) are converted
-    during resolution, so a malformed one is a one-line usage error there."""
+    flag that appends (--axis).  Each value is read by its flag's type as
+    it is parsed (see _read), so a malformed one is a one-line usage error
+    here, before any config is read."""
 
     helps: dict[str | None, str]  # the top level's (None) and each command's
-    # Per command: the blank namespace, and (key, converter, choices, action) by flag.
+    # Per command: the blank namespace, and (key, reader, choices, action) by flag.
     plans: dict[str, tuple[dict[str, None], dict[str, tuple]]]
 
     def parse(self, argv: Sequence[str]) -> SimpleNamespace | str:
@@ -895,10 +895,7 @@ class Parser(NamedTuple):
                 text = next(tokens, None)
                 if text is None:
                     raise UsageError(f"{name} needs a value")
-            try:
-                value = text if convert is None else convert(text)
-            except ValueError:
-                raise UsageError(f"{name} needs {_ACCEPTS[convert]}, got {text!r}") from None
+            value = _read(name, convert, text)
             if choices and value not in choices:
                 raise UsageError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
             values[key] = [*(values[key] or ()), value] if action == "append" else value
@@ -918,8 +915,8 @@ def build_parser() -> Parser:
     for command, record in _COMMANDS.items():
         params = [p for p in (*_IO_PARAMS, *PARAMS) if command in p.status]
         plans[command] = ({param.key: None for param in params}, {
-            param.flag: (param.key, param.type if param.type in _ACCEPTS else None,
-                         param.json.get("enum"), param.action) for param in params})
+            param.flag: (param.key, param.type, param.json.get("enum"), param.action)
+            for param in params})
         rows = [("-h, --help", "show this help and exit")]
         for param in params:
             name = param.flag

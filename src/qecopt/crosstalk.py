@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ class LatticeSpec:
             raise InputError(f"d={self.d} inconsistent with aspect={self.aspect!r}")
         if self.N0 < 2:
             raise InputError(f"N0 must be >= 2, got {self.N0!r}")
+        if self.N0 > sys.float_info.max:  # the closed forms take N0 as a float
+            raise InputError("N0 exceeds the float range")
         if not 0 <= self.z < math.inf:  # also rejects NaN
             raise InputError(f"z must be finite and >= 0, got {self.z!r}")
         if self.aspect == "square":

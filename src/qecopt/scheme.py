@@ -70,6 +70,8 @@ def _check_count(name: str, value: int) -> int:
         raise TypeError(f"{name} must be an integer count, got {value!r}")
     if value < 1:
         raise InputError(f"{name} must be >= 1, got {value}")
+    if value > sys.float_info.max:  # the formulas take counts as floats
+        raise InputError(f"{name} exceeds the float range")
     return value
 
 

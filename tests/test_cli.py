@@ -263,6 +263,18 @@ class TestDeterminismAndRoundTrip:
                      "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_config_axis_echoes_as_its_flag_does(self, tmp_path, capsys):
+        # The config reader gives min and max as floats, count as an int and
+        # the default spacing, as the --axis reader does.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"command": "sweep", "model": "affine", "eta0": 1e-6,
+                                    "axes": [{"param": "c", "min": 0, "max": 1,
+                                              "count": 2.0}]}))
+        from_config = run(capsys, "sweep", "--config", str(path), "--format", "json")
+        assert from_config[0] == 0
+        assert from_config == run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
+                                  "--axis", "c:0:1:2", "--format", "json")
+
     def test_sweep_report_fed_back_stays_json(self, tmp_path, capsys):
         # A sweep defaults to CSV, but a report fed back renders as JSON.
         first = tmp_path / "s1.json"
@@ -281,6 +293,15 @@ class TestDeterminismAndRoundTrip:
         code, out, err = run(capsys, "shor", "--config", str(path))
         assert code == 2 and out == ""
         assert "cannot read config" in err and err.count("\n") == 1
+
+    def test_an_integer_literal_json_cannot_convert_is_a_usage_error(self, tmp_path, capsys):
+        # json.loads refuses an integer literal of more than 4300 digits with
+        # a ValueError, as it does bad JSON or UTF-8.
+        path = tmp_path / "digits.json"
+        path.write_text('{"command": "shor", "R": ' + "1" * 5000 + "}")
+        code, out, err = run(capsys, "shor", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"qecopt: cannot read config {path}: ") and err.count("\n") == 1
 
     def test_undecodable_config_names_its_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -8,6 +8,10 @@ file that is rejected unread).  For each op it records the exit code, stderr
 verbatim and the sha256 of stdout, as cli.main gives them at the commit
 that recorded it.
 
+Every JSON report an op writes is also fed back, as `qecopt COMMAND
+--config FILE`, and must give itself again byte for byte, with stderr
+empty: the config reader is held to the same ops as the parser.
+
 Report bytes rest on libm and on numpy's SIMD dispatch, which can round
 cosh, arcsinh, log, expm1 or ** differently on another CPU or numpy.  So
 the file also records a fingerprint: the numpy version and the sha256 of
@@ -143,13 +147,19 @@ def fingerprint() -> dict:
     return {"numpy": np.__version__, "float_sha256": digest.hexdigest()}
 
 
-def replay(argv: list[str]) -> dict:
-    """What cli.main gives for argv: exit code, stderr and stdout's sha256."""
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr for argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return {"exit": code, "stderr": err.getvalue(),
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    return code, out.getvalue(), err.getvalue()
+
+
+def replay(argv: list[str]) -> dict:
+    """What cli.main gives for argv: exit code, stderr and stdout's sha256."""
+    code, out, err = run(argv)
+    return {"exit": code, "stderr": err,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
 
 
 def load() -> dict:
@@ -180,6 +190,20 @@ def test_corpus_replays_byte_for_byte():
               f"since this platform's float fingerprint {here} differs from "
               f"the recorded {corpus['fingerprint']}:\n" + "\n".join(moved))
     assert not faults, f"{len(faults)} ops differ from the corpus:\n" + "\n".join(faults)
+
+
+def test_every_json_report_reproduces_itself_through_config(tmp_path):
+    path, fed, faults = tmp_path / "report.json", 0, []
+    for number, op in enumerate(load()["ops"]):
+        code, out, _ = run(op["argv"])
+        if code != 0 or not out.startswith("{"):
+            continue
+        path.write_text(out, encoding="utf-8")
+        fed += 1
+        if run([op["argv"][0], "--config", str(path)]) != (0, out, ""):
+            faults.append(f"op {number}: qecopt {' '.join(op['argv'])}")
+    assert fed > 600  # every command's JSON reports, at each of their paths
+    assert not faults, f"{len(faults)} reports differ when fed back:\n" + "\n".join(faults)
 
 
 def test_the_corpus_enters_every_function_but_the_listed():

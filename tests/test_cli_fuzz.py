@@ -2,13 +2,15 @@
 
 Each example starts from a valid invocation of one command and overwrites a
 few of its flags, or of its config keys, with values drawn from a fixed list
-of valid, junk and edge values: 0, -1, nan, inf, 1e+-300, pi/0, a missing
-path, and the wrong command.  The flags and keys come from the command's own
+of valid, junk and edge values: 0, -1, nan, inf, 1e+-300, integer literals
+past the float range, scheme counts past it, pi/0, a missing path, and the
+wrong command.  The flags and keys come from the command's own
 parameter table.  Grid counts, kcap and N0 come from short bounded lists, so
 every example stays small.
 
-The same configs, nudged with junk at any depth, also hold the config-schema
-walker (cli._violation) to jsonschema: both accept and reject the same ones.
+The same configs, nudged with junk at any depth, also hold the config
+reader's schema walk (cli._read_json) to jsonschema: both accept and reject
+the same ones.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from qecopt import cli
 
 MISSING = "/nonexistent-dir/missing.json"
 EDGE_TEXT = ["0", "-1", "nan", "inf", "1e300", "1e-300", "pi/0", MISSING]
-EDGE_JSON = [0, -1, math.nan, math.inf, 1e300, 1e-300, "pi/0", MISSING, None, True,
-             "optimize"]
+PAST_FLOAT = 10 ** 400  # a JSON integer that no float holds
+EDGE_JSON = [0, -1, math.nan, math.inf, 1e300, 1e-300, PAST_FLOAT, -PAST_FLOAT, "pi/0",
+             MISSING, None, True, "optimize"]
 
 # One valid invocation per model or path of each command.
 BASES = [
@@ -55,7 +58,8 @@ BASES = [
 
 # Valid values beside each parameter's enum, so edits also stay valid.
 VALID = {
-    "scheme": ["aliferis2006", "575,291,10000,291,3", "1,1,1,1,1", "1,2,3", "bogus"],
+    "scheme": ["aliferis2006", "575,291,10000,291,3", "1,1,1,1,1", "1,2,3", "bogus",
+               f"1,1,{PAST_FLOAT},{PAST_FLOAT},1"],
     "eta0": ["5e-6", "1e-12", "0.5"],
     "c": ["1", "0"],
     "beta": ["1", "0.5", "0"],
@@ -82,7 +86,8 @@ BOUNDED_TEXT = {
     "kcap": ["0", "-1", "1", "8", "64", "1001", "1e300", "nan"],
     "N0": ["0", "-1", "2", "101", "64", "1e300", "nan"],
 }
-BOUNDED_JSON = [0, -1, 1, 8, 64, 1001, 2.0, math.nan, math.inf, None]
+BOUNDED_JSON = [0, -1, 1, 8, 64, 1001, 2.0, math.nan, math.inf, PAST_FLOAT, -PAST_FLOAT,
+                None]
 AXIS_PARAMS = ["eta0", "c", "beta", "B_eta0", "n_L", "volume"]
 AXIS_BOUNDS = ["0", "-1", "1e-9", "0.5", "10", "1e300", "nan", "inf", "pi/0"]
 AXIS_COUNTS = ["0", "-1", "1", "3", "1e300", "nan"]
@@ -126,7 +131,8 @@ def json_choices(key: str) -> list:
         return ["aliferis2006", "bogus", "1,2,3",
                 {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3},
                 {"A": 575.0, "A_prime": 291, "B": 1e4, "D": 291, "M": 3.0},
-                {"A": 1, "A_prime": 1, "B": 1, "D": 1, "M": 1}]
+                {"A": 1, "A_prime": 1, "B": 1, "D": 1, "M": 1},
+                {"A": 1, "A_prime": 1, "B": PAST_FLOAT, "D": PAST_FLOAT, "M": 1}]
     numbers = []
     for text in VALID.get(key, []):
         try:
@@ -140,7 +146,7 @@ def json_values(key: str) -> st.SearchStrategy:
     if key == "axes":
         axis = st.fixed_dictionaries(
             {"param": st.sampled_from(AXIS_PARAMS),
-             "min": st.sampled_from([0, -1, 1e-9, 0.5, 1e300]),
+             "min": st.sampled_from([0, -1, 1e-9, 0.5, 1e300, PAST_FLOAT]),
              "max": st.sampled_from([0, 1e-6, 10, 1e300]),
              "count": st.sampled_from([0, 1, 3])},
             optional={"spacing": st.sampled_from(["log", "linear", "cubic"])})
@@ -315,7 +321,7 @@ def test_every_single_config_edit_exits_cleanly(workdir, base_configs):
                 check([base[0], "--config", str(path)], workdir)
 
 
-# The config walker against jsonschema, the reference it replaced.  Junk is
+# The config reader's walk against jsonschema, the reference it replaced.  Junk is
 # any JSON value, with keys drawn from the schemas' own names so that junk
 # objects come close to valid axes and schemes.
 SCHEMA_KEYS = sorted({p.key for p in cli.PARAMS} | {"command", "param", "min", "max",
@@ -359,12 +365,21 @@ def reference(command: str):
     return validator(schema)
 
 
+def problem(value, schema: dict) -> str | None:
+    """How the config reader refuses value under schema, or None if it reads it."""
+    try:
+        cli._read_json(value, schema)
+    except cli.UsageError as exc:
+        return str(exc)
+    return None
+
+
 def assert_walker_agrees(config) -> None:
     for command, schema in cli.CONFIG_SCHEMA.items():
-        problem = cli._violation(config, schema)
-        assert (problem is None) == reference(command).is_valid(config), (command, config)
-        if problem is not None:
-            assert "\n" not in problem
+        refusal = problem(config, schema)
+        assert (refusal is None) == reference(command).is_valid(config), (command, config)
+        if refusal is not None:
+            assert "\n" not in refusal
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -401,7 +416,7 @@ SCHEME = {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3}
     # An extra or missing key inside an axis object, and too many axes.
     {"command": "sweep", "axes": [dict(AXIS, volume=1)]},
     {"command": "sweep", "axes": [{"param": "c", "min": 0.0, "max": 1.0}]},
-    {"command": "sweep", "axes": [AXIS, AXIS, AXIS]},
+    {"command": "sweep", "axes": [AXIS, AXIS, AXIS]}, {"command": "sweep", "axes": []},
     {"command": "sweep", "axes": [dict(AXIS, spacing="cubic")]},
     # A scheme of neither type, and objects that break or keep the object rules.
     {"command": "shor", "scheme": 291}, {"command": "shor", "scheme": [575]},
@@ -434,11 +449,30 @@ def test_walker_keeps_json_schema_rules_beyond_config_schema(schema, value):
     # rules (true is not 1; NaN passes minimum and maximum) show only here.
     jsonschema = pytest.importorskip("jsonschema")
     accepted = jsonschema.validators.validator_for(schema)(schema).is_valid(value)
-    assert (cli._violation(value, schema) is None) == accepted
+    assert (problem(value, schema) is None) == accepted
+
+
+def test_reader_reads_numbers_as_floats_integers_as_ints_and_fills_defaults():
+    config = {"command": "sweep", "kcap": 8.0, "eta0": 1, "R": 1e3,
+              "axes": [{"param": "c", "min": -PAST_FLOAT, "max": PAST_FLOAT, "count": 2.0}],
+              "scheme": {"A": 575.0, "A_prime": 291, "B": 1e4, "D": 291, "M": 3}}
+    read = cli._read_json(config, cli.CONFIG_SCHEMA["sweep"])
+    assert read == {"command": "sweep", "kcap": 8, "eta0": 1.0, "R": 1000,
+                    "axes": [{"param": "c", "min": -math.inf, "max": math.inf, "count": 2,
+                              "spacing": "linear"}],
+                    "scheme": {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3}}
+    assert [type(read[key]) for key in ("kcap", "eta0")] == [int, float]
+    assert {type(v) for v in read["scheme"].values()} == {int}
+    assert type(read["axes"][0]["count"]) is int
+    # A number reads as its text does as a flag, past the float range too.
+    assert cli._read_json(PAST_FLOAT, cli.NUMBER) == float(str(PAST_FLOAT)) == math.inf
+    assert cli._read_json(3, cli.NUMBER) == cli.build_parser().parse(
+        ["shor", "--gamma", "3"]).gamma
 
 
 WALKER_KEYWORDS = {"type", "const", "enum", "minimum", "maximum", "minItems",
-                   "maxItems", "items", "required", "properties", "additionalProperties"}
+                   "maxItems", "items", "required", "properties", "additionalProperties",
+                   "default"}
 
 
 def schema_keywords(schema: dict) -> Iterator[tuple[str, object]]:

@@ -1,8 +1,8 @@
 """The argv parser against argparse, the parser it replaced.
 
 The reference is an argparse parser built from cli.PARAMS the way qecopt
-built its subcommands before; it lives here only, since the runtime does
-not import argparse.  Over argv made of each command's exact flags the two
+built its subcommands before, each flag read by its Param.type; it lives
+here only, since the runtime does not import argparse.  Over argv made of each command's exact flags the two
 parsers agree: the same namespace where argparse accepts, and a one-line
 usage error (exit 2) where argparse exits 2.  The deliberate differences
 (no abbreviations; a value is always the next token) are pinned below.
@@ -38,9 +38,9 @@ def reference() -> argparse.ArgumentParser:
             kwargs: dict = {"dest": key, "default": None}
             if param.action:
                 kwargs["action"] = param.action
-            elif "enum" in param.json:
+            if "enum" in param.json:
                 kwargs["choices"] = param.json["enum"]
-            elif param.type in (int, float):
+            elif param.action != "store_true":
                 kwargs["type"] = param.type
             p.add_argument(param.flag, **kwargs)
     return parser
@@ -164,7 +164,7 @@ def test_flag_equals_value_and_repeats():
     assert parse(["shor", "--R", "5", "--R=7"]).R == 7  # the last value wins
     assert parse(["shor", "--out=a=b"]).out == "a=b"  # split at the first '='
     sweep = parse(["sweep", "--axis", "c:0:1:2", "--axis=eta0:1:2:2"])
-    assert sweep.axes == ["c:0:1:2", "eta0:1:2:2"]  # --axis appends
+    assert sweep.axes == [cli._axis("c:0:1:2"), cli._axis("eta0:1:2:2")]  # --axis appends
     assert parse(["longrange", "--compare"]).compare is True
     assert parse(["shor", "--out", "--format"]).out == "--format"  # a value, though flag-like
 

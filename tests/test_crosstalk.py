@@ -26,7 +26,7 @@ from qecopt.crosstalk import (
     effective_local_error,
     logical_crosstalk_log10,
 )
-from qecopt.scheme import get_scheme, make_scheme
+from qecopt.scheme import InputError, get_scheme, make_scheme
 
 from conftest import clear_caches
 
@@ -150,6 +150,12 @@ class TestLatticeSpec:
         for z in (math.nan, math.inf):
             with pytest.raises(ValueError, match="z must be"):
                 LatticeSpec(d=1, z=z, N0=100)
+
+    def test_a_count_past_the_float_range_is_refused(self):
+        # The closed forms take N0 as a float; both shapes are refused alike.
+        for aspect, d in (("chain", 1), ("square", 2)):
+            with pytest.raises(InputError, match="^N0 exceeds the float range$"):
+                LatticeSpec(d=d, z=0.5, N0=10 ** 400, aspect=aspect)
 
 
 class TestDeltaLatticeOracle:

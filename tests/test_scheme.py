@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from qecopt.scheme import (
     AffineNoise,
     ExponentialNoise,
     FTScheme,
+    InputError,
     LogProb,
     PI_SQ_OVER_16,
     SCHEME_PRESETS,
@@ -41,6 +43,14 @@ class TestFTScheme:
             make_scheme(575, 0, 10_000, 291, 3)
         with pytest.raises(ValueError):
             make_scheme(-575, 291, 10_000, 291, 3)
+
+    def test_rejects_counts_past_the_float_range(self):
+        # The formulas take counts as floats (B * eta0, float(D)).
+        for name in ("A", "A_prime", "B", "D", "M"):
+            counts = {**ALIFERIS.to_dict(), name: 10 ** 400}
+            with pytest.raises(InputError, match=f"^{name} exceeds the float range$"):
+                make_scheme(**counts)
+        assert make_scheme(1, 1, 1, int(sys.float_info.max), 1).D == int(sys.float_info.max)
 
     def test_rejects_non_integer_counts(self):
         with pytest.raises(TypeError):
