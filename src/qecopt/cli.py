@@ -14,12 +14,17 @@ its status under every command that takes it.  The argv parser
 (build_parser, no argparse; a parse plan per command), the per-command
 config schemas (CONFIG_SCHEMA) and config resolution are generated from
 these two tables; the I/O flags (--format, --out, --config, fit's --in) are
-Params of _IO_PARAMS.  Flags match exactly; a value is the next token, or
-follows '=' in --flag=value.  Each value has one reader: the parser reads
-flag text as it parses; the schema walk (_read_json, no jsonschema) reads a
-config, each "number" a float and each "integer" an int, where an integer
-literal past the float range reads as +-inf, as flag text 1e400 does.
-Resolution only picks the flag, else the config value, else the default.
+Params of _IO_PARAMS.  Each acceptance rule has one home: an enum flag
+offers exactly what its command takes (each command's --format its record's
+formats, sweep's --model the laws it sweeps), so --help, the parser and the
+schema agree; cmd_sweep alone bounds a grid's size (MAX_SWEEP_POINTS) and
+its axes (one per field of the law); kcap's range is optimizer.levels'.
+Flags match exactly; a value is the next token, or follows '=' in
+--flag=value.  Each value has one reader: the parser reads flag text as it
+parses; the schema walk (_read_json, no jsonschema) reads a config, each
+"number" a float and each "integer" an int, where an integer literal past
+the float range reads as +-inf, as flag text 1e400 does.  Resolution only
+picks the flag, else the config value, else the default.
 
 Each cmd_* handler resolves its settings, computes and returns a Report,
 (cfg, result, table): the table is blocks of columns whose keys are the CSV
@@ -62,7 +67,7 @@ import numpy as np
 
 from . import scheme
 
-# Most grid points one sweep may take, per axis and in total.
+# Most grid points one sweep may take.
 MAX_SWEEP_POINTS = 10 ** 6
 # Table rows a report renders and writes at once.
 REPORT_ROWS = 1 << 12
@@ -132,7 +137,7 @@ def _axis(value: str) -> dict:
     axis["spacing"] = parts[4] if len(parts) == 5 else _SPACING["default"]
     # Typed as above, only count and spacing can break the schema, whose walk
     # words the refusal.
-    if not (1 <= axis["count"] <= MAX_SWEEP_POINTS and axis["spacing"] in _SPACING["enum"]):
+    if not (axis["count"] >= 1 and axis["spacing"] in _SPACING["enum"]):
         try:
             _read_json(axis, _AXIS_JSON)
         except UsageError as exc:
@@ -180,7 +185,7 @@ _AXIS_JSON = {
         "param": {"type": "string"},
         "min": NUMBER,
         "max": NUMBER,
-        "count": {"type": "integer", "minimum": 1, "maximum": MAX_SWEEP_POINTS},
+        "count": {"type": "integer", "minimum": 1},
         "spacing": _SPACING,
     },
     "required": ["param", "min", "max", "count"],
@@ -192,7 +197,8 @@ PARAMS = (
     Param("scheme", "--scheme", _scheme_config, _SCHEME_JSON,
           {c: "aliferis2006" for c in (*_SCAN, "shor")}, "preset name or A,A_prime,B,D,M"),
     Param("model", "--model", str, {"enum": list(scheme.MODEL_FIELDS)},
-          dict.fromkeys(_SCAN, REQUIRED)),
+          {"optimize": REQUIRED}),
+    Param("model", "--model", str, {"enum": ["affine", "exp", "shor"]}, {"sweep": REQUIRED}),
     Param("eta0", "--eta0", float, NUMBER, dict.fromkeys(_SCAN, REQUIRED)),
     Param("c", "--c", float, NUMBER, dict.fromkeys(_SCAN, 0.0)),
     Param("beta", "--beta", float, NUMBER, dict.fromkeys(_SCAN, REQUIRED)),
@@ -201,10 +207,10 @@ PARAMS = (
     Param("nL", "--nL", float, NUMBER, {"optimize": REQUIRED, "shor": None},
           "photons per logical gate"),
     Param("A", "--A", float, NUMBER, {"optimize": _scheme_growth}),
-    Param("kcap", "--kcap", int, {"type": "integer", "minimum": 1},
+    Param("kcap", "--kcap", int, INTEGER,
           dict.fromkeys(_SCAN, lambda cfg: optimizer.DEFAULT_K_CAP)),
     Param("axes", "--axis", _axis,
-          {"type": "array", "items": _AXIS_JSON, "minItems": 1, "maxItems": 2},
+          {"type": "array", "items": _AXIS_JSON, "minItems": 1},
           {"sweep": REQUIRED}, "param:min:max:count[:spacing], up to twice", "append"),
     Param("R", "--R", int, INTEGER, {"sweep": REQUIRED, "shor": REQUIRED}),
     Param("theta", "--theta", _angle, NUMBER, {"gatesim": REQUIRED},
@@ -254,7 +260,7 @@ def _read_json(value: Any, schema: dict) -> Any:
     value breaks schema.
 
     Covers the keywords CONFIG_SCHEMA uses, with JSON Schema's meaning:
-    type, const, enum, minimum, maximum, minItems, maxItems, items,
+    type, const, enum, minimum, minItems, maxItems, items,
     required, properties, additionalProperties (false only) and default,
     which a missing property takes.  As in JSON Schema, a keyword about
     numbers, arrays or objects passes other values.  Where value's first
@@ -273,11 +279,8 @@ def _read_json(value: Any, schema: dict) -> Any:
         raise UsageError(f"{schema['const']!r} was expected")
     if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
         raise UsageError(f"{value!r} is not one of {schema['enum']!r}")
-    if _JSON_TYPES["number"](value):
-        if "minimum" in schema and value < schema["minimum"]:
-            raise UsageError(f"{value!r} is less than the minimum of {schema['minimum']!r}")
-        if "maximum" in schema and value > schema["maximum"]:
-            raise UsageError(f"{value!r} is greater than the maximum of {schema['maximum']!r}")
+    if "minimum" in schema and _JSON_TYPES["number"](value) and value < schema["minimum"]:
+        raise UsageError(f"{value!r} is less than the minimum of {schema['minimum']!r}")
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise UsageError(f"{value!r} is too short")
@@ -604,8 +607,6 @@ def _sweep_rows(axes: list[dict], values: list[np.ndarray], k_max: np.ndarray,
 def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
     cfg = _settings(args, config, ("scheme", "model", "kcap", "axes"))
     axes, model = cfg["axes"], cfg["model"]
-    if model == "table":
-        raise UsageError("sweep does not support --model table")
     fields = scheme.MODEL_FIELDS[model]
     choices = [param for param, field in _AXIS_FIELDS.items() if field in fields]
     swept: dict[str, str] = {}  # each swept field of the law, and its axis
@@ -619,6 +620,7 @@ def cmd_sweep(args: SimpleNamespace, config: dict) -> Report:
             raise UsageError(f"cannot sweep {param!r}: axis {swept[field]!r} already sets "
                              f"{field}; choose from {', '.join(choices)}, one per field")
         swept[field] = param
+    # The one bound on a sweep's size, by flag or config: each count is >= 1.
     if math.prod(axis["count"] for axis in axes) > MAX_SWEEP_POINTS:
         raise UsageError(f"a sweep takes at most {MAX_SWEEP_POINTS} grid points")
     if model == "shor":  # its one axis is n_L, and A is the scheme's D
@@ -697,7 +699,7 @@ def cmd_shor(args: SimpleNamespace, config: dict) -> Report:
     sch = _parse_scheme(cfg["scheme"])
     problem = shor.ShorProblem(R=cfg["R"],
                                P_target=cfg.get("ptarget", shor.ShorProblem.P_target))
-    p_err = shor.error_target(problem, cfg["perr"])
+    p_err = shor.target_logical_error(problem, cfg["perr"])
 
     if cfg["nL"] is None:
         budget = shor.min_photon_budget(
@@ -771,10 +773,10 @@ def cmd_fit(args: SimpleNamespace, config: dict) -> Report:
 
 
 class Command(NamedTuple):
-    """A command: its help line, its handler, the report formats it writes,
-    its default first (see main), and the library modules beside scheme that
-    its handler calls, which main imports and binds as globals before it calls
-    the handler."""
+    """A command: its help line, its handler, the report formats it writes
+    and its --format offers, its default first (see main), and the library
+    modules beside scheme that its handler calls, which main imports and
+    binds as globals before it calls the handler."""
 
     about: str
     handler: Callable[[SimpleNamespace, dict], Report]
@@ -797,15 +799,13 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 # The flags that name the report's format and files, not a computation
-# parameter: the parser reads them, configs and resolution do not.  --format
-# has one help per default format, each for the commands whose record has it.
+# parameter: the parser reads them, configs and resolution do not.  Each
+# command's --format takes the formats of its record.
 _IO_PARAMS = (
-    Param("format", "--format", str, {"enum": ["json", "csv"]},
-          {c: None for c, record in _COMMANDS.items() if record.formats[0] == "json"},
-          "report format (default: json)"),
-    Param("format", "--format", str, {"enum": ["json", "csv"]},
-          {c: None for c, record in _COMMANDS.items() if record.formats[0] == "csv"},
-          "report format (default: csv, or json for a report fed back)"),
+    *(Param("format", "--format", str, {"enum": list(record.formats)}, {command: None},
+            "report format (default: json)" if record.formats[0] == "json" else
+            "report format (default: csv, or json for a report fed back)")
+      for command, record in _COMMANDS.items()),
     Param("out", "--out", str, {"type": "string"}, dict.fromkeys(COMMANDS),
           "output path (default: stdout)"),
     Param("config", "--config", str, {"type": "string"}, dict.fromkeys(COMMANDS),
@@ -942,8 +942,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         config, from_report = _load_config(args.config, args.command)
         # The one format default: JSON for a report fed back, else the command's.
         fmt = args.format or ("json" if from_report else record.formats[0])
-        if fmt not in record.formats:  # refused before the handler computes
-            raise UsageError(f"{args.command} reports are JSON only")
         for name in record.modules:  # bound here, once a process, for the handler
             if name not in globals():
                 globals()[name] = importlib.import_module(f"{__package__}.{name}")

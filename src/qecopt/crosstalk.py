@@ -137,10 +137,6 @@ def _chain_row_sum(side: int, z: float) -> float:
     return 2.0 * _harmonic(c, z) + ((c + 1) ** -z if side % 2 == 0 else 0.0)
 
 
-# Gauss-Legendre nodes of each integral along a rectangle's edge.
-_LINE_NODES = 32
-
-
 def _em_tables() -> tuple[np.ndarray, np.ndarray]:
     """The product Euler-Maclaurin sum's constant tables, built once at
     import and read-only: a 12 x 12 table E and the Hankel indices n1 + n2.
@@ -200,7 +196,7 @@ def _rectangle_geometry(rects: list[tuple[int, int, int, int]]) -> tuple[np.ndar
     edges = slice(0, 4 * k)
     sign = np.where(np.repeat(_UPPER, k) ^ (ends < 0), 1.0, -1.0)
     x0 = np.abs(ends)
-    x, _ = _gauss_legendre(_LINE_NODES)
+    x = _gauss_rules()[0]
     # Each edge's range in the other coordinate: lower ends, then upper ends.
     ranges = np.concatenate((va, va, ua, ua, vb, vb, ub, ub)).reshape(2, 4 * k)
     y_lo, y_hi = np.arcsinh(ranges / x0[edges])
@@ -242,8 +238,8 @@ def _rectangle_parts(geometry: tuple[np.ndarray, ...], z: float) -> np.ndarray:
     sum_n g_n (s)_n p^n f, s = z/2, p = x^2/r^2, with g_0 = 1/2.  f is even
     in x, so an end at x < 0 is the mirror end at -x, where the odd orders
     change sign: a lower end becomes an upper one.  An edge u = x0 runs
-    over v = |x0| sinh(y), r = |x0| cosh(y), with _LINE_NODES Gauss-Legendre
-    nodes in y.  f's bivariate Taylor coefficients give
+    over v = |x0| sinh(y), r = |x0| cosh(y), with _gauss_rules' 32
+    Gauss-Legendre nodes in y.  f's bivariate Taylor coefficients give
     d^a/du^a d^b/dv^b f = u^-a v^-b sum K[a, n1] K[b, n2] (s)_(n1+n2)
     p^n1 q^n2 f, q = v^2/r^2, so a corner's T_u T_v f is
     sum g_n1 h_n2 (s)_(n1+n2) p^n1 q^n2 f.  The nodes, p^n, q^n, g and h
@@ -262,7 +258,7 @@ def _rectangle_parts(geometry: tuple[np.ndarray, ...], z: float) -> np.ndarray:
     factors = s + np.arange(-1.0, 22.0)  # s + N - 1 for N = 1..22, after (s)_0 = 1
     factors[0] = 1.0
     poch = np.multiply.accumulate(factors)  # (s)_N for N <= 22, multiplied in order
-    w = _gauss_legendre(_LINE_NODES)[1]
+    w = _gauss_rules()[1]
 
     f = r2 ** (-s)
     edge_terms = half * np.einsum("ln,ln->l", np.einsum("nli,li->ln", along, f * r * w),
@@ -431,29 +427,22 @@ def delta_lattice_oracle(spec: LatticeSpec) -> float:
     return _centre_row_sum(spec.side, spec.z)
 
 
-# _gauss_legendre's keys: _LINE_NODES, and _c_z_integral's 32 and 16.
-@functools.lru_cache(maxsize=2)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once a process
-    and shared, so read-only.  _c_z_cosines keeps the cosines of C_z's
-    joined 32- and 16-point nodes, which do not depend on z."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 # _c_z_integral's nodes on [-1, 1] map to theta = _C_Z_HALF * (x + 1).
 _C_Z_HALF = math.pi / 8.0
 
 
 @functools.cache
-def _c_z_cosines() -> np.ndarray:
-    """cos(theta) at _c_z_integral's 32 nodes and then its 16 check nodes,
-    built once with their Gauss-Legendre rules and read-only."""
-    x, x_check = _gauss_legendre(32)[0], _gauss_legendre(16)[0]
+def _gauss_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed Gauss-Legendre rules on [-1, 1], built once a process and
+    shared, so read-only: the 32-point nodes and weights (a rectangle's edge
+    integrals and C_z), the 16-point weights (C_z's check) and cos(theta) at
+    C_z's 32 nodes and then its 16, which do not depend on z."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    x_check, w_check = np.polynomial.legendre.leggauss(16)
     cosines = np.cos(_C_Z_HALF * (np.concatenate((x, x_check)) + 1.0))
-    cosines.flags.writeable = False
-    return cosines
+    for array in (x, w, w_check, cosines):
+        array.flags.writeable = False
+    return x, w, w_check, cosines
 
 
 def _c_z_integral(z: float) -> float:
@@ -465,11 +454,12 @@ def _c_z_integral(z: float) -> float:
     rho = 3 + 2 sqrt(2) and the n-point rule errs by O(rho^(-2n)):
     rho^(-64) ~ 1e-49 here.  The gap to the 16-point rule (O(rho^-32) ~ 3e-25)
     checks that at run time; both rules take one power of their joined
-    nodes' cosines, which _c_z_cosines builds once.
+    nodes' cosines, which _gauss_rules builds once.
     """
-    f = _c_z_cosines() ** (z - 2.0)
-    value = _C_Z_HALF * float(_gauss_legendre(32)[1] @ f[:32])
-    err = abs(value - _C_Z_HALF * float(_gauss_legendre(16)[1] @ f[32:]))
+    _, w, w_check, cosines = _gauss_rules()
+    f = cosines ** (z - 2.0)
+    value = _C_Z_HALF * float(w @ f[:32])
+    err = abs(value - _C_Z_HALF * float(w_check @ f[32:]))
     if err > 1e-10:
         raise RuntimeError(f"C_z quadrature error {err:.2e} above 1e-10")
     return value

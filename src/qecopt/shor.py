@@ -108,13 +108,18 @@ class MinBudget:
         return self.log10_p_min is not None
 
 
-def target_logical_error(problem: ShorProblem) -> float:
-    """Largest tolerable error probability per logical gate.
+def target_logical_error(problem: ShorProblem, p_err: float | None = None) -> float:
+    """The error per logical gate to reach: p_err when given, which must lie
+    in (0, 1]; else the largest tolerable error probability per logical gate.
 
-    1/(3L) for the standard P_target = 2/3; otherwise the small-error
+    That is 1/(3L) for the standard P_target = 2/3; otherwise the small-error
     expansion of (1 - p)^L > P_target, namely -ln(P_target)/L.  InputError
     when that rounds to 0, as it does for L near the float range.
     """
+    if p_err is not None:
+        if not 0.0 < p_err <= 1.0:
+            raise InputError(f"perr must lie in (0, 1], got {p_err!r}")
+        return p_err
     if problem.P_target == 2.0 / 3.0:
         target = 1.0 / (3.0 * problem.L)
     else:
@@ -123,16 +128,6 @@ def target_logical_error(problem: ShorProblem) -> float:
         raise InputError("target error per logical gate underflows to 0 at this R "
                          "and P_target")
     return target
-
-
-def error_target(problem: ShorProblem, p_err: float | None = None) -> float:
-    """The error per logical gate to reach: p_err, which must lie in (0, 1],
-    or target_logical_error(problem) when p_err is None."""
-    if p_err is None:
-        return target_logical_error(problem)
-    if not 0.0 < p_err <= 1.0:
-        raise InputError(f"perr must lie in (0, 1], got {p_err!r}")
-    return p_err
 
 
 def photon_noise_model(
@@ -193,7 +188,7 @@ def min_photon_budget(
     if not 0.0 < n_L_cap < math.inf:
         raise InputError(f"nlcap must be positive and finite, got {n_L_cap!r}")
     log_cap = math.log10(n_L_cap)
-    target = math.log10(error_target(problem, p_err))
+    target = math.log10(target_logical_error(problem, p_err))
     base, two_k = _crossing_base(scheme.B, scheme.D)
     log_n = float((base - (target + math.log10(scheme.B)) / two_k).min())
     # n_L > n_L_cap, compared in log space so 10^log_n cannot overflow.

@@ -41,11 +41,9 @@ CACHES: dict[tuple[str, str], Callable[[int], tuple] | None] = {
     # main parses every call of a process with the one parser.
     ("qecopt.cli", "build_parser"): None,
     # leggauss(32) and leggauss(16) take ~0.69 ms, too much for every call
-    # or cold start; their only keys are the square's 32 and C_z's 32 and 16.
-    ("qecopt.crosstalk", "_gauss_legendre"): lambda i: (32 >> i,),
-    # np.cos of C_z's 48 nodes is ~3 of a square --compare's ~7 us in
-    # delta0_asymptotic; the cosines do not depend on z.
-    ("qecopt.crosstalk", "_c_z_cosines"): None,
+    # or cold start, and np.cos of C_z's 48 nodes is ~3 of a square
+    # --compare's ~7 us in delta0_asymptotic; none depends on z.
+    ("qecopt.crosstalk", "_gauss_rules"): None,
     # A z sweep at one side builds the square's far geometry once.
     ("qecopt.crosstalk", "_far_geometry"): lambda i: (129 + i,),
     # Bypassing both takes budgets from ~88 to ~104 us/op at best.

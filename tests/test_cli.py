@@ -454,7 +454,7 @@ class TestDeterminismAndRoundTrip:
         assert run(capsys, command, "--config", str(report)) == (0, report.read_text(), "")
         code, out, err = run(capsys, command, *flags, "--format", "csv")
         if header is None:
-            assert (code, out, err) == (2, "", f"qecopt: {command} reports are JSON only\n")
+            assert (code, out, err) == (2, "", "qecopt: --format must be one of json, got 'csv'\n")
         else:
             assert code == 0 and err == "" and out.split("\n", 1)[0] == header
 
@@ -567,29 +567,24 @@ class TestSweep:
         assert err.count("\n") == 1
 
     def test_table_model_is_rejected(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "sweep", "--model", "table", "--eta0", "1e-5",
-            "--axis", "eta0:1e-6:1e-5:2",
-        )
-        assert code == 2
-        assert "table" in err and "Traceback" not in err
-        assert err.count("\n") == 1
+        assert run(capsys, "sweep", "--model", "table", "--eta0", "1e-5",
+                   "--axis", "eta0:1e-6:1e-5:2") == (
+            2, "", "qecopt: --model must be one of affine, exp, shor, got 'table'\n")
         config = tmp_path / "table.json"
         table_sweep = {
             "command": "sweep", "model": "table",
             "axes": [{"param": "eta0", "min": 1e-6, "max": 1e-5, "count": 2}],
         }
         config.write_text(json.dumps(table_sweep))
-        code, _, err = run(capsys, "sweep", "--config", str(config))
-        assert code == 2
-        assert "table" in err and "Traceback" not in err
-        assert err.count("\n") == 1
-        # sweep takes no f_values, so the sweep schema rejects the key.
-        config.write_text(json.dumps(dict(table_sweep, f_values=[1, 2, 4])))
-        code, _, err = run(capsys, "sweep", "--config", str(config))
-        assert code == 2
-        assert "f_values" in err and "Traceback" not in err
-        assert err.count("\n") == 1
+        assert run(capsys, "sweep", "--config", str(config)) == (
+            2, "", "qecopt: config does not match the sweep schema: "
+                   "'table' is not one of ['affine', 'exp', 'shor']\n")
+        # sweep takes no f_values either, so the sweep schema rejects the key
+        # (the walk refuses a config's first bad key, here f_values).
+        config.write_text(json.dumps({"f_values": [1, 2, 4], **table_sweep}))
+        assert run(capsys, "sweep", "--config", str(config)) == (
+            2, "", "qecopt: config does not match the sweep schema: "
+                   "additional property 'f_values' is not allowed\n")
 
     def test_exp_sweep_reports_no_bounds(self, capsys):
         # The bounds need D >= 2; a sweep never reports them, so D = 1 runs.
@@ -624,21 +619,21 @@ class TestSweep:
         assert code == 2 and out == ""
         assert message in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("axis, problem", [
-        ("c:0:1:2:foo", "'foo' is not one of ['linear', 'log']"),
-        ("c:0:1:2:LOG", "'LOG' is not one of ['linear', 'log']"),
-        ("c:0:1:2:", "'' is not one of ['linear', 'log']"),
-        ("c:0:1:0", "0 is less than the minimum of 1"),
-        ("c:0:1:0:foo", "0 is less than the minimum of 1"),  # count is checked first
+    @pytest.mark.parametrize("axis, line", [
+        ("c:0:1:2:foo", "--axis c:0:1:2:foo: 'foo' is not one of ['linear', 'log']"),
+        ("c:0:1:2:LOG", "--axis c:0:1:2:LOG: 'LOG' is not one of ['linear', 'log']"),
+        ("c:0:1:2:", "--axis c:0:1:2:: '' is not one of ['linear', 'log']"),
+        ("c:0:1:0", "--axis c:0:1:0: 0 is less than the minimum of 1"),
+        ("c:0:1:0:foo", "--axis c:0:1:0:foo: 0 is less than the minimum of 1"),  # count first
+        # The schema sets no largest count: the grid bound refuses it.
         (f"c:0:1:{MAX_SWEEP_POINTS + 1}",
-         f"{MAX_SWEEP_POINTS + 1} is greater than the maximum of {MAX_SWEEP_POINTS}"),
+         f"a sweep takes at most {MAX_SWEEP_POINTS} grid points"),
     ])
-    def test_flag_axis_meets_the_config_schema(self, capsys, axis, problem):
-        # A spacing other than linear or log, or a count out of bounds, is
-        # rejected as the same axis in a config would be, in the schema's words.
+    def test_flag_axis_meets_the_config_schema(self, capsys, axis, line):
+        # A spacing other than linear or log, or a count below 1, is rejected
+        # as the same axis in a config would be, in the schema's words.
         assert run(capsys, "sweep", "--model", "affine", "--eta0", "1e-6",
-                   "--axis", axis, "--format", "json") == (
-            2, "", f"qecopt: --axis {axis}: {problem}\n")
+                   "--axis", axis, "--format", "json") == (2, "", f"qecopt: {line}\n")
 
     @pytest.mark.parametrize("axis, message", [
         ("c:0:x:3", "max needs a number, got 'x'"),
@@ -1424,6 +1419,7 @@ class TestInputErrors:
     ])
     def test_json_only_report_refuses_csv_before_computing(self, capsys, monkeypatch,
                                                              argv, wrapped):
+        # The parser refuses it, since the command's --format takes json alone.
         module, name = wrapped
         calls = []
         real = getattr(module, name)
@@ -1435,7 +1431,7 @@ class TestInputErrors:
         monkeypatch.setattr(module, name, counted)
         assert run(capsys, *argv)[0] == 0 and len(calls) == 1
         code, out, err = run(capsys, *argv, "--format", "csv")
-        assert (code, out, err) == (2, "", f"qecopt: {argv[0]} reports are JSON only\n")
+        assert (code, out, err) == (2, "", "qecopt: --format must be one of json, got 'csv'\n")
         assert len(calls) == 1
 
     def test_value_and_type_errors_are_raised_only_where_allowed(self):
@@ -1459,3 +1455,77 @@ class TestInputErrors:
         assert raised["ValueError"] == []
         assert sorted(raised["TypeError"]) == ["optimizer.generic_kmax_bound",
                                                "scheme._check_count", "scheme.model_to_dict"]
+
+    # A rule each, refused by flag and by the same config: kcap below 1 or
+    # above 1000 (the optimizer's level range), a count past the grid bound,
+    # and three axes (one axis per field of the law).
+    AXIS = {"param": "c", "min": 0.0, "max": 1.0, "count": 2}
+    SOURCES = {
+        "kcap": (["optimize", "--model", "affine", "--eta0", "1e-6", "--kcap", "0"],
+                 {"command": "optimize", "model": "affine", "eta0": 1e-6, "kcap": 0},
+                 "k_cap must be in [1, 1000], got 0"),
+        "kcap_high": (["optimize", "--model", "affine", "--eta0", "1e-6", "--kcap", "1001"],
+                      {"command": "optimize", "model": "affine", "eta0": 1e-6, "kcap": 1001},
+                      "k_cap must be in [1, 1000], got 1001"),
+        "count": (["sweep", "--model", "affine", "--eta0", "1e-6",
+                   "--axis", f"c:0:1:{MAX_SWEEP_POINTS + 1}"],
+                  {"command": "sweep", "model": "affine", "eta0": 1e-6,
+                   "axes": [dict(AXIS, count=MAX_SWEEP_POINTS + 1)]},
+                  f"a sweep takes at most {MAX_SWEEP_POINTS} grid points"),
+        "axes": (["sweep", "--model", "affine", "--axis", "c:0:1:2",
+                  "--axis", "eta0:1e-6:1e-5:2", "--axis", "B_eta0:0.1:0.5:2"],
+                 {"command": "sweep", "model": "affine",
+                  "axes": [AXIS, dict(AXIS, param="eta0", min=1e-6, max=1e-5),
+                           dict(AXIS, param="B_eta0", min=0.1, max=0.5)]},
+                 "cannot sweep 'B_eta0': axis 'eta0' already sets eta0; "
+                 "choose from eta0, c, B_eta0, one per field"),
+    }
+
+    @pytest.mark.parametrize("rule", list(SOURCES))
+    def test_one_line_per_rule_whatever_the_source(self, tmp_path, capsys, rule):
+        argv, config, line = self.SOURCES[rule]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        expected = (2, "", f"qecopt: {line}\n")
+        assert run(capsys, *argv) == expected
+        assert run(capsys, argv[0], "--config", str(path)) == expected
+
+    # A run of each command; a choice that needs flags of its own has its own run.
+    RUNS = {
+        "optimize": ["--model", "affine", "--eta0", "5e-6"],
+        "sweep": ["--model", "affine", "--eta0", "5e-6", "--axis", "c:0:4:3"],
+        "gatesim": ["--theta", "pi", "--gamma", "1", "--ng", "1000"],
+        "longrange": ["--lattice", "chain", "--z", "0.5", "--N0", "101", "--compare"],
+        "shor": ["--R", "1000", "--gamma", "10", "--omega0", "1e10"],
+        "fit": ["--samples", "0:1e-5,1:2e-5,2:3e-5", "--model", "affine"],
+    }
+    CHOICE_RUNS = {
+        ("optimize", "--model", "exp"): ["--model", "exp", "--eta0", "1e-12", "--beta", "1"],
+        ("optimize", "--model", "table"): ["--model", "table", "--eta0", "1e-9",
+                                           "--f-values", "1,300,90000"],
+        ("optimize", "--model", "shor"): ["--model", "shor", "--nL", "1e9"],
+        ("sweep", "--model", "exp"): ["--model", "exp", "--eta0", "1e-12",
+                                      "--axis", "beta:0.1:1:2"],
+        ("sweep", "--model", "shor"): ["--model", "shor", "--R", "1000",
+                                       "--axis", "n_L:1e4:1e13:3:log"],
+        ("longrange", "--lattice", "square"): ["--lattice", "square", "--z", "1",
+                                               "--N0", "144", "--compare"],
+        ("fit", "--model", "exp"): ["--samples", "0:1e-6,1:2.91e-4", "--model", "exp",
+                                    "--D", "291"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_offers_only_what_a_command_takes(self, capsys, command):
+        _, text, _ = run(capsys, command, "--help")
+        offered = re.findall(r"^  (--[\w-]+) \{([\w,]+)\}", text, re.M)
+        assert offered
+        for flag, choices in offered:
+            for choice in choices.split(","):
+                argv = self.CHOICE_RUNS.get((command, flag, choice), self.RUNS[command])
+                if flag in argv:
+                    at = argv.index(flag) + 1
+                    argv = [*argv[:at], choice, *argv[at + 1:]]
+                else:
+                    argv = [*argv, flag, choice]
+                code, _, err = run(capsys, command, *argv)
+                assert (code, err) == (0, ""), argv

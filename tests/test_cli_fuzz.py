@@ -404,7 +404,7 @@ SCHEME = {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3}
     {"command": "longrange", "compare": 1}, {"command": "longrange", "compare": True},
     # const and enum tell true from 1.
     {"command": True}, {"command": 1}, {"command": "optimize", "model": True},
-    # -0.0, NaN and inf against minimum and maximum.
+    # -0.0, NaN and inf against minimum, and counts past the grid bound.
     {"command": "optimize", "kcap": -0.0}, {"command": "optimize", "kcap": math.nan},
     {"command": "optimize", "kcap": math.inf}, {"command": "optimize", "kcap": 10 ** 400},
     {"command": "sweep", "axes": [dict(AXIS, count=-0.0)]},
@@ -413,7 +413,7 @@ SCHEME = {"A": 575, "A_prime": 291, "B": 10000, "D": 291, "M": 3}
     {"command": "sweep", "axes": [dict(AXIS, count=math.nan)]},
     {"command": "sweep", "axes": [dict(AXIS, count=math.inf)]},
     {"command": "sweep", "axes": [dict(AXIS, min=math.nan, max=-math.inf)]},
-    # An extra or missing key inside an axis object, and too many axes.
+    # An extra or missing key inside an axis object, and three or no axes.
     {"command": "sweep", "axes": [dict(AXIS, volume=1)]},
     {"command": "sweep", "axes": [{"param": "c", "min": 0.0, "max": 1.0}]},
     {"command": "sweep", "axes": [AXIS, AXIS, AXIS]}, {"command": "sweep", "axes": []},
@@ -436,17 +436,19 @@ def test_walker_agrees_with_jsonschema_on_edges(config):
 
 @pytest.mark.parametrize("schema", [
     {"const": 1}, {"const": True}, {"enum": [1, 2.0]}, {"enum": [False]},
-    {"minimum": 1}, {"maximum": 1}, {"type": "number", "minimum": -1, "maximum": 1},
+    {"minimum": 1}, {"type": "number", "minimum": -1},
     {"type": ["integer", "null"]},
     # The scheme's shape: keywords about objects pass every other value.
     {"type": ["string", "object"], "required": ["A"], "additionalProperties": False},
+    # The axes' and pairs' shape: keywords about arrays pass every other value.
+    {"items": {"minimum": 1}, "minItems": 1, "maxItems": 1},
 ])
 @pytest.mark.parametrize("value", [
     True, False, 1, 1.0, 2.0, 0, -0.0, math.nan, math.inf, -math.inf, None, "1", [1],
 ])
 def test_walker_keeps_json_schema_rules_beyond_config_schema(schema, value):
     # CONFIG_SCHEMA compares only strings and bounds only integers, so these
-    # rules (true is not 1; NaN passes minimum and maximum) show only here.
+    # rules (true is not 1; NaN passes minimum) show only here.
     jsonschema = pytest.importorskip("jsonschema")
     accepted = jsonschema.validators.validator_for(schema)(schema).is_valid(value)
     assert (problem(value, schema) is None) == accepted
@@ -470,7 +472,7 @@ def test_reader_reads_numbers_as_floats_integers_as_ints_and_fills_defaults():
         ["shor", "--gamma", "3"]).gamma
 
 
-WALKER_KEYWORDS = {"type", "const", "enum", "minimum", "maximum", "minItems",
+WALKER_KEYWORDS = {"type", "const", "enum", "minimum", "minItems",
                    "maxItems", "items", "required", "properties", "additionalProperties",
                    "default"}
 

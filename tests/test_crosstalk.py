@@ -555,6 +555,17 @@ class TestDelta0Asymptotic:
             assert err < 1e-13
             assert _c_z_integral(z) == pytest.approx(reference, rel=1e-14, abs=0.0), z
 
+    def test_kept_rules_are_leggauss_bit_for_bit_and_read_only(self):
+        clear_caches()
+        x, w, w_check, cosines = crosstalk._gauss_rules()
+        x32, w32 = np.polynomial.legendre.leggauss(32)
+        x16, w16 = np.polynomial.legendre.leggauss(16)
+        joined = np.cos(math.pi / 8.0 * (np.concatenate((x32, x16)) + 1.0))
+        for kept, fresh in ((x, x32), (w, w32), (w_check, w16), (cosines, joined)):
+            assert kept.tobytes() == fresh.tobytes()
+            assert not kept.flags.writeable
+        assert crosstalk._gauss_rules()[0] is x
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.0, max_value=2.0, exclude_max=True))
     def test_quadrature_from_the_kept_cosines_is_the_per_call_formula(self, z):

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from qecopt.gatesim import GateSpec, pulse_params
 from qecopt.optimizer import DEFAULT_K_CAP
-from qecopt.scheme import PI_SQ_OVER_16, get_scheme, make_scheme
+from qecopt.scheme import PI_SQ_OVER_16, InputError, get_scheme, make_scheme
 from qecopt.shor import (
     HBAR,
     MinBudget,
     ShorProblem,
     energy_bill,
-    error_target,
     min_photon_budget,
     optimize_photon_budget,
     photon_noise_model,
@@ -65,6 +64,16 @@ class TestTargetLogicalError:
         assert target_logical_error(problem) == pytest.approx(
             -math.log(0.9) / 100 ** 2, rel=1e-12
         )
+
+    def test_a_given_p_err_is_the_target_even_where_the_derived_one_underflows(self):
+        # -ln(P_target)/L rounds to 0 here, so only the derived target is refused.
+        problem = ShorProblem(R=10 ** 154, P_target=0.9999999999999999)
+        with pytest.raises(InputError, match="underflows to 0"):
+            target_logical_error(problem)
+        with pytest.raises(InputError, match="underflows to 0"):
+            target_logical_error(problem, None)
+        assert target_logical_error(problem, 1e-3) == 1e-3
+        assert target_logical_error(problem, 5e-324) == 5e-324
 
 
 class TestOptimizePhotonBudget:
@@ -159,8 +168,8 @@ class TestMinPhotonBudget:
         with pytest.raises(ValueError, match=r"perr must lie in \(0, 1\]"):
             min_photon_budget(ShorProblem(R=10 ** 3), ALIFERIS, p_err=p_err)
         with pytest.raises(ValueError, match="perr"):
-            error_target(ShorProblem(R=10 ** 3), p_err)
-        assert error_target(ShorProblem(R=10 ** 3), 1.0) == 1.0
+            target_logical_error(ShorProblem(R=10 ** 3), p_err)
+        assert target_logical_error(ShorProblem(R=10 ** 3), 1.0) == 1.0
 
     def test_consistency_with_the_optimizer(self):
         # The returned budget meets the target; half of it does not.
@@ -240,7 +249,7 @@ class TestMinPhotonBudget:
         budget = min_photon_budget(problem, ALIFERIS, p_err=p_err, n_L_cap=cap)
         assert budget.feasible is (budget.log10_p_min is not None)
         if budget.feasible:
-            assert budget.log10_p_min <= math.log10(error_target(problem, p_err))
+            assert budget.log10_p_min <= math.log10(target_logical_error(problem, p_err))
         else:
             assert (budget.n_L, budget.k) == (cap, 0)
 
